@@ -30,12 +30,15 @@ from repro.trajectory.model import LocationKey, Point, Trajectory
 class _Node:
     """A point in the doubly-linked edit structure."""
 
-    __slots__ = ("point", "prev", "next", "out_sid", "seq")
+    __slots__ = ("point", "loc", "prev", "next", "out_sid", "seq")
 
     _counter = 0
 
     def __init__(self, point: Point) -> None:
         self.point = point
+        #: ``point.loc``, quantized once: every bookkeeping structure
+        #: is keyed by it.
+        self.loc = point.loc
         self.prev: _Node | None = None
         self.next: _Node | None = None
         #: Id of the indexed segment (self -> self.next), if any.
@@ -94,9 +97,9 @@ class EditableTrajectory:
                 starts.append(previous)
             previous = node
         self._tail = previous
-        # Bulk-register the initial segments: one vectorised placement
-        # pass on indexes that support it, with sid assignment
-        # identical to the per-segment loop.
+        # Bulk-register the initial segments: one block of index rows
+        # and one vectorised placement pass on indexes that support
+        # it, with sid assignment identical to the per-segment loop.
         if starts:
             sids = bulk_insert(
                 self.index,
@@ -110,16 +113,16 @@ class EditableTrajectory:
     # -- bookkeeping -----------------------------------------------------------
 
     def _register_node(self, node: _Node) -> None:
-        self._nodes_by_loc.setdefault(node.point.loc, set()).add(node)
+        self._nodes_by_loc.setdefault(node.loc, set()).add(node)
         self._size += 1
         self._bbox_cache = None
 
     def _unregister_node(self, node: _Node) -> None:
-        bucket = self._nodes_by_loc.get(node.point.loc)
+        bucket = self._nodes_by_loc.get(node.loc)
         if bucket is not None:
             bucket.discard(node)
             if not bucket:
-                del self._nodes_by_loc[node.point.loc]
+                del self._nodes_by_loc[node.loc]
         self._size -= 1
         self._bbox_cache = None
 
@@ -331,8 +334,8 @@ class EditableTrajectory:
         adjacent: set[LocationKey] = set()
         for node in self._nodes_by_loc.get(loc, ()):
             for neighbour in (node.prev, node.next):
-                if neighbour is not None and neighbour.point.loc != loc:
-                    adjacent.add(neighbour.point.loc)
+                if neighbour is not None and neighbour.loc != loc:
+                    adjacent.add(neighbour.loc)
         return adjacent
 
     def complete_deletion_cost(self, loc: LocationKey) -> float:

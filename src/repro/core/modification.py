@@ -281,7 +281,7 @@ def nearest_live_segment_of_owner(
     """
     for sid, _ in iter_nearest(shared_index, loc):
         if (
-            shared_index.segment(sid).owner == editable.object_id
+            shared_index.owner_of(sid) == editable.object_id
             and editable.node_for_segment(sid)
         ):
             return sid
@@ -496,7 +496,7 @@ class InterTrajectoryModifier:
         """
         chosen: dict[str, int] = {}  # object id -> best segment sid
         for sid, _ in iter_nearest(shared_index, loc):
-            owner = shared_index.segment(sid).owner
+            owner = shared_index.owner_of(sid)
             if owner in eligible and owner not in chosen:
                 chosen[owner] = sid
                 if len(chosen) >= delta:
@@ -520,7 +520,7 @@ class InterTrajectoryModifier:
         while True:
             hits = search_knn(shared_index, loc, k, self.strategy)
             for sid, _ in hits:
-                owner = shared_index.segment(sid).owner
+                owner = shared_index.owner_of(sid)
                 if owner in eligible and owner not in chosen:
                     chosen[owner] = sid
                     if len(chosen) >= delta:

@@ -491,7 +491,7 @@ class WavePlanner:
         stop_distance = None
         for sid, dist in hits:
             scanned.add(sid)
-            owner = self.shared_index.segment(sid).owner
+            owner = self.shared_index.owner_of(sid)
             if owner not in ineligible and owner not in chosen:
                 chosen[owner] = sid
                 if len(chosen) >= delta:

@@ -54,6 +54,9 @@ class RoadNetwork:
         self.spur_tips: list[int] = list(spur_tips or [])
         self.coords: list[Coord] = list(coords)
         self.adjacency: list[list[Edge]] = [[] for _ in self.coords]
+        #: Flat routing view of ``adjacency``: ``(neighbour, length)``
+        #: per incident edge, in the same order.
+        self._neighbours: list[list[tuple[int, float]]] = [[] for _ in self.coords]
         self.edges: list[Edge] = []
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
@@ -65,6 +68,8 @@ class RoadNetwork:
             self.edges.append(edge)
             self.adjacency[u].append(edge)
             self.adjacency[v].append(edge)
+            self._neighbours[u].append((v, edge.length))
+            self._neighbours[v].append((u, edge.length))
         self._cell_size = 0.0
         self._node_grid: dict[tuple[int, int], list[int]] = {}
         self._edge_grid: dict[tuple[int, int], list[Edge]] = {}
@@ -180,29 +185,46 @@ class RoadNetwork:
     # -- routing -----------------------------------------------------------------
 
     def shortest_path(self, source: int, target: int) -> list[int]:
-        """Dijkstra shortest path as a node-id list (inclusive of both ends).
+        """A* shortest path as a node-id list (inclusive of both ends).
+
+        The heuristic is the straight-line distance to ``target``. It is
+        admissible because every edge's length is the
+        :func:`point_distance` of its ends, so no route is shorter than
+        the straight line. Stale heap entries are skipped lazily and an
+        improved node is re-pushed, so a one-ulp inconsistency of the
+        float heuristic costs at most a re-expansion.
 
         Raises ``ValueError`` when no path exists (should not happen on
         the connected networks built by :func:`build_road_network`).
         """
         if source == target:
             return [source]
+        coords = self.coords
+        tx, ty = coords[target]
+        neighbours = self._neighbours
+        inf = math.inf
         dist = {source: 0.0}
         parent: dict[int, int] = {}
-        heap: list[tuple[float, int]] = [(0.0, source)]
+        sx, sy = coords[source]
+        heap: list[tuple[float, float, int]] = [
+            (math.hypot(sx - tx, sy - ty), 0.0, source)
+        ]
         while heap:
-            d, node = heapq.heappop(heap)
+            _, d, node = heapq.heappop(heap)
             if node == target:
                 break
-            if d > dist.get(node, float("inf")):
+            if d > dist.get(node, inf):
                 continue
-            for edge in self.adjacency[node]:
-                neighbour = edge.other(node)
-                candidate = d + edge.length
-                if candidate < dist.get(neighbour, float("inf")):
+            for neighbour, length in neighbours[node]:
+                candidate = d + length
+                if candidate < dist.get(neighbour, inf):
                     dist[neighbour] = candidate
                     parent[neighbour] = node
-                    heapq.heappush(heap, (candidate, neighbour))
+                    x, y = coords[neighbour]
+                    heapq.heappush(
+                        heap,
+                        (candidate + math.hypot(x - tx, y - ty), candidate, neighbour),
+                    )
         if target not in parent and source != target:
             raise ValueError(f"no path between nodes {source} and {target}")
         path = [target]

@@ -24,8 +24,12 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.core.local_mechanism import LocalPFMechanism
-from repro.core.modification import IntraTrajectoryModifier, make_index_factory
+from repro.core.local_mechanism import LocalPFMechanism, PFPerturbation
+from repro.core.modification import (
+    IntraTrajectoryModifier,
+    ModificationReport,
+    make_index_factory,
+)
 from repro.core.pipeline import (
     AnonymizationReport,
     FrequencyAnonymizer,
@@ -40,6 +44,7 @@ from repro.engine.pool import (
     parallel_map_stream,
     resolve_workers,
 )
+from repro.engine.spill import decode_chunk, encode_chunk
 from repro.trajectory.model import Trajectory, TrajectoryDataset
 
 if TYPE_CHECKING:  # engine sits below repro.api; runtime imports are lazy
@@ -50,12 +55,15 @@ if TYPE_CHECKING:  # engine sits below repro.api; runtime imports are lazy
 class _LocalShard:
     """Everything one worker needs to run the local stage on a slice.
 
-    Plain data only — this crosses a process boundary. The signature
+    Plain data only — this crosses a process boundary. The trajectories
+    travel as one :func:`~repro.engine.spill.encode_chunk` payload
+    (float64 ``x, y, t`` per point, exact), not as pickled
+    :class:`~repro.trajectory.model.Point` objects. The signature
     index is trimmed to the shard's own trajectories (the candidate set
     and TF restriction stay global, as the mechanism requires).
     """
 
-    trajectories: list[Trajectory]
+    trajectories: bytes
     signature_index: SignatureIndex
     seeds: list[int]
     epsilon_local: float
@@ -66,7 +74,13 @@ class _LocalShard:
     search_strategy: str
 
 
-def _run_local_shard(shard: _LocalShard) -> list[LocalResult]:
+#: What a local-stage worker sends back: the modified trajectories as
+#: one ``encode_chunk`` payload, plus each one's perturbation and
+#: report, in shard order.
+_ShardResult = tuple[bytes, list[PFPerturbation], list[ModificationReport]]
+
+
+def _run_local_shard(shard: _LocalShard) -> _ShardResult:
     """Worker: the exact serial per-trajectory loop, on one shard."""
     mechanism = LocalPFMechanism(shard.epsilon_local, m=shard.signature_size)
     intra = IntraTrajectoryModifier(
@@ -77,15 +91,25 @@ def _run_local_shard(shard: _LocalShard) -> list[LocalResult]:
         ),
         strategy=shard.search_strategy,
     )
-    results: list[LocalResult] = []
-    for trajectory, seed in zip(shard.trajectories, shard.seeds, strict=True):
+    modified: list[Trajectory] = []
+    perturbations: list[PFPerturbation] = []
+    reports: list[ModificationReport] = []
+    for trajectory, seed in zip(
+        decode_chunk(shard.trajectories), shard.seeds, strict=True
+    ):
         rng = random.Random(seed)
         perturbation = mechanism.perturb_trajectory(
             trajectory, shard.signature_index, rng
         )
-        modified, report = intra.apply(trajectory, perturbation)
-        results.append((trajectory.object_id, perturbation, modified, report))
-    return results
+        result, report = intra.apply(trajectory, perturbation)
+        modified.append(result)
+        perturbations.append(perturbation)
+        reports.append(report)
+    return (
+        encode_chunk(TrajectoryDataset(modified)),
+        perturbations,
+        reports,
+    )
 
 
 def _anonymize_one(payload: tuple[MethodSpec, int, TrajectoryDataset]):
@@ -410,7 +434,13 @@ class BatchAnonymizer:
         )
         # Contiguous shards concatenated in order == serial iteration
         # order, so reports merge identically too.
-        return [item for shard in results for item in shard]
+        return [
+            (trajectory.object_id, perturbation, trajectory, report)
+            for payload, perturbations, reports in results
+            for trajectory, perturbation, report in zip(
+                decode_chunk(payload), perturbations, reports, strict=True
+            )
+        ]
 
     def _make_shard(
         self,
@@ -429,7 +459,7 @@ class BatchAnonymizer:
             tf=signature_index.tf,
         )
         return _LocalShard(
-            trajectories=chunk,
+            trajectories=encode_chunk(TrajectoryDataset(chunk)),
             signature_index=trimmed,
             seeds=[
                 local_stream_seed(base_seed, t.object_id) for t in chunk

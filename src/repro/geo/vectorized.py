@@ -1,9 +1,16 @@
 """Numpy-vectorised geometry kernels.
 
 Batch versions of the scalar primitives in :mod:`repro.geo.geometry`,
-used where the library is distance-bound: the linear-scan index on
-large segment sets and the INF utility metric. Results match the
-scalar implementations to floating-point accuracy (property-tested).
+used where the library is distance-bound: the segment indexes' cell
+views, the wave planner's created-geometry test, and the INF utility
+metric. Results match the scalar implementations to floating-point
+accuracy (property-tested).
+
+Every vectorised point-segment distance goes through one column kernel,
+:func:`segment_distances`, whose operation order is pinned: it equals,
+bit for bit, the pure-Python evaluation of the same expressions with
+``math.sqrt`` (see ``tests/test_segment_store.py``), so the result does not
+depend on how numpy reduces or fuses anything.
 """
 
 from __future__ import annotations
@@ -13,8 +20,53 @@ import numpy as np
 from repro.geo.geometry import Coord
 
 
+def segment_columns(
+    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The derived kernel columns ``(dx, dy, safe_norm_sq)`` of segments.
+
+    ``safe_norm_sq`` is the squared length, with 1.0 standing in for
+    degenerate (``a == b``) segments so they project onto their start.
+    """
+    dx = bx - ax
+    dy = by - ay
+    norm_sq = dx * dx + dy * dy
+    return dx, dy, np.where(norm_sq == 0.0, 1.0, norm_sq)
+
+
+def segment_distances(
+    qx: float,
+    qy: float,
+    ax: np.ndarray,
+    ay: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
+    safe_norm_sq: np.ndarray,
+) -> np.ndarray:
+    """Point-segment distance from ``(qx, qy)`` to every row (Eq. 3).
+
+    The one column kernel. Plain elementwise ufuncs in a fixed order:
+    the clamped projection parameter ``t``, the gap to the projected
+    point, then its length.
+    """
+    t = ((qx - ax) * dx + (qy - ay) * dy) / safe_norm_sq
+    t = np.maximum(t, 0.0)
+    t = np.minimum(t, 1.0)
+    gx = qx - (ax + t * dx)
+    gy = qy - (ay + t * dy)
+    return np.sqrt(gx * gx + gy * gy)
+
+
 class SegmentArray:
-    """A fixed batch of segments supporting vectorised distance queries."""
+    """A fixed batch of segments supporting vectorised distance queries.
+
+    Holds only the kernel columns ``ax, ay, dx, dy, safe_norm_sq``:
+    either derived here from endpoint arrays, or gathered ready-made
+    from a :class:`~repro.index.base.SegmentStore` by
+    :meth:`from_columns` (the segment indexes' cell views).
+    """
+
+    __slots__ = ("ax", "ay", "dx", "dy", "safe_norm_sq")
 
     def __init__(self, starts: np.ndarray, ends: np.ndarray) -> None:
         """``starts``/``ends``: float arrays of shape (n, 2)."""
@@ -22,12 +74,29 @@ class SegmentArray:
         ends = np.asarray(ends, dtype=np.float64)
         if starts.shape != ends.shape or starts.ndim != 2 or starts.shape[1] != 2:
             raise ValueError("expected matching (n, 2) coordinate arrays")
-        self.starts = starts
-        self.ends = ends
-        self._delta = ends - starts
-        self._norm_sq = np.einsum("ij,ij->i", self._delta, self._delta)
-        # Degenerate segments project onto their start point.
-        self._safe_norm_sq = np.where(self._norm_sq == 0.0, 1.0, self._norm_sq)
+        self.ax = starts[:, 0]
+        self.ay = starts[:, 1]
+        self.dx, self.dy, self.safe_norm_sq = segment_columns(
+            self.ax, self.ay, ends[:, 0], ends[:, 1]
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        ax: np.ndarray,
+        ay: np.ndarray,
+        dx: np.ndarray,
+        dy: np.ndarray,
+        safe_norm_sq: np.ndarray,
+    ) -> "SegmentArray":
+        """Wrap already-derived kernel columns without copying them."""
+        array = cls.__new__(cls)
+        array.ax = ax
+        array.ay = ay
+        array.dx = dx
+        array.dy = dy
+        array.safe_norm_sq = safe_norm_sq
+        return array
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[Coord, Coord]]) -> "SegmentArray":
@@ -46,19 +115,16 @@ class SegmentArray:
         return cls(array[:-1], array[1:])
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return len(self.ax)
 
     def distances_to(self, q: Coord) -> np.ndarray:
         """Point-segment distance from ``q`` to every segment (Eq. 3)."""
         if len(self) == 0:
             return np.empty(0)
-        qv = np.asarray(q, dtype=np.float64)
-        to_q = qv - self.starts
-        t = np.einsum("ij,ij->i", to_q, self._delta) / self._safe_norm_sq
-        t = np.clip(t, 0.0, 1.0)
-        closest = self.starts + t[:, None] * self._delta
-        gap = qv - closest
-        return np.sqrt(np.einsum("ij,ij->i", gap, gap))
+        return segment_distances(
+            float(q[0]), float(q[1]),
+            self.ax, self.ay, self.dx, self.dy, self.safe_norm_sq,
+        )
 
     def min_distance_to(self, q: Coord) -> float:
         """Minimum distance from ``q`` to the segment set (inf if empty)."""
@@ -76,7 +142,7 @@ class SegmentArray:
         """
         distances = self.distances_to(q)
         order = np.argsort(distances, kind="stable")
-        return [(int(i), float(distances[i])) for i in order]
+        return list(zip(order.tolist(), distances[order].tolist(), strict=True))
 
     def knn(self, q: Coord, k: int) -> list[tuple[int, float]]:
         """The ``k`` nearest segment *positions* (row indices)."""

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterator, Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 from repro.geo.geometry import Coord, point_segment_distance
+from repro.geo.vectorized import SegmentArray, segment_columns
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,6 +43,12 @@ class SegmentIndex(Protocol):
 
     def segment(self, sid: int) -> IndexedSegment:
         """Look up a registered segment."""
+        ...
+
+    def owner_of(self, sid: int) -> str | None:
+        """The owner of a registered segment: ``segment(sid).owner``
+        without building the segment (the candidate-selection loops
+        read nothing else per hit)."""
         ...
 
     def knn(self, q: Coord, k: int) -> list[tuple[int, float]]:
@@ -115,38 +124,152 @@ def bulk_insert(
     return [index.insert(a, b, owner=owner) for a, b in pairs]
 
 
-class SegmentRegistry:
-    """Id allocation and storage shared by the concrete indexes."""
+#: Rows a fresh :class:`SegmentStore` holds before its first doubling.
+_INITIAL_CAPACITY = 64
+
+
+class SegmentStore:
+    """Struct-of-arrays storage of every segment one index holds.
+
+    The sid is the row number; rows are allocated in order and never
+    reused. The float64 columns are the endpoints ``ax, ay, bx, by``
+    exactly as given, plus the column kernel's derived ``dx, dy,
+    safe_norm_sq`` (:func:`repro.geo.vectorized.segment_columns`),
+    computed once when the row is allocated. They are the rows of one
+    2-D block, so :meth:`gather` — an index's cell view — is a single
+    fancy-index op. An owner list and a live mask complete the store;
+    removing a segment clears its live flag. Capacity doubles as rows
+    are allocated.
+    """
+
+    #: Block rows. The kernel columns come first so a gather takes one
+    #: contiguous slice of the block.
+    _AX, _AY, _DX, _DY, _SAFE, _BX, _BY = range(7)
 
     def __init__(self) -> None:
-        self._segments: dict[int, IndexedSegment] = {}
-        self._next_id = 0
+        self._block = np.empty((7, _INITIAL_CAPACITY))
+        self._alive = np.zeros(_INITIAL_CAPACITY, dtype=bool)
+        self._owners: list[str | None] = []
+        self._live = 0
 
-    def allocate(self, a: Coord, b: Coord, owner: str | None) -> IndexedSegment:
-        segment = IndexedSegment(self._next_id, a, b, owner)
-        self._segments[segment.sid] = segment
-        self._next_id += 1
-        return segment
+    def _reserve(self, rows: int) -> None:
+        capacity = self._alive.shape[0]
+        if rows <= capacity:
+            return
+        capacity = max(rows, 2 * capacity)
+        used = len(self._owners)
+        block = np.empty((7, capacity))
+        block[:, :used] = self._block[:, :used]
+        alive = np.zeros(capacity, dtype=bool)
+        alive[:used] = self._alive[:used]
+        self._block = block
+        self._alive = alive
 
-    def release(self, sid: int) -> IndexedSegment:
-        try:
-            return self._segments.pop(sid)
-        except KeyError:
-            raise KeyError(f"segment {sid} is not in the index") from None
+    def allocate(self, a: Coord, b: Coord, owner: str | None) -> int:
+        """Store one segment; returns its sid."""
+        sid = len(self._owners)
+        self._reserve(sid + 1)
+        ax, ay = float(a[0]), float(a[1])
+        bx, by = float(b[0]), float(b[1])
+        # The scalar twin of segment_columns: same IEEE operations.
+        dx = bx - ax
+        dy = by - ay
+        norm_sq = dx * dx + dy * dy
+        self._block[:, sid] = (
+            ax, ay, dx, dy, 1.0 if norm_sq == 0.0 else norm_sq, bx, by
+        )
+        self._alive[sid] = True
+        self._owners.append(owner)
+        self._live += 1
+        return sid
 
-    def get(self, sid: int) -> IndexedSegment:
-        try:
-            return self._segments[sid]
-        except KeyError:
-            raise KeyError(f"segment {sid} is not in the index") from None
+    def allocate_many(
+        self, starts: np.ndarray, ends: np.ndarray, owner: str | None
+    ) -> range:
+        """Store a block of segments at once; returns their sids.
+
+        ``starts``/``ends`` are float64 ``(n, 2)`` arrays. Same rows
+        and sids as ``n`` :meth:`allocate` calls.
+        """
+        first = len(self._owners)
+        count = len(starts)
+        stop = first + count
+        self._reserve(stop)
+        block = self._block[:, first:stop]
+        block[self._AX] = starts[:, 0]
+        block[self._AY] = starts[:, 1]
+        block[self._BX] = ends[:, 0]
+        block[self._BY] = ends[:, 1]
+        block[self._DX], block[self._DY], block[self._SAFE] = segment_columns(
+            starts[:, 0], starts[:, 1], ends[:, 0], ends[:, 1]
+        )
+        self._alive[first:stop] = True
+        self._owners.extend([owner] * count)
+        self._live += count
+        return range(first, stop)
+
+    def _check(self, sid: int) -> None:
+        if not (0 <= sid < len(self._owners) and self._alive[sid]):
+            raise KeyError(f"segment {sid} is not in the index")
+
+    def release(self, sid: int) -> None:
+        self._check(sid)
+        self._alive[sid] = False
+        self._live -= 1
+
+    def segment(self, sid: int) -> IndexedSegment:
+        """The live segment ``sid``, built on demand from its row."""
+        self._check(sid)
+        ax, ay, _, _, _, bx, by = self._block[:, sid].tolist()
+        return IndexedSegment(sid, (ax, ay), (bx, by), self._owners[sid])
+
+    def owner_of(self, sid: int) -> str | None:
+        """The owner of the live segment ``sid`` (no row is built)."""
+        self._check(sid)
+        return self._owners[sid]
+
+    def live_sids(self) -> np.ndarray:
+        """Every live sid, ascending."""
+        return np.flatnonzero(self._alive[: len(self._owners)])
+
+    def gather(self, sids) -> SegmentArray:
+        """The kernel columns of ``sids`` (live, in the given order) as
+        one :class:`~repro.geo.vectorized.SegmentArray`: one gather."""
+        rows = np.take(
+            self._block[: self._SAFE + 1],
+            np.asarray(sids, dtype=np.intp),
+            axis=1,
+        )
+        return SegmentArray.from_columns(*rows)
+
+    def endpoints(
+        self, sids
+    ) -> tuple[list[float], list[float], list[float], list[float]]:
+        """The stored ``ax, ay, bx, by`` of ``sids``, in order, as
+        Python floats: one gather."""
+        rows = np.take(self._block, np.asarray(sids, dtype=np.intp), axis=1)
+        return (
+            rows[self._AX].tolist(),
+            rows[self._AY].tolist(),
+            rows[self._BX].tolist(),
+            rows[self._BY].tolist(),
+        )
+
+    def scalar_distances(self, sids, q: Coord) -> list[float]:
+        """:func:`~repro.geo.geometry.point_segment_distance` from ``q``
+        to each of ``sids``, in order: the scalar kernel, on the exact
+        stored endpoints."""
+        if len(sids) == 0:
+            return []
+        return [
+            point_segment_distance(q, (ax, ay), (bx, by))
+            for ax, ay, bx, by in zip(*self.endpoints(sids), strict=True)
+        ]
 
     def __len__(self) -> int:
-        return len(self._segments)
+        return self._live
 
     def __iter__(self) -> Iterator[IndexedSegment]:
-        return iter(self._segments.values())
-
-    def bulk_load(
-        self, segments: Iterable[tuple[Coord, Coord, str | None]]
-    ) -> list[IndexedSegment]:
-        return [self.allocate(a, b, owner) for a, b, owner in segments]
+        """Every live segment, ascending by sid."""
+        for sid in self.live_sids().tolist():
+            yield self.segment(sid)

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.geo.geometry import BBox, Coord
 from repro.geo.vectorized import SegmentArray
-from repro.index.base import IndexedSegment, SegmentRegistry
+from repro.index.base import IndexedSegment, SegmentStore
 from repro.index.search import KnnCandidates
 
 #: Cell address: (level, ix, iy). Level 0 is the 1x1 root grid.
@@ -57,10 +57,10 @@ class _Cell:
 
     segments: set[int] = field(default_factory=set)
     children: set[CellKey] = field(default_factory=set)
-    #: Lazily-built vectorised view ``(sorted sids, SegmentArray)`` of
-    #: ``segments``; invalidated whenever the segment set changes. Lets
-    #: the incremental frontier batch a whole cell's exact distances in
-    #: one numpy pass instead of one Python call per segment.
+    #: Lazily-gathered vectorised view ``(sorted sids, SegmentArray)``
+    #: of ``segments``; invalidated whenever the segment set changes.
+    #: Lets every search batch a whole cell's exact distances in one
+    #: numpy pass instead of one Python call per segment.
     array: tuple[list[int], SegmentArray] | None = None
 
     @property
@@ -93,7 +93,8 @@ class HierarchicalGridIndex:
         self._side = 2**self._finest  # cells per side at the finest level
         self._width = max(bbox.width, 1e-9)
         self._height = max(bbox.height, 1e-9)
-        self._registry = SegmentRegistry()
+        #: Every segment's geometry and owner; the sid is the row.
+        self.store = SegmentStore()
         self._cells: dict[CellKey, _Cell] = {}
         self._cell_of_sid: dict[int, CellKey | None] = {}
         #: Segments with an endpoint outside ``bbox``. Clamping them
@@ -169,21 +170,24 @@ class HierarchicalGridIndex:
     # -- structure maintenance ------------------------------------------------------
 
     def insert(self, a: Coord, b: Coord, owner: str | None = None) -> int:
-        segment = self._registry.allocate(a, b, owner)
+        sid = self.store.allocate(a, b, owner)
         if not (self.bbox.contains(a) and self.bbox.contains(b)):
-            self._cell_of_sid[segment.sid] = None
-            self._overflow.add(segment.sid)
-            return segment.sid
-        key = self.best_fit_cell(a, b)
-        self._cell_of_sid[segment.sid] = key
+            self._cell_of_sid[sid] = None
+            self._overflow.add(sid)
+            return sid
+        self._place(sid, self.best_fit_cell(a, b))
+        return sid
+
+    def _place(self, sid: int, key: CellKey) -> None:
+        """File ``sid`` under its best-fit cell, creating the cell chain."""
+        self._cell_of_sid[sid] = key
         cell = self._cells.get(key)
         if cell is None:
             cell = _Cell()
             self._cells[key] = cell
             self._link_ancestors(key)
-        cell.segments.add(segment.sid)
+        cell.segments.add(sid)
         cell.array = None
-        return segment.sid
 
     def insert_many(
         self,
@@ -192,11 +196,12 @@ class HierarchicalGridIndex:
     ) -> list[int]:
         """Bulk :meth:`insert`: one vectorised best-fit pass per batch.
 
-        Computes every segment's finest-level coordinates, diverging
+        Allocates the whole batch as one block of store rows, and
+        computes every segment's finest-level coordinates, diverging
         bit count, and best-fit cell (Definition 11) in numpy across
-        the whole batch, leaving only the registry/cell bookkeeping in
-        Python. Identical placement and sid allocation to the
-        equivalent ``insert`` loop.
+        the batch, leaving only the cell bookkeeping in Python.
+        Identical placement and sid allocation to the equivalent
+        ``insert`` loop.
         """
         if not pairs:
             return []
@@ -220,28 +225,17 @@ class HierarchicalGridIndex:
         levels = self._finest - diverging
         cxs = fx_a >> diverging
         cys = fy_a >> diverging
-        sids: list[int] = []
-        for position, (a, b) in enumerate(pairs):
-            segment = self._registry.allocate(a, b, owner)
-            sids.append(segment.sid)
-            if not inside[position]:
-                self._cell_of_sid[segment.sid] = None
-                self._overflow.add(segment.sid)
-                continue
-            key = (
-                int(levels[position]),
-                int(cxs[position]),
-                int(cys[position]),
-            )
-            self._cell_of_sid[segment.sid] = key
-            cell = self._cells.get(key)
-            if cell is None:
-                cell = _Cell()
-                self._cells[key] = cell
-                self._link_ancestors(key)
-            cell.segments.add(segment.sid)
-            cell.array = None
-        return sids
+        sids = self.store.allocate_many(starts, ends, owner)
+        for sid, fits, level, cx, cy in zip(
+            sids, inside.tolist(), levels.tolist(), cxs.tolist(), cys.tolist(),
+            strict=True,
+        ):
+            if fits:
+                self._place(sid, (level, cx, cy))
+            else:
+                self._cell_of_sid[sid] = None
+                self._overflow.add(sid)
+        return list(sids)
 
     def _finest_coords_batch(
         self, points: np.ndarray
@@ -274,7 +268,7 @@ class HierarchicalGridIndex:
                 break
 
     def remove(self, sid: int) -> None:
-        self._registry.release(sid)
+        self.store.release(sid)
         key = self._cell_of_sid.pop(sid)
         if key is None:
             self._overflow.discard(sid)
@@ -298,10 +292,13 @@ class HierarchicalGridIndex:
             key = parent
 
     def segment(self, sid: int) -> IndexedSegment:
-        return self._registry.get(sid)
+        return self.store.segment(sid)
+
+    def owner_of(self, sid: int) -> str | None:
+        return self.store.owner_of(sid)
 
     def __len__(self) -> int:
-        return len(self._registry)
+        return len(self.store)
 
     def cell_count(self) -> int:
         """Number of materialised cells (structure-size diagnostic)."""
@@ -345,9 +342,12 @@ class HierarchicalGridIndex:
         candidates = KnnCandidates(k)
         # Out-of-bbox segments carry no valid cell bound; check them
         # exactly up front (this also tightens θ_K before descent).
-        for sid in self._overflow:
-            stats.segments_checked += 1
-            candidates.offer(sid, self._registry.get(sid).distance_to(q))
+        overflow = list(self._overflow)
+        stats.segments_checked += len(overflow)
+        for sid, dist in zip(
+            overflow, self.store.scalar_distances(overflow, q), strict=True
+        ):
+            candidates.offer(sid, dist)
         if not self._cells:
             return candidates.results()
         if strategy == "top_down":
@@ -359,15 +359,12 @@ class HierarchicalGridIndex:
         return candidates.results()
 
     def _cell_view(self, cell: _Cell) -> tuple[list[int], SegmentArray]:
-        """The cell's vectorised segment view, built lazily and cached
-        until the cell's segment set next changes."""
+        """The cell's vectorised segment view: one gather of its sorted
+        sids from the store, cached until the cell's segment set next
+        changes."""
         if cell.array is None:
             sids = sorted(cell.segments)
-            pairs = []
-            for sid in sids:
-                segment = self._registry.get(sid)
-                pairs.append((segment.a, segment.b))
-            cell.array = (sids, SegmentArray.from_pairs(pairs))
+            cell.array = (sids, self.store.gather(sids))
         return cell.array
 
     def iter_nearest(self, q: Coord):
@@ -432,9 +429,7 @@ class HierarchicalGridIndex:
             # frontier as one pre-sorted exact-distance cursor.
             sids = sorted(self._overflow)
             stats.segments_checked += len(sids)
-            raw = np.array(
-                [self._registry.get(sid).distance_to(q) for sid in sids]
-            )
+            raw = np.array(self.store.scalar_distances(sids, q))
             order = np.argsort(raw, kind="stable")
             head = int(order[0])
             heap.append((float(raw[head]), 1, sids[head], sids, order, raw, 0))
@@ -498,10 +493,15 @@ class HierarchicalGridIndex:
         distances = array.distances_to(q)
         if candidates.full:
             positions = np.flatnonzero(distances < candidates.threshold)
+            hits = zip(
+                [sids[position] for position in positions.tolist()],
+                distances[positions].tolist(),
+                strict=True,
+            )
         else:
-            positions = range(len(sids))
-        for position in positions:
-            candidates.offer(sids[position], float(distances[position]))
+            hits = zip(sids, distances.tolist(), strict=True)
+        for sid, dist in hits:
+            candidates.offer(sid, dist)
 
     def _existing_children(self, key: CellKey) -> set[CellKey]:
         cell = self._cells.get(key)

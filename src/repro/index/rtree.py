@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.geo.geometry import BBox, Coord
-from repro.index.base import IndexedSegment, SegmentRegistry
+from repro.index.base import IndexedSegment, SegmentStore
 from repro.index.search import (
     KnnCandidates,
     iter_nearest_batch_via_single,
@@ -59,22 +59,14 @@ class RTreeIndex:
             raise ValueError("rebuild fraction must be in (0, 1]")
         self.leaf_capacity = leaf_capacity
         self.rebuild_fraction = rebuild_fraction
-        self._registry = SegmentRegistry()
+        #: Every segment's geometry and owner; the sid is the row.
+        self.store = SegmentStore()
         self._root: _Node | None = None
         self._tree_sids: set[int] = set()
         self._buffer: set[int] = set()
         self._tombstones: set[int] = set()
 
     # -- maintenance -----------------------------------------------------------
-
-    def _segment_mbr(self, sid: int) -> BBox:
-        segment = self._registry.get(sid)
-        return BBox(
-            min(segment.a[0], segment.b[0]),
-            min(segment.a[1], segment.b[1]),
-            max(segment.a[0], segment.b[0]),
-            max(segment.a[1], segment.b[1]),
-        )
 
     def _needs_rebuild(self) -> bool:
         tree_size = len(self._tree_sids)
@@ -89,7 +81,13 @@ class RTreeIndex:
         if not live:
             self._root = None
             return
-        entries = [(sid, self._segment_mbr(sid)) for sid in sorted(live)]
+        sids = sorted(live)
+        entries = [
+            (sid, BBox(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)))
+            for sid, ax, ay, bx, by in zip(
+                sids, *self.store.endpoints(sids), strict=True
+            )
+        ]
         self._root = self._str_pack(entries)
 
     def _str_pack(self, entries: list[tuple[int, BBox]]) -> _Node:
@@ -127,14 +125,14 @@ class RTreeIndex:
     # -- index protocol -------------------------------------------------------------
 
     def insert(self, a: Coord, b: Coord, owner: str | None = None) -> int:
-        segment = self._registry.allocate(a, b, owner)
-        self._buffer.add(segment.sid)
+        sid = self.store.allocate(a, b, owner)
+        self._buffer.add(sid)
         if self._needs_rebuild():
             self._rebuild()
-        return segment.sid
+        return sid
 
     def remove(self, sid: int) -> None:
-        self._registry.release(sid)
+        self.store.release(sid)
         if sid in self._buffer:
             self._buffer.discard(sid)
             return
@@ -145,10 +143,17 @@ class RTreeIndex:
             self._rebuild()
 
     def segment(self, sid: int) -> IndexedSegment:
-        return self._registry.get(sid)
+        return self.store.segment(sid)
+
+    def owner_of(self, sid: int) -> str | None:
+        return self.store.owner_of(sid)
 
     def __len__(self) -> int:
-        return len(self._registry)
+        return len(self.store)
+
+    def _exact(self, sids, q: Coord):
+        """``(sid, distance)`` for ``sids`` in order, by the scalar kernel."""
+        return zip(sids, self.store.scalar_distances(sids, q), strict=True)
 
     @property
     def tree_height(self) -> int:
@@ -163,12 +168,12 @@ class RTreeIndex:
     # -- search ------------------------------------------------------------------------
 
     def knn(self, q: Coord, k: int) -> list[tuple[int, float]]:
-        if len(self._registry) == 0:
+        if len(self.store) == 0:
             return []
         candidates = KnnCandidates(k)
         # Overflow buffer: exact scan (small by construction).
-        for sid in self._buffer:
-            candidates.offer(sid, self._registry.get(sid).distance_to(q))
+        for sid, dist in self._exact(list(self._buffer), q):
+            candidates.offer(sid, dist)
         if self._root is not None:
             counter = 0  # heap tie-breaker (BBox is not orderable)
             heap: list[tuple[float, int, _Node]] = [
@@ -179,12 +184,9 @@ class RTreeIndex:
                 if candidates.full and dist > candidates.threshold:
                     break
                 if node.is_leaf:
-                    for sid in node.sids:
-                        if sid in self._tombstones:
-                            continue
-                        candidates.offer(
-                            sid, self._registry.get(sid).distance_to(q)
-                        )
+                    live = [s for s in node.sids if s not in self._tombstones]
+                    for sid, dist in self._exact(live, q):
+                        candidates.offer(sid, dist)
                 else:
                     for child in node.children:
                         child_dist = child.mbr.min_distance(q)
@@ -203,13 +205,13 @@ class RTreeIndex:
         ascending sid. The overflow buffer is measured up front (it is
         small by construction).
         """
-        if len(self._registry) == 0:
+        if len(self.store) == 0:
             return
         # Entries: (distance, kind, tie, node-or-None); kind 0 = node
         # keyed by an insertion counter, kind 1 = segment keyed by sid.
-        heap: list[tuple[float, int, int, _Node | None]] = []
-        for sid in self._buffer:
-            heap.append((self._registry.get(sid).distance_to(q), 1, sid, None))
+        heap: list[tuple[float, int, int, _Node | None]] = [
+            (dist, 1, sid, None) for sid, dist in self._exact(list(self._buffer), q)
+        ]
         heapq.heapify(heap)
         counter = 0
         if self._root is not None:
@@ -223,13 +225,9 @@ class RTreeIndex:
                 continue
             assert node is not None
             if node.is_leaf:
-                for sid in node.sids:
-                    if sid in self._tombstones:
-                        continue
-                    heapq.heappush(
-                        heap,
-                        (self._registry.get(sid).distance_to(q), 1, sid, None),
-                    )
+                live = [s for s in node.sids if s not in self._tombstones]
+                for sid, dist in self._exact(live, q):
+                    heapq.heappush(heap, (dist, 1, sid, None))
             else:
                 for child in node.children:
                     counter += 1

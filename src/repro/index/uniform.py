@@ -14,7 +14,7 @@ from typing import Iterator
 
 from repro.geo.geometry import BBox, Coord
 from repro.geo.vectorized import SegmentArray
-from repro.index.base import IndexedSegment, SegmentRegistry
+from repro.index.base import IndexedSegment, SegmentStore
 from repro.index.search import KnnCandidates
 
 
@@ -49,10 +49,11 @@ class UniformGridIndex:
         self.assignment = assignment
         self._cell_w = max(bbox.width, 1e-9) / granularity
         self._cell_h = max(bbox.height, 1e-9) / granularity
-        self._registry = SegmentRegistry()
+        #: Every segment's geometry and owner; the sid is the row.
+        self.store = SegmentStore()
         self._cells: dict[tuple[int, int], set[int]] = {}
         self._cells_of_sid: dict[int, list[tuple[int, int]]] = {}
-        #: Lazily-built vectorised views ``cell -> (sorted sids,
+        #: Lazily-gathered vectorised views ``cell -> (sorted sids,
         #: SegmentArray)``, invalidated per cell on insert/remove. One
         #: numpy distance pass per bucket replaces the per-segment
         #: Python loop, and batched queries over a static index reuse
@@ -99,11 +100,11 @@ class UniformGridIndex:
     # -- index protocol ---------------------------------------------------------
 
     def insert(self, a: Coord, b: Coord, owner: str | None = None) -> int:
-        segment = self._registry.allocate(a, b, owner)
+        sid = self.store.allocate(a, b, owner)
         if not (self.bbox.contains(a) and self.bbox.contains(b)):
-            self._overflow.add(segment.sid)
-            self._cells_of_sid[segment.sid] = []
-            return segment.sid
+            self._overflow.add(sid)
+            self._cells_of_sid[sid] = []
+            return sid
         if self.assignment == "overlap":
             cells = self._cells_overlapping(a, b)
         else:
@@ -113,13 +114,13 @@ class UniformGridIndex:
             if half > self._max_half_extent:
                 self._max_half_extent = half
         for cell in cells:
-            self._cells.setdefault(cell, set()).add(segment.sid)
+            self._cells.setdefault(cell, set()).add(sid)
             self._views.pop(cell, None)
-        self._cells_of_sid[segment.sid] = cells
-        return segment.sid
+        self._cells_of_sid[sid] = cells
+        return sid
 
     def remove(self, sid: int) -> None:
-        self._registry.release(sid)
+        self.store.release(sid)
         self._overflow.discard(sid)
         for cell in self._cells_of_sid.pop(sid):
             bucket = self._cells.get(cell)
@@ -130,24 +131,24 @@ class UniformGridIndex:
                     del self._cells[cell]
 
     def segment(self, sid: int) -> IndexedSegment:
-        return self._registry.get(sid)
+        return self.store.segment(sid)
+
+    def owner_of(self, sid: int) -> str | None:
+        return self.store.owner_of(sid)
 
     def __len__(self) -> int:
-        return len(self._registry)
+        return len(self.store)
 
     def _cell_view(
         self, cell: tuple[int, int]
     ) -> tuple[list[int], SegmentArray]:
-        """The bucket's vectorised segment view, built lazily and
-        cached until the bucket next changes."""
+        """The bucket's vectorised segment view: one gather of its
+        sorted sids from the store, cached until the bucket next
+        changes."""
         view = self._views.get(cell)
         if view is None:
             sids = sorted(self._cells[cell])
-            pairs = []
-            for sid in sids:
-                segment = self._registry.get(sid)
-                pairs.append((segment.a, segment.b))
-            view = (sids, SegmentArray.from_pairs(pairs))
+            view = (sids, self.store.gather(sids))
             self._views[cell] = view
         return view
 
@@ -160,14 +161,17 @@ class UniformGridIndex:
         segment's half-extent: a cell's bucket can contain geometry
         reaching that far outside the cell.
         """
-        if len(self._registry) == 0:
+        if len(self.store) == 0:
             return []
         slack = self._max_half_extent if self.assignment == "midpoint" else 0.0
         candidates = KnnCandidates(k)
         # Out-of-bbox segments carry no valid cell bound; check them
         # exactly up front (this also tightens θ_K before the rings).
-        for sid in self._overflow:
-            candidates.offer(sid, self._registry.get(sid).distance_to(q))
+        overflow = list(self._overflow)
+        for sid, dist in zip(
+            overflow, self.store.scalar_distances(overflow, q), strict=True
+        ):
+            candidates.offer(sid, dist)
         qx, qy = self.cell_of(q)
         seen: set[int] = set()
         max_ring = self.granularity  # worst case covers the whole grid
@@ -187,12 +191,12 @@ class UniformGridIndex:
                     if cell_bound > candidates.threshold:
                         continue
                 sids, array = self._cell_view((cx, cy))
-                distances = array.distances_to(q)
-                for position, sid in enumerate(sids):
+                distances = array.distances_to(q).tolist()
+                for sid, dist in zip(sids, distances, strict=True):
                     if sid in seen:
                         continue
                     seen.add(sid)
-                    candidates.offer(sid, float(distances[position]))
+                    candidates.offer(sid, dist)
         return candidates.results()
 
     def knn_batch(self, qs, k: int) -> list[list[tuple[int, float]]]:
@@ -214,7 +218,7 @@ class UniformGridIndex:
         ``>= r + 1`` whose cells are at least ``r`` cell-widths away,
         minus the midpoint-mode slack).
         """
-        if len(self._registry) == 0:
+        if len(self.store) == 0:
             return
         slack = self._max_half_extent if self.assignment == "midpoint" else 0.0
         qx, qy = self.cell_of(q)
@@ -223,21 +227,24 @@ class UniformGridIndex:
         heap: list[tuple[float, int]] = []
         # Out-of-bbox segments join the heap with exact distances up
         # front; the ring release bound stays valid for them.
-        for sid in self._overflow:
+        overflow = list(self._overflow)
+        for sid, dist in zip(
+            overflow, self.store.scalar_distances(overflow, q), strict=True
+        ):
             seen.add(sid)
-            heapq.heappush(heap, (self._registry.get(sid).distance_to(q), sid))
+            heapq.heappush(heap, (dist, sid))
         for ring in range(self.granularity + 1):
             for cx, cy in self._ring_cells(qx, qy, ring):
                 bucket = self._cells.get((cx, cy))
                 if not bucket:
                     continue
                 sids, array = self._cell_view((cx, cy))
-                distances = array.distances_to(q)
-                for position, sid in enumerate(sids):
+                distances = array.distances_to(q).tolist()
+                for sid, dist in zip(sids, distances, strict=True):
                     if sid in seen:
                         continue
                     seen.add(sid)
-                    heapq.heappush(heap, (float(distances[position]), sid))
+                    heapq.heappush(heap, (dist, sid))
             safe = ring * min_cell - slack
             while heap and heap[0][0] <= safe:
                 dist, sid = heapq.heappop(heap)

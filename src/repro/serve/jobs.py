@@ -261,24 +261,20 @@ class JobRunner:
         """Worker: run one job end to end; never raises (the job
         carries its failure)."""
         with job._lock:
-            if self._abandoning():
-                job.state = "failed"
-                job.error = "daemon shut down before the job ran"
-            else:
+            abandoned = self._abandoning()
+            if not abandoned:
                 job.state = "running"
-        if job.state == "failed":
-            self._settle_failure(job)
-            return job
+        if abandoned:
+            return self._fail(job, "daemon shut down before the job ran")
         started = time.perf_counter()
         try:
             result_path = self._run(job)
         except Exception as exc:  # noqa: BLE001 — the job carries it
-            with job._lock:
-                job.state = "failed"
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.seconds = time.perf_counter() - started
-            self._settle_failure(job)
-            return job
+            return self._fail(
+                job,
+                f"{type(exc).__name__}: {exc}",
+                seconds=time.perf_counter() - started,
+            )
         with job._lock:
             job.result_path = result_path
             job.seconds = time.perf_counter() - started
@@ -368,11 +364,24 @@ class JobRunner:
             job.report = report.to_dict()
         return target
 
-    def _settle_failure(self, job: Job) -> None:
-        if job.eps_total > 0.0:
-            self.store.release(
-                job.tenant, job.id, reason=job.error or "failed"
-            )
+    def _fail(
+        self, job: Job, error: str, seconds: float | None = None
+    ) -> Job:
+        """Release the reservation, then publish the failure: a reader
+        that sees ``failed`` also sees the budget restored, as one that
+        sees ``done`` sees the charge committed. The error and the
+        state appear together, and the job is failed even if the
+        release raises."""
+        try:
+            if job.eps_total > 0.0:
+                self.store.release(job.tenant, job.id, reason=error)
+        finally:
+            with job._lock:
+                job.error = error
+                if seconds is not None:
+                    job.seconds = seconds
+                job.state = "failed"
+        return job
 
     def _abandoning(self) -> bool:
         with self._lock:

@@ -5,6 +5,9 @@ paths are *byte-identical* to the serial pipeline — sharding must never
 change the published data.
 """
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.pipeline import GL, PureL
@@ -15,7 +18,8 @@ from repro.engine import (
     parallel_map_stream,
     resolve_workers,
 )
-from repro.engine.batch import _chunks
+from repro.engine.batch import _chunks, _run_local_shard
+from repro.engine.spill import decode_chunk
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +122,57 @@ class TestChunks:
     def test_more_chunks_than_items(self):
         chunks = _chunks([1, 2], 5)
         assert chunks == [[1], [2]]
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestLocalShardPayload:
+    """Shards and results cross the process boundary as spill-codec
+    bytes, not as pickled Point objects."""
+
+    def test_shard_unpacks_bitwise(self, fleet):
+        anonymizer = GL(epsilon=1.0, signature_size=3, seed=26)
+        engine = BatchAnonymizer(anonymizer, workers=2)
+        signature_index = anonymizer.extractor.extract(fleet.dataset)
+        trajectories = list(fleet.dataset)
+        shard = engine._make_shard(trajectories, signature_index, base_seed=5)
+        assert isinstance(shard.trajectories, bytes)
+        assert b"Point" not in pickle.dumps(shard)
+        unpacked = list(decode_chunk(shard.trajectories))
+        assert [t.object_id for t in unpacked] == [t.object_id for t in trajectories]
+        for original, restored in zip(trajectories, unpacked, strict=True):
+            for field in ("x", "y", "t"):
+                assert float_bits([getattr(p, field) for p in restored]) == float_bits(
+                    [getattr(p, field) for p in original]
+                )
+
+    def test_shard_result_carries_no_points(self, fleet):
+        anonymizer = GL(epsilon=1.0, signature_size=3, seed=28)
+        engine = BatchAnonymizer(anonymizer, workers=2)
+        signature_index = anonymizer.extractor.extract(fleet.dataset)
+        shard = engine._make_shard(
+            list(fleet.dataset)[:3], signature_index, base_seed=5
+        )
+        payload, perturbations, reports = _run_local_shard(shard)
+        assert b"Point" not in pickle.dumps(payload)
+        assert len(decode_chunk(payload)) == len(perturbations) == len(reports) == 3
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_sharded_results_equal_serial(self, fleet, executor):
+        anonymizer = GL(epsilon=1.0, signature_size=3, seed=27)
+        signature_index = anonymizer.extractor.extract(fleet.dataset)
+        serial = anonymizer._run_local_serial(fleet.dataset, signature_index, 9)
+        engine = BatchAnonymizer(anonymizer, workers=2, executor=executor)
+        sharded = engine._run_local_sharded(fleet.dataset, signature_index, 9)
+        assert len(sharded) == len(serial)
+        for (oid, pert, traj, report), (oid2, pert2, traj2, report2) in zip(
+            serial, sharded, strict=True
+        ):
+            assert (oid2, pert2, report2) == (oid, pert, report)
+            assert traj2.object_id == traj.object_id
+            assert [(p.x, p.y, p.t) for p in traj2] == [(p.x, p.y, p.t) for p in traj]
 
 
 class TestBatchAnonymizer:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geo.geometry import BBox
-from repro.index.base import IndexedSegment, SegmentRegistry
+from repro.index.base import IndexedSegment, SegmentStore
 from repro.index.hierarchical import ROOT, HierarchicalGridIndex
 from repro.index.search import KnnCandidates, linear_knn
 from repro.index.uniform import UniformGridIndex
@@ -62,30 +62,31 @@ class TestKnnCandidates:
         assert dists == sorted(dists)
 
 
-class TestSegmentRegistry:
+class TestSegmentStore:
     def test_allocate_and_get(self):
-        reg = SegmentRegistry()
-        seg = reg.allocate((0, 0), (1, 1), "t")
-        assert reg.get(seg.sid) is seg
-        assert len(reg) == 1
+        store = SegmentStore()
+        sid = store.allocate((0, 0), (1, 1), "t")
+        assert store.segment(sid) == IndexedSegment(sid, (0.0, 0.0), (1.0, 1.0), "t")
+        assert store.owner_of(sid) == "t"
+        assert len(store) == 1
 
     def test_ids_unique(self):
-        reg = SegmentRegistry()
-        a = reg.allocate((0, 0), (1, 1), None)
-        b = reg.allocate((0, 0), (1, 1), None)
-        assert a.sid != b.sid
+        store = SegmentStore()
+        a = store.allocate((0, 0), (1, 1), None)
+        b = store.allocate((0, 0), (1, 1), None)
+        assert a != b
 
     def test_release(self):
-        reg = SegmentRegistry()
-        seg = reg.allocate((0, 0), (1, 1), None)
-        reg.release(seg.sid)
-        assert len(reg) == 0
-        with pytest.raises(KeyError):
-            reg.get(seg.sid)
+        store = SegmentStore()
+        sid = store.allocate((0, 0), (1, 1), None)
+        store.release(sid)
+        assert len(store) == 0
+        with pytest.raises(KeyError, match=f"segment {sid} is not in the index"):
+            store.segment(sid)
 
     def test_release_missing(self):
         with pytest.raises(KeyError):
-            SegmentRegistry().release(99)
+            SegmentStore().release(99)
 
 
 class TestLinearKnn:
@@ -231,7 +232,7 @@ class TestHierarchicalKnn:
         q = (400.0, 400.0)
         for sid, _ in index.knn(q, 20, strategy=strategy):
             index.remove(sid)
-        remaining = [s for s in registry if s.sid in {seg.sid for seg in iter_registry(index)}]
+        remaining = [s for s in registry if s.sid in {seg.sid for seg in index.store}]
         got = index.knn(q, 5, strategy=strategy)
         want = linear_knn(remaining, q, 5)
         assert [round(d, 6) for _, d in got] == [round(d, 6) for _, d in want]
@@ -241,10 +242,6 @@ class TestHierarchicalKnn:
         index.knn((500, 500), 3, strategy=strategy)
         assert index.last_stats.segments_checked >= 3
         assert index.last_stats.cells_visited >= 1
-
-
-def iter_registry(index):
-    return list(index._registry)
 
 
 class TestOutOfBoundsSegments:

@@ -1,6 +1,10 @@
 """Tests for the synthetic road network substrate."""
 
+import heapq
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datagen.road_network import build_road_network
 from repro.geo.geometry import point_distance
@@ -123,3 +127,82 @@ class TestRouting:
 
     def test_route_points_short_path(self, network):
         assert network.route_points([5], step=600.0) == [network.node_coord(5)]
+
+
+def reference_dijkstra(network, source, target):
+    """Plain Dijkstra over ``network.adjacency``: the routing reference.
+
+    Returns ``(length, path, unique)``. ``unique`` is False when some
+    node on the way to ``target`` was reached by two routes whose
+    lengths agree to within 1e-9 relative — only then may a correct
+    search legitimately pick a different path of the same length.
+    """
+    tolerance = 1e-9
+    dist = {source: 0.0}
+    parent = {}
+    tied = set()
+    done = set()
+    heap = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        for edge in network.adjacency[node]:
+            neighbour = edge.other(node)
+            candidate = d + edge.length
+            best = dist.get(neighbour, math.inf)
+            if abs(candidate - best) <= tolerance * max(1.0, best):
+                tied.add(neighbour)
+            if candidate < best and neighbour not in done:
+                dist[neighbour] = candidate
+                parent[neighbour] = node
+                heapq.heappush(heap, (candidate, neighbour))
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    path.reverse()
+    unique = not any(node in tied for node in path)
+    return dist[target], path, unique
+
+
+def path_length(network, path):
+    lengths = {e.key: e.length for e in network.edges}
+    total = 0.0
+    for u, v in zip(path, path[1:], strict=False):
+        total += lengths[(u, v) if u < v else (v, u)]
+    return total
+
+
+class TestAStarRouting:
+    """``shortest_path`` is A*; it must stay a shortest path, and the
+    same path as Dijkstra whenever the shortest route is unique."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(2, 9),
+        cols=st.integers(2, 9),
+        jitter=st.sampled_from([0.0, 0.01, 0.15, 0.3]),
+        removal=st.sampled_from([0.0, 0.12, 0.3]),
+        n_spurs=st.integers(0, 4),
+        seed=st.integers(0, 10_000),
+        ends=st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
+    )
+    def test_matches_reference_dijkstra(
+        self, rows, cols, jitter, removal, n_spurs, seed, ends
+    ):
+        network = build_road_network(
+            rows=rows, cols=cols, spacing=600.0, jitter=jitter,
+            removal_fraction=removal, n_spurs=n_spurs, seed=seed,
+        )
+        source = ends[0] % len(network.coords)
+        target = ends[1] % len(network.coords)
+        path = network.shortest_path(source, target)
+        assert path[0] == source and path[-1] == target
+        if source == target:
+            assert path == [source]
+            return
+        length, reference, unique = reference_dijkstra(network, source, target)
+        assert path_length(network, path) == pytest.approx(length, rel=1e-12)
+        if unique:
+            assert path == reference

@@ -14,7 +14,7 @@ from repro.serve.budget import (
     UnknownTenantError,
 )
 from repro.serve.engines import EngineCache
-from repro.serve.jobs import JobRunner, epsilon_of
+from repro.serve.jobs import Job, JobRunner, epsilon_of
 from repro.trajectory.io import write_csv
 
 
@@ -184,6 +184,57 @@ class TestJobRunner:
             assert account.remaining == pytest.approx(8.0)
         finally:
             runner.close()
+
+    def test_failure_published_after_the_release(
+        self, store, engines, tmp_path, dataset_csv, monkeypatch
+    ):
+        """A reader that sees ``failed`` also sees the budget restored:
+        the state and the error appear together, after the release."""
+
+        def explode(spec):
+            raise RuntimeError("engine exploded")
+
+        seen = []
+        real_release = store.release
+
+        def release(tenant, job_id, reason=""):
+            seen.append(runner.get(job_id).to_dict())
+            real_release(tenant, job_id, reason=reason)
+
+        monkeypatch.setattr(engines, "get", explode)
+        monkeypatch.setattr(store, "release", release)
+        runner = JobRunner(store, engines, tmp_path / "spool", workers=1)
+        try:
+            job = runner.submit("acme", GL_SPEC, str(dataset_csv))
+            assert wait_done(runner, job) == "failed"
+        finally:
+            runner.close()
+        [during] = seen
+        assert (during["state"], during["error"]) == ("running", None)
+        assert "engine exploded" in job.to_dict()["error"]
+
+    def test_job_fails_even_if_the_release_raises(
+        self, runner, store, monkeypatch
+    ):
+        def release(tenant, job_id, reason=""):
+            raise OSError("ledger unwritable")
+
+        monkeypatch.setattr(store, "release", release)
+        job = Job(
+            id="j1",
+            tenant="acme",
+            spec=MethodSpec.from_dict(GL_SPEC),
+            dataset="fleet.csv",
+            eps_total=1.0,
+        )
+        with pytest.raises(OSError, match="ledger unwritable"):
+            runner._fail(job, "boom", seconds=0.5)
+        snapshot = job.to_dict()
+        assert (snapshot["state"], snapshot["error"], snapshot["seconds"]) == (
+            "failed",
+            "boom",
+            0.5,
+        )
 
     def test_close_drains_in_flight_jobs(
         self, store, engines, tmp_path, dataset_csv

@@ -10,6 +10,7 @@ so exact distance ties (the classic wave-reordering hazard) are common.
 
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -68,14 +69,56 @@ def snapshot(dataset) -> list:
     ]
 
 
-def apply_source(dataset, perturbation, backend, source, **kwargs):
+def apply_source(dataset, perturbation, backend, source, factory=None, **kwargs):
     modifier = InterTrajectoryModifier(
-        make_index_factory(backend, levels=5, granularity=16),
+        factory or make_index_factory(backend, levels=5, granularity=16),
         candidate_source=source,
     )
     copy = TrajectoryDataset([t.copy() for t in dataset])
     out, report = modifier.apply(copy, perturbation, **kwargs)
     return modifier, out, report
+
+
+def churned_factory(backend, dataset, seed):
+    """An index factory whose indexes arrive pre-churned.
+
+    Before handing the index over it registers every dataset segment
+    under a foreign owner, removes a random half, reinserts the same
+    geometry (same cells, new sids), then removes everything, searching
+    around every location between the steps so views are cached. Every
+    search hit must be live (``owner_of`` raises on a dead sid), and
+    the index ends logically empty, so a stale view surfaces either
+    here or as a changed selection in the stage.
+    """
+    base = make_index_factory(backend, levels=5, granularity=16)
+    pairs = [(a.coord, b.coord) for t in dataset for _, a, b in t.segments()]
+    locations = sorted({p.loc for t in dataset for p in t})
+
+    def search_everywhere(index):
+        for loc in locations:
+            hits = index.knn(loc, 3) + list(islice(index.iter_nearest(loc), 4))
+            for sid, _ in hits:
+                index.owner_of(sid)
+
+    def factory(bbox):
+        rng = random.Random(seed)
+        index = base(bbox)
+        live = {index.insert(a, b, owner="churn"): (a, b) for a, b in pairs}
+        search_everywhere(index)
+        removed = []
+        for sid in rng.sample(sorted(live), len(live) // 2):
+            removed.append(live.pop(sid))
+            index.remove(sid)
+        search_everywhere(index)
+        for a, b in removed:
+            live[index.insert(a, b, owner="churn")] = (a, b)
+        search_everywhere(index)
+        for sid in live:
+            index.remove(sid)
+        assert len(index) == 0
+        return index
+
+    return factory
 
 
 def report_key(report):
@@ -109,6 +152,30 @@ class TestWaveByteIdentity:
         assert report_key(wave_report) == report_key(serial_report)
         stats = modifier.last_wave_stats
         assert stats is not None and stats.operations > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_identical_after_same_cell_churn(self, backend, seed):
+        """Wave and serial runs on pre-churned indexes (see
+        :func:`churned_factory`) equal the serial run on a fresh one."""
+        rng = random.Random(seed)
+        dataset = lattice_fleet(rng, rng.randint(2, 8), 8)
+        perturbation = random_perturbation(rng, dataset)
+        _, fresh_out, fresh_report = apply_source(
+            dataset, perturbation, backend, "incremental"
+        )
+        factory = churned_factory(backend, dataset, seed)
+        for source in ("incremental", "wave"):
+            _, out, report = apply_source(
+                dataset, perturbation, backend, source, factory=factory
+            )
+            assert snapshot(out) == snapshot(fresh_out)
+            assert report_key(report) == report_key(fresh_report)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
