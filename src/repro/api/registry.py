@@ -227,7 +227,7 @@ def _frequency(
     index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
-    candidate_source: str = "wave",
+    candidate_source: str = "incremental",
     levels: int = 10,
     granularity: int = 512,
     global_first: bool = True,
@@ -262,7 +262,7 @@ def _gl(
     index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
-    candidate_source: str = "wave",
+    candidate_source: str = "incremental",
     levels: int = 10,
     granularity: int = 512,
     global_first: bool = True,
@@ -295,7 +295,7 @@ def _pureg(
     index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
-    candidate_source: str = "wave",
+    candidate_source: str = "incremental",
     levels: int = 10,
     granularity: int = 512,
     seed: int | None = None,
@@ -326,7 +326,7 @@ def _purel(
     index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
-    candidate_source: str = "wave",
+    candidate_source: str = "incremental",
     levels: int = 10,
     granularity: int = 512,
     seed: int | None = None,

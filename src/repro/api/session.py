@@ -95,7 +95,8 @@ def run(
     ``engine="batch"`` routes frequency-family methods through
     :class:`repro.engine.BatchAnonymizer` (``workers`` / ``executor`` /
     ``shards_per_worker`` configure the local-stage pool,
-    ``global_workers`` the global stage's wave-planning thread pool)
+    ``global_workers`` the global stage's wave-planning thread pool,
+    which only applies with ``candidate_source="wave"``)
     with output byte-identical to the serial path for the same seed;
     other families run the method as-is and reject the batch engine
     explicitly.

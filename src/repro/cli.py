@@ -120,7 +120,8 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="thread-pool size for the global stage's wave planning "
-        "with --engine batch; 0 = one per CPU core, 1 = in-process "
+        "with --engine batch; only applies with --param "
+        "candidate_source=wave; 0 = one per CPU core, 1 = in-process "
         "(output is byte-identical for any value)",
     )
 
@@ -501,7 +502,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="batch-engine global-stage thread pool; 1 = in-process",
+        help="batch-engine global-stage thread pool; only applies to "
+        "specs with candidate_source=wave; 1 = in-process",
     )
     serve.add_argument(
         "--publish-workers",
@@ -570,7 +572,10 @@ def _build_spec(args: argparse.Namespace) -> MethodSpec:
     for override in args.param or ():
         name, value = _parse_param(override)
         params[name] = value
-    return MethodSpec(kind, params)
+    try:
+        return MethodSpec(kind, params)
+    except TypeError as exc:  # a --param value that is not plain data
+        raise ValueError(str(exc)) from None
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
@@ -589,11 +594,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 "repro ingest: --export requires --name", file=sys.stderr
             )
             return 2
-        try:
-            dest = registry.export_artifact(args.name, args.export)
-        except KeyError as exc:
-            print(f"repro ingest: {exc.args[0]}", file=sys.stderr)
-            return 2
+        dest = registry.export_artifact(args.name, args.export)
         print(f"exported {args.name} -> {dest}")
         return 0
     if args.import_archive:
@@ -601,7 +602,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             result = registry.import_artifact(
                 args.import_archive, force=args.force
             )
-        except (ValueError, FileNotFoundError, tarfile.TarError) as exc:
+        except tarfile.TarError as exc:
             print(f"repro ingest: {exc}", file=sys.stderr)
             return 2
         verb = "imported" if result.fresh else "already installed"
@@ -661,11 +662,7 @@ def _cmd_methods(args: argparse.Namespace) -> int:
 
 
 def _cmd_anonymize(args: argparse.Namespace) -> int:
-    try:
-        spec = _build_spec(args)
-    except (ValueError, TypeError) as exc:
-        print(f"repro anonymize: {exc}", file=sys.stderr)
-        return 2
+    spec = _build_spec(args)
     dataset = load_dataset(args.input)
     try:
         result = run(
@@ -676,9 +673,9 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
             executor=args.executor,
             global_workers=args.global_workers,
         )
-    except (ValueError, TypeError) as exc:
-        print(f"repro anonymize: {exc}", file=sys.stderr)
-        return 2
+    except TypeError as exc:
+        # A --param value of the wrong type fails in the method.
+        raise ValueError(str(exc)) from None
     write_csv(result.dataset, args.output)
     report = result.report
     if report is not None:
@@ -708,11 +705,7 @@ def _cmd_publish(args: argparse.Namespace) -> int:
     from repro.api import publish as api_publish
     from repro.trajectory.io import CSV_HEADER
 
-    try:
-        spec = _build_spec(args)
-    except (ValueError, TypeError) as exc:
-        print(f"repro publish: {exc}", file=sys.stderr)
-        return 2
+    spec = _build_spec(args)
     report_path = args.report or f"{args.output}.report.json"
     # Stream chunks into a staging file and move it into place only
     # after the publish succeeds, so a rejected invocation (wrong
@@ -748,13 +741,12 @@ def _cmd_publish(args: argparse.Namespace) -> int:
             json.dump(report.to_dict(), handle, indent=2)
             handle.write("\n")
         os.replace(staging, args.output)
-    except (ValueError, TypeError, KeyError, OSError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"repro publish: {message}", file=sys.stderr)
-        return 2
+    except TypeError as exc:
+        # A --param value of the wrong type fails in the method.
+        raise ValueError(str(exc)) from None
     finally:
-        # Never leave the staging file behind — not on clean rejects
-        # above, not on unexpected errors surfacing as tracebacks.
+        # Never leave the staging file behind — not on clean rejects,
+        # not on unexpected errors surfacing as tracebacks.
         try:
             os.unlink(staging)
         except OSError:
@@ -871,9 +863,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
             )
             return 0
         report = analyze_paths(paths, baseline=baseline_path, codes=codes)
-    except (AnalysisError, KeyError, ValueError, OSError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"repro check: {message}", file=sys.stderr)
+    except AnalysisError as exc:
+        print(f"repro check: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
@@ -997,11 +988,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """
     from repro.serve import ServeConfig, Daemon
 
-    try:
-        tenants = tuple(_parse_tenant(spec) for spec in args.tenant)
-    except ValueError as exc:
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
+    tenants = tuple(_parse_tenant(spec) for spec in args.tenant)
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -1015,11 +1002,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tenants=tenants,
         registry_root=args.registry,
     )
-    try:
-        daemon = Daemon(config)
-    except (ValueError, OSError) as exc:
-        print(f"repro serve: {exc}", file=sys.stderr)
-        return 2
+    daemon = Daemon(config)
     for tenant, jobs in sorted(daemon.recovered.items()):
         print(
             f"recovered {len(jobs)} orphaned reservation(s) for "
@@ -1063,6 +1046,12 @@ def main(argv: list[str] | None = None) -> int:
 
         os.close(sys.stdout.fileno())
         return 0
+    except (ValueError, OSError, KeyError) as exc:
+        # The one error boundary: bad input, missing files and unknown
+        # names end in a message and exit 2, not a traceback.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"repro {args.command}: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -193,18 +193,38 @@ class IntraTrajectoryModifier:
         return report
 
 
-def rank_containing(
-    editables: dict[str, "EditableTrajectory"], loc: LocationKey
-) -> list["EditableTrajectory"]:
-    """Trajectories containing ``loc``, cheapest complete deletion first.
+def containing_map(
+    editables: dict[str, "EditableTrajectory"],
+) -> dict[LocationKey, list[str]]:
+    """Location -> ids of the trajectories passing through it.
 
-    Stable-sorted, so equal-cost trajectories keep dataset order — the
+    Owners are listed in dataset order. One pass over every
+    trajectory's distinct locations replaces a full-dataset membership
+    scan per location. The map stays valid for a whole TF phase: a
+    pending location's containment changes only through that
+    location's own operation (decreases delete only their own
+    location's occurrences, increases insert only their own).
+    """
+    mapping: dict[LocationKey, list[str]] = {}
+    for object_id, editable in editables.items():
+        for loc in editable.locations():
+            mapping.setdefault(loc, []).append(object_id)
+    return mapping
+
+
+def rank_containing(
+    editables: dict[str, "EditableTrajectory"],
+    loc: LocationKey,
+    owners: Sequence[str],
+) -> list["EditableTrajectory"]:
+    """The ``owners`` containing ``loc``, cheapest complete deletion first.
+
+    ``owners`` comes from :func:`containing_map`, in dataset order; the
+    sort is stable, so equal-cost trajectories keep that order — the
     deterministic ranking both the serial TF-decrease loop and the wave
     planner's read-only simulation share.
     """
-    containing = [
-        editable for editable in editables.values() if editable.contains(loc)
-    ]
+    containing = [editables[owner] for owner in owners]
     containing.sort(key=lambda e: e.complete_deletion_cost(loc))
     return containing
 
@@ -306,16 +326,17 @@ class InterTrajectoryModifier:
     ``candidate_source`` controls how candidates are obtained for the
     ``"index"`` selection:
 
-    * ``"wave"`` (default) — the planner/executor path: group
-      locations into conflict-free *waves* (see
-      :mod:`repro.core.waves`), simulate each wave's selections
-      read-only against one static index snapshot (sharing the
-      batched per-cell distance kernels), then apply the recorded
-      decisions in serial order. Byte-identical to ``"incremental"``
-      by construction;
-    * ``"incremental"`` — the per-location loop: pull candidates
-      lazily from the index's resumable ``iter_nearest`` frontier,
-      stopping the moment Δl owners are found;
+    * ``"incremental"`` (default) — the per-location loop: pull
+      candidates lazily from the index's resumable ``iter_nearest``
+      frontier, stopping the moment Δl owners are found;
+    * ``"wave"`` — the planner/executor path: group locations into
+      conflict-free *waves* (see :mod:`repro.core.waves`), simulate
+      each wave's selections read-only against one static index
+      snapshot (sharing the batched per-cell distance kernels), then
+      apply the recorded decisions in serial order. Byte-identical to
+      ``"incremental"`` by construction, and slower at every measured
+      fleet size; kept as the independent reference the identity
+      tests compare the loop against;
     * ``"restart"`` — the original restart-scan: run ``knn`` with
       ``k = 4Δl`` and re-run from scratch with ``k`` quadrupled until
       enough owners appear. Kept as the baseline the engine benchmark
@@ -329,7 +350,7 @@ class InterTrajectoryModifier:
         index_factory: IndexFactory | None = None,
         strategy: str = "bottom_up_down",
         trajectory_selection: str = "index",
-        candidate_source: str = "wave",
+        candidate_source: str = "incremental",
     ) -> None:
         if trajectory_selection not in ("index", "bbox"):
             raise ValueError(
@@ -397,31 +418,38 @@ class InterTrajectoryModifier:
         """The per-location reference loop (Algorithm 3's order)."""
         # TF decreases: completely delete the location from the Δl
         # trajectories with the cheapest complete-deletion loss.
+        containing = containing_map(editables)
         for loc, delta in sorted(perturbation.decreases()):
-            containing = rank_containing(editables, loc)
+            ranked = rank_containing(editables, loc, containing.get(loc, ()))
             report.merge(
                 apply_decrease_selection(
                     editables,
                     loc,
                     delta,
-                    [e.object_id for e in containing[:delta]],
-                    len(containing),
+                    [e.object_id for e in ranked[:delta]],
+                    len(ranked),
                 )
             )
 
         # TF increases: insert the location once into each of the Δl
         # nearest trajectories that do not already pass through it.
-        for loc, delta in sorted(perturbation.increases()):
-            if self.trajectory_selection == "bbox":
+        if self.trajectory_selection == "bbox":
+            for loc, delta in sorted(perturbation.increases()):
                 report.merge(
                     self._insert_with_bbox_pruning(editables, loc, delta)
                 )
-            else:
-                report.merge(
-                    self._insert_into_nearest_trajectories(
-                        shared_index, editables, loc, delta
-                    )
+            return
+        containing = containing_map(editables)
+        for loc, delta in sorted(perturbation.increases()):
+            report.merge(
+                self._insert_into_nearest_trajectories(
+                    shared_index,
+                    editables,
+                    loc,
+                    delta,
+                    set(containing.get(loc, ())),
                 )
+            )
 
     def _apply_waves(
         self,
@@ -450,28 +478,25 @@ class InterTrajectoryModifier:
         editables: dict[str, EditableTrajectory],
         loc: LocationKey,
         delta: int,
+        ineligible: set[str],
     ) -> ModificationReport:
         """K-nearest-trajectory search via the shared segment index.
 
         A trajectory's insertion loss is the distance of its nearest
         segment (Definition 8), so scanning segments in ascending
         distance yields trajectories in ascending insertion loss; we
-        keep the first ``delta`` distinct eligible owners.
+        keep the first ``delta`` distinct owners not in ``ineligible``
+        (the trajectories already passing through ``loc``).
         """
         report = ModificationReport()
-        eligible = {
-            object_id
-            for object_id, editable in editables.items()
-            if not editable.contains(loc)
-        }
-        if not eligible:
+        if len(ineligible) >= len(editables):
             report.unrealised += delta
             return report
 
         if self.candidate_source == "restart":
-            chosen = self._select_restart_scan(shared_index, eligible, loc, delta)
+            chosen = self._select_restart_scan(shared_index, ineligible, loc, delta)
         else:
-            chosen = self._select_incremental(shared_index, eligible, loc, delta)
+            chosen = self._select_incremental(shared_index, ineligible, loc, delta)
 
         report.merge(
             apply_increase_selection(
@@ -483,7 +508,7 @@ class InterTrajectoryModifier:
     def _select_incremental(
         self,
         shared_index: SegmentIndex,
-        eligible: set[str],
+        ineligible: set[str],
         loc: LocationKey,
         delta: int,
     ) -> dict[str, int]:
@@ -497,7 +522,7 @@ class InterTrajectoryModifier:
         chosen: dict[str, int] = {}  # object id -> best segment sid
         for sid, _ in iter_nearest(shared_index, loc):
             owner = shared_index.owner_of(sid)
-            if owner in eligible and owner not in chosen:
+            if owner not in ineligible and owner not in chosen:
                 chosen[owner] = sid
                 if len(chosen) >= delta:
                     break
@@ -506,7 +531,7 @@ class InterTrajectoryModifier:
     def _select_restart_scan(
         self,
         shared_index: SegmentIndex,
-        eligible: set[str],
+        ineligible: set[str],
         loc: LocationKey,
         delta: int,
     ) -> dict[str, int]:
@@ -521,7 +546,7 @@ class InterTrajectoryModifier:
             hits = search_knn(shared_index, loc, k, self.strategy)
             for sid, _ in hits:
                 owner = shared_index.owner_of(sid)
-                if owner in eligible and owner not in chosen:
+                if owner not in ineligible and owner not in chosen:
                     chosen[owner] = sid
                     if len(chosen) >= delta:
                         break

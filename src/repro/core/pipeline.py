@@ -166,11 +166,11 @@ class FrequencyAnonymizer:
         :func:`repro.core.modification.make_index_factory`).
     candidate_source:
         How the global stage finds candidate trajectories:
-        ``"wave"`` (default — the planner/executor path, byte-identical
-        to the serial loop), ``"incremental"`` (the per-location lazy
-        frontier), or ``"restart"`` (the restart-scan benchmark
-        baseline). See :class:`~repro.core.modification
-        .InterTrajectoryModifier`.
+        ``"incremental"`` (default — the per-location lazy frontier),
+        ``"wave"`` (the planner/executor path, byte-identical to the
+        serial loop and slower; opt-in), or ``"restart"`` (the
+        restart-scan benchmark baseline). See
+        :class:`~repro.core.modification.InterTrajectoryModifier`.
     global_first:
         GL composition order. The paper notes the ordering is
         exchangeable; the default applies global then local.
@@ -191,7 +191,7 @@ class FrequencyAnonymizer:
         index_backend: str = "hierarchical",
         search_strategy: str = "bottom_up_down",
         trajectory_selection: str = "index",
-        candidate_source: str = "wave",
+        candidate_source: str = "incremental",
         levels: int = 10,
         granularity: int = 512,
         global_first: bool = True,

@@ -57,10 +57,16 @@ implementations order equal distances by ascending sid.
 The simulations inside one planning round run against one static
 snapshot, so one batched vectorised kNN pass (``knn_batch`` — per-cell
 ``SegmentArray`` batches built once per chunk) answers almost every
-selection, with the exact lazy frontier as the fallback for
-tie-boundary cases; being read-only, the simulations can also fan out
-over a thread pool (the engine's ``global_workers`` knob) without any
+selection; a tie-boundary case rescans with ``search_knn`` at four
+times the ``k``, until the answer is prefix-exact or ``k`` covers the
+whole index. Being read-only, the simulations can also fan out over a
+thread pool (the engine's ``global_workers`` knob) without any
 locking.
+
+The serial per-location loop is the default global stage and is faster
+at every measured fleet size; this path is opt-in
+(``candidate_source="wave"``), kept as the independent reference the
+identity tests compare the loop against.
 """
 
 from __future__ import annotations
@@ -138,8 +144,8 @@ class WaveStats:
     simulations: int = 0
     #: Cached speculative simulations invalidated by executed waves.
     discarded: int = 0
-    #: Batched-kNN simulations that hit a tie/window boundary and
-    #: re-ran through the exact incremental frontier.
+    #: Rescans of batched-kNN simulations that hit a tie/window
+    #: boundary: each re-runs ``search_knn`` with ``k`` quadrupled.
     fallbacks: int = 0
 
     @property
@@ -269,11 +275,8 @@ class WavePlanner:
         #: The wave most recently handed to the executor; its edits
         #: are validated against the cache on the next planning call.
         self._last_wave: list[PlannedOp] = []
-        #: Phase-scoped inverted containment map: location -> owner ids
-        #: (in dataset order). Valid for a whole phase because a
-        #: still-pending location's containment can only be changed by
-        #: its *own* operation: decreases delete only their own
-        #: location's occurrences, increases insert only their own.
+        #: The phase's containment map (location -> owner ids), see
+        #: :func:`~repro.core.modification.containing_map`.
         self._containing_by_loc: dict[LocationKey, list[str]] | None = None
 
     # -- public driver ---------------------------------------------------------
@@ -370,7 +373,7 @@ class WavePlanner:
             # snapshot, so per-cell segment batches are built once and
             # the per-query scans reduce to walking a sorted hit list.
             # Queries whose answer cannot be proven prefix-exact from
-            # the k hits fall back to the exact frontier inside
+            # the k hits rescan with a larger k inside
             # :meth:`_simulate_increase`.
             k = max(16, 4 * max(delta for _, delta in chunk))
             hit_lists = search_knn_batch(
@@ -386,35 +389,31 @@ class WavePlanner:
         return self.wave_map(simulate, jobs)
 
     def _containing_map(self) -> dict[LocationKey, list[str]]:
-        """The phase's inverted containment map, built on first use.
+        """The phase's :func:`~repro.core.modification.containing_map`,
+        built on first use.
 
-        One pass over every trajectory's distinct locations replaces a
-        full-dataset membership scan per simulation. Double-checked
-        under a lock: the driving thread pre-builds it per chunk, but
-        wave_map workers may still race a cold phase entry.
+        Double-checked under a lock: the driving thread pre-builds it
+        per chunk, but wave_map workers may still race a cold phase
+        entry.
         """
         existing = self._containing_by_loc
         if existing is not None:
             return existing
         with self._containing_lock:
             if self._containing_by_loc is None:
-                mapping: dict[LocationKey, list[str]] = {}
-                for object_id, editable in self.editables.items():
-                    for loc in editable.locations():
-                        mapping.setdefault(loc, []).append(object_id)
-                self._containing_by_loc = mapping
+                from repro.core.modification import containing_map
+
+                self._containing_by_loc = containing_map(self.editables)
             return self._containing_by_loc
 
     def _simulate_decrease(self, op: PendingOp) -> PlannedOp:
         """Rank complete-deletion costs exactly like the serial loop."""
+        from repro.core.modification import rank_containing
+
         loc, delta = op
-        # Dataset order in, stable sort — identical ranking to the
-        # serial loop's rank_containing().
-        containing = [
-            self.editables[object_id]
-            for object_id in self._containing_map().get(loc, ())
-        ]
-        containing.sort(key=lambda e: e.complete_deletion_cost(loc))
+        containing = rank_containing(
+            self.editables, loc, self._containing_map().get(loc, ())
+        )
         chosen = containing[:delta]
         exposed: set[LocationKey] = set()
         for editable in chosen:
@@ -431,7 +430,7 @@ class WavePlanner:
         )
 
     def _simulate_increase(self, job) -> PlannedOp:
-        """Select from a batched kNN hit list, frontier on ambiguity.
+        """Select from a batched kNN hit list, rescanning on ambiguity.
 
         A ``knn`` result sorted by ``(distance, sid)`` contains *every*
         segment strictly closer than its k-th distance, in exactly the
@@ -441,7 +440,7 @@ class WavePlanner:
         scanned-prefix evidence, and the stopping radius are provably
         identical to the serial reference. Only the rare boundary
         cases (stop at the k-th distance, or more than k hits needed)
-        re-run through the exact frontier.
+        rescan, with ``search_knn`` at four times the ``k``.
         """
         (loc, delta), hits, requested_k = job
         # Owners already passing through the location are ineligible;

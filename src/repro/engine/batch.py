@@ -151,8 +151,9 @@ class BatchAnonymizer:
         per-location simulations are read-only against a shared index,
         so they fan over a *thread* pool regardless of ``executor``
         (processes cannot share the live index); output stays
-        byte-identical for any value. Only effective when the wrapped
-        pipeline uses ``candidate_source="wave"`` (the default). The
+        byte-identical for any value. Only applies when the wrapped
+        pipeline uses ``candidate_source="wave"`` (opt-in; the default
+        serial loop plans nothing, so no pool is created for it). The
         pool is created lazily on first use and **reused** across
         calls and stream chunks; release it deterministically with
         :meth:`close` or by using the engine as a context manager.
@@ -201,13 +202,15 @@ class BatchAnonymizer:
     def _ensure_global_pool(self):
         """The wave-planning thread pool, created once and reused.
 
-        Returns ``None`` when ``global_workers <= 1`` or the
+        Returns ``None`` when ``global_workers <= 1``, when the
+        wrapped pipeline does not plan waves (only
+        ``candidate_source="wave"`` calls ``wave_map``), or when the
         environment cannot create thread pools (the serial planning
         path is always equivalent). Creation is locked so the
         documented concurrent-call safety holds: racing first calls
         must not each build a pool and leak all but one.
         """
-        if self.global_workers <= 1:
+        if self.global_workers <= 1 or self.anonymizer.candidate_source != "wave":
             return None
         with self._global_pool_lock:
             self._ensure_open()
@@ -288,9 +291,10 @@ class BatchAnonymizer:
         :meth:`FrequencyAnonymizer.anonymize_with_report` — the
         streaming publisher's injection surface.
 
-        The wave-planning thread pool (``global_workers > 1``) is
-        created lazily on the first call and reused by every later
-        call and stream chunk; see :meth:`close`.
+        The wave-planning thread pool (``global_workers > 1`` with
+        ``candidate_source="wave"``) is created lazily on the first
+        call and reused by every later call and stream chunk; see
+        :meth:`close`.
         """
         self._ensure_open()
         pool = self._ensure_global_pool()

@@ -19,6 +19,11 @@ import numpy as np
 
 from repro.geo.geometry import Coord
 
+#: Rows a nearest-first cursor sorts at a time (see :func:`sorted_block`).
+#: Chosen by timing the global stage against 32 and 64; the
+#: measurements are in docs/architecture.md.
+SORT_BLOCK = 16
+
 
 def segment_columns(
     ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
@@ -55,6 +60,34 @@ def segment_distances(
     gx = qx - (ax + t * dx)
     gy = qy - (ay + t * dy)
     return np.sqrt(gx * gx + gy * gy)
+
+
+def sorted_block(raw: np.ndarray, after: float | None = None) -> np.ndarray:
+    """The next block of ``raw``'s positions in stable ascending order.
+
+    Considers the positions whose value is strictly greater than
+    ``after`` (every position when ``after`` is None). When more than
+    ``2 * SORT_BLOCK`` remain, returns only those valued at most the
+    ``SORT_BLOCK``-th smallest of them, ties included; otherwise all of
+    them. Either way the block is sorted by (value, position), so
+    calling again with ``after`` = the block's last value continues the
+    order, and the concatenated blocks equal
+    ``np.argsort(raw, kind="stable")``. A consumer that stops early
+    never pays for sorting the rest.
+    """
+    if after is None:
+        positions = None
+        values = raw
+    else:
+        positions = np.flatnonzero(raw > after)
+        values = raw[positions]
+    if len(values) <= 2 * SORT_BLOCK:
+        order = np.argsort(values, kind="stable")
+    else:
+        kth = np.partition(values, SORT_BLOCK - 1)[SORT_BLOCK - 1]
+        order = np.flatnonzero(values <= kth)
+        order = order[np.argsort(values[order], kind="stable")]
+    return order if positions is None else positions[order]
 
 
 class SegmentArray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geo.geometry import BBox, Coord
-from repro.geo.vectorized import SegmentArray
+from repro.geo.vectorized import SegmentArray, sorted_block
 from repro.index.base import IndexedSegment, SegmentStore
 from repro.index.search import KnnCandidates
 
@@ -397,9 +397,11 @@ class HierarchicalGridIndex:
         which lower-bounds every descendant segment) and per-cell
         *cursors* into distance-sorted segment batches (keyed by the
         cursor head's exact distance). Expanding a cell computes every
-        contained segment's distance in one vectorised pass; only the
-        cheapest then enters the heap, and popping it re-arms the
-        cursor with the cell's next segment. Pop order therefore yields
+        contained segment's distance in one vectorised pass but sorts
+        only its nearest block (:func:`~repro.geo.vectorized.sorted_block`);
+        only the cheapest then enters the heap, and popping it re-arms the
+        cursor with the cell's next segment, sorting the next block when
+        the current one runs out. Pop order therefore yields
         segments in globally nondecreasing distance, and the frontier
         pauses wherever the consumer stops — no θ_K, no restarts.
 
@@ -414,8 +416,8 @@ class HierarchicalGridIndex:
             return
         # Entries: (distance, kind, key, ...) with kind 0 = cell —
         # (dist, 0, cell key) — and kind 1 = segment cursor —
-        # (dist, 1, sid, sids, order, raw distances, position), where
-        # sids is the cell's sorted sid list and order/raw stay numpy:
+        # (dist, 1, sid, sids, block, raw distances, position), where
+        # sids is the cell's sorted sid list and block/raw stay numpy:
         # only the cursor head is ever converted to Python scalars, so
         # a cell whose tail the consumer never reaches costs nothing
         # beyond its one vectorised distance pass. Comparison never
@@ -430,21 +432,26 @@ class HierarchicalGridIndex:
             sids = sorted(self._overflow)
             stats.segments_checked += len(sids)
             raw = np.array(self.store.scalar_distances(sids, q))
-            order = np.argsort(raw, kind="stable")
-            head = int(order[0])
-            heap.append((float(raw[head]), 1, sids[head], sids, order, raw, 0))
+            block = sorted_block(raw)
+            head = int(block[0])
+            heap.append((float(raw[head]), 1, sids[head], sids, block, raw, 0))
         heapq.heapify(heap)
         while heap:
             entry = heapq.heappop(heap)
             if entry[1]:
-                dist, _, sid, sids, order, raw, position = entry
+                dist, _, sid, sids, block, raw, position = entry
                 yield sid, dist
                 position += 1
-                if position < len(order):
-                    head = int(order[position])
+                if position == len(block) and len(block) < len(raw):
+                    # Every row up to ``dist`` has been yielded (blocks
+                    # include their ties); sort the next block.
+                    block = sorted_block(raw, dist)
+                    position = 0
+                if position < len(block):
+                    head = int(block[position])
                     heapq.heappush(
                         heap,
-                        (float(raw[head]), 1, sids[head], sids, order, raw,
+                        (float(raw[head]), 1, sids[head], sids, block, raw,
                          position),
                     )
                 continue
@@ -459,10 +466,10 @@ class HierarchicalGridIndex:
                 # Stable sort on distance keeps ascending-sid ties
                 # (sids is sorted), giving the (distance, sid) order
                 # knn's candidate heap produces.
-                order = np.argsort(raw, kind="stable")
-                head = int(order[0])
+                block = sorted_block(raw)
+                head = int(block[0])
                 heapq.heappush(
-                    heap, (float(raw[head]), 1, sids[head], sids, order, raw, 0)
+                    heap, (float(raw[head]), 1, sids[head], sids, block, raw, 0)
                 )
             for child in cell.children:
                 heapq.heappush(heap, (self.min_distance(q, child), 0, child))

@@ -24,6 +24,8 @@ Refusal contract: errors are structured JSON objects with an
 ``error`` discriminator — ``budget-exhausted`` arrives with HTTP 429
 and the tenant's requested/remaining/budget figures, so a client can
 tell "never" (shrink the job) from "not yet" (wait for a new budget).
+A malformed ``Content-Length`` gets 400 and one above
+:data:`MAX_BODY_BYTES` gets 413, without reading the body.
 """
 
 from __future__ import annotations
@@ -50,6 +52,22 @@ __all__ = ["ServeConfig", "Daemon"]
 #: Result streaming granularity: bounded memory per response, few
 #: syscalls per MiB.
 CHUNK_BYTES = 64 * 1024
+
+#: Largest request body the daemon reads. Job and tenant bodies are a
+#: few hundred bytes (datasets travel by registry name or path), so a
+#: longer declared body is refused with 413 before any of it is read.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyRefused(Exception):
+    """A request body the daemon will not read: answered with
+    ``status``/``payload`` and the connection closed, since the unread
+    bytes would otherwise be parsed as the next request."""
+
+    def __init__(self, status: int, payload: dict) -> None:
+        super().__init__(payload["detail"])
+        self.status = status
+        self.payload = payload
 
 
 @dataclass(frozen=True)
@@ -198,16 +216,37 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Quiet by default; the daemon is not a terminal program."""
 
-    def _send_json(self, status: int, payload: dict) -> None:
+    def _send_json(self, status: int, payload: dict, close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:  # also sets self.close_connection
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BodyRefused(
+                400,
+                {
+                    "error": "bad-request",
+                    "detail": f"invalid Content-Length {declared!r}",
+                },
+            )
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise _BodyRefused(
+                413,
+                {
+                    "error": "payload-too-large",
+                    "detail": f"request body of {length} bytes exceeds "
+                    f"the {MAX_BODY_BYTES}-byte limit",
+                    "limit": MAX_BODY_BYTES,
+                },
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -249,7 +288,13 @@ class _Handler(BaseHTTPRequestHandler):
             elif path == "/v1/shutdown":
                 self._shutdown()
             else:
-                self._send_json(404, {"error": "unknown-route", "path": path})
+                # The body is never read, so close rather than parse
+                # its bytes as the next request on this connection.
+                self._send_json(
+                    404, {"error": "unknown-route", "path": path}, close=True
+                )
+        except _BodyRefused as exc:
+            self._send_json(exc.status, exc.payload, close=True)
         except json.JSONDecodeError as exc:
             self._send_json(
                 400, {"error": "bad-request", "detail": f"invalid JSON: {exc}"}

@@ -190,6 +190,27 @@ class TestAnonymizeMethod:
         assert "frequency-family" in capsys.readouterr().err
 
 
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["anonymize", "-i", "{missing}", "-o", "{out}"],
+            ["publish", "-i", "{missing}", "-o", "{out}", "--chunk-size", "5"],
+            ["attack", "-i", "{missing}", "-a", "{missing}"],
+            ["evaluate", "-i", "{missing}", "-a", "{missing}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_input_is_a_clean_error(self, tmp_path, capsys, argv):
+        paths = {"missing": tmp_path / "missing.csv", "out": tmp_path / "o.csv"}
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"repro {argv[0]}: ")
+        assert "missing.csv" in err
+        assert "Traceback" not in err
+
+
 class TestAttackAndEvaluate:
     def test_attack_self(self, fleet_csv, capsys):
         code = main(

@@ -276,16 +276,16 @@ class TestBatchAnonymizer:
         assert rebuilt.config() == original.config()
 
 
+def wave_gl():
+    return GL(epsilon=1.0, signature_size=3, seed=31, candidate_source="wave")
+
+
 class TestGlobalPoolLifecycle:
     """The wave-planning thread pool is created lazily once, reused
     across calls and stream chunks, and torn down deterministically."""
 
     def _engine(self):
-        return BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=3, seed=31),
-            workers=1,
-            global_workers=2,
-        )
+        return BatchAnonymizer(wave_gl(), workers=1, global_workers=2)
 
     def test_pool_not_recreated_per_call_or_chunk(self, fleet, monkeypatch):
         import repro.engine.batch as batch_module
@@ -347,10 +347,39 @@ class TestGlobalPoolLifecycle:
         engine.anonymize_with_report(fleet.dataset)
         assert engine._global_pool is None
 
-    def test_pooled_output_identical_to_serial(self, fleet):
-        serial = GL(epsilon=1.0, signature_size=3, seed=31).anonymize(
-            fleet.dataset
+    def test_no_pool_for_the_serial_global_stage(self, fleet):
+        """The default global stage never calls wave_map, so an engine
+        around it starts no threads whatever global_workers says."""
+        engine = BatchAnonymizer(
+            GL(epsilon=1.0, signature_size=3, seed=31),
+            workers=1,
+            global_workers=2,
         )
+        engine.anonymize_with_report(fleet.dataset)
+        assert engine._global_pool is None
+
+    def test_pooled_output_identical_to_serial(self, fleet, monkeypatch):
+        import repro.engine.batch as batch_module
+
+        mapped = []
+        real = batch_module._make_executor
+
+        def recording(kind, workers):
+            pool = real(kind, workers)
+            real_map = pool.map
+
+            def map_(fn, jobs):
+                mapped.append(len(jobs))
+                return real_map(fn, jobs)
+
+            pool.map = map_
+            return pool
+
+        monkeypatch.setattr(batch_module, "_make_executor", recording)
+        serial = wave_gl().anonymize(fleet.dataset)
         with self._engine() as engine:
             pooled = engine.anonymize(fleet.dataset)
         assert coords_of(pooled) == coords_of(serial)
+        # The wave_map hook reached the planner through the engine.
+        assert engine.anonymizer._inter.last_wave_stats.operations > 0
+        assert mapped

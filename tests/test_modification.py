@@ -326,7 +326,7 @@ class TestInterTrajectoryModifierEdgeCases:
         phantom = shared.insert((0.0, 0.0), (20.0, 0.0), owner="a")
         assert not editables["a"].node_for_segment(phantom)
         report = modifier._insert_into_nearest_trajectories(
-            shared, editables, loc, 1
+            shared, editables, loc, 1, ineligible=set()
         )
         assert report.insertions == 1
         assert report.unrealised == 0

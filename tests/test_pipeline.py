@@ -104,6 +104,13 @@ class TestAnonymization:
         assert len(result) == len(fleet.dataset)
         assert [t.object_id for t in result] == [t.object_id for t in fleet.dataset]
 
+    def test_default_global_stage_is_the_serial_loop(self, fleet):
+        """The wave planner is opt-in: a default run never builds one."""
+        anonymizer = FrequencyAnonymizer(signature_size=3, seed=3)
+        _, report = anonymizer.anonymize_with_report(fleet.dataset)
+        assert report.global_report.insertions + report.global_report.deletions > 0
+        assert anonymizer._inter.last_wave_stats is None
+
     def test_budget_ledger_matches_stages(self, fleet):
         anonymizer = GL(epsilon=1.0, signature_size=3, seed=4)
         _, report = anonymizer.anonymize_with_report(fleet.dataset)

@@ -5,6 +5,7 @@ Each test boots a real `Daemon` on an ephemeral port and talks plain
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -15,6 +16,7 @@ import pytest
 from repro.api import run
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.serve import Daemon, ServeConfig
+from repro.serve.daemon import MAX_BODY_BYTES
 from repro.trajectory.io import write_csv
 
 
@@ -127,6 +129,57 @@ class TestEndpoints:
     def test_malformed_bodies_400(self, client):
         assert client.post("/v1/jobs", {"tenant": 5, "dataset": "x"})[0] == 400
         assert client.post("/v1/tenants", {"tenant": "x"})[0] == 400
+
+
+class TestBodyLimits:
+    """Content-Length is validated before any body byte is read; a
+    refused request is answered at once and its connection closed."""
+
+    @pytest.mark.parametrize(
+        "length, status, error",
+        [
+            ("abc", 400, "bad-request"),
+            ("-5", 400, "bad-request"),
+            (str(MAX_BODY_BYTES + 1), 413, "payload-too-large"),
+        ],
+    )
+    def test_refused_without_reading_the_body(self, daemon, length, status, error):
+        host, port = daemon.address
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            response = b""
+            while chunk := sock.recv(65536):  # EOF: the daemon closed
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == error
+
+    def test_unknown_route_body_is_not_parsed_as_a_request(self, daemon):
+        """An unknown POST route never reads its body, so the daemon
+        closes the connection instead of treating those bytes as the
+        next request."""
+        host, port = daemon.address
+        smuggled = f"GET /v1/health HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /v1/nope HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(smuggled)}\r\n\r\n".encode()
+                + smuggled
+            )
+            response = b""
+            while chunk := sock.recv(65536):  # EOF: the daemon closed
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 404 ")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == "unknown-route"
+        assert response.count(b"HTTP/1.1 ") == 1
 
 
 class TestJobLifecycle:

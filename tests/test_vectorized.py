@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geo.geometry import point_segment_distance
-from repro.geo.vectorized import SegmentArray
+from repro.geo.vectorized import SORT_BLOCK, SegmentArray, sorted_block
 
 finite = st.floats(min_value=-1e5, max_value=1e5, allow_nan=False)
 coord = st.tuples(finite, finite)
@@ -96,3 +96,33 @@ class TestKnn:
         assert [round(d, 6) for _, d in result] == [
             round(d, 6) for d in all_distances[: len(result)]
         ]
+
+
+B = SORT_BLOCK
+
+
+class TestSortedBlock:
+    """Blocks chained by their last value must reproduce the full stable
+    argsort, ties included, whatever the length."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        length=st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1, 10 * B]),
+        pool=st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_concatenated_blocks_equal_stable_argsort(self, data, length, pool):
+        raw = np.array(
+            data.draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length)),
+            dtype=np.float64,
+        )
+        got: list[int] = []
+        block = sorted_block(raw)
+        while len(block):
+            got.extend(block.tolist())
+            block = sorted_block(raw, float(raw[block[-1]]))
+        assert got == np.argsort(raw, kind="stable").tolist()
