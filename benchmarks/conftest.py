@@ -137,15 +137,10 @@ def bench_timer(bench_records):
 def _derive_speedups(metrics: dict) -> dict:
     speedups = {}
     inter = metrics.get("inter_modification", {})
-    restart = inter.get("restart_s")
     incremental = inter.get("incremental_s")
     wave = inter.get("wave_s")
-    if restart and incremental:
-        speedups["incremental_over_restart"] = restart / incremental
     if incremental and wave:
         speedups["wave_over_incremental"] = incremental / wave
-    if restart and wave:
-        speedups["wave_over_restart"] = restart / wave
     publisher = metrics.get("stream_publisher", {})
     per_chunk = publisher.get("per_chunk_s")
     shared = publisher.get("shared_tf_s")

@@ -2,14 +2,14 @@
 the wave-planned global stage.
 
 The headline comparison: the inter-trajectory (global) modification
-stage under its three candidate sources — the seed restart-scan, PR 1's
-incremental ``iter_nearest`` consumption, and the wave planner/executor
-path (read-only simulation rounds over a static index snapshot, edits
-applied in serial order). All three make identical selections; the
-bench isolates pure search/scheduling cost.
+stage under its two candidate sources — the serial loop over the
+incremental ``iter_nearest`` frontier (the default), and the wave
+planner/executor path (read-only simulation rounds over a static index
+snapshot, edits applied in serial order). Both make identical
+selections; the bench isolates pure search/scheduling cost.
 
-Runs on a dedicated fleet larger than the smoke preset so the restart
-overhead is visible, yet small enough for CI. Set
+Runs on a dedicated fleet larger than the smoke preset, yet small
+enough for CI. Set
 ``REPRO_BENCH_SCALE=paper`` to run the paper-scale fleet (500
 trajectories x 300 points, m=10) instead — the scale the engine's
 speedup targets are recorded at.
@@ -72,22 +72,10 @@ def _timed_inter(bench_timer, dataset, perturbation, candidate_source):
     )
 
 
-def test_bench_inter_restart_scan(
-    benchmark, bench_timer, engine_fleet, tf_perturbation
-):
-    """Baseline: the seed restart-scan candidate search."""
-    _, report = benchmark(
-        lambda: _timed_inter(
-            bench_timer, engine_fleet.dataset, tf_perturbation, "restart"
-        )
-    )
-    assert report.insertions > 0
-
-
 def test_bench_inter_incremental(
     benchmark, bench_timer, engine_fleet, tf_perturbation
 ):
-    """PR 1's engine path: lazy iter_nearest consumption."""
+    """The default global stage: lazy iter_nearest consumption."""
     _, report = benchmark(
         lambda: _timed_inter(
             bench_timer, engine_fleet.dataset, tf_perturbation, "incremental"
@@ -123,33 +111,6 @@ def test_wave_output_identical_to_incremental(engine_fleet, tf_perturbation):
     assert wave_report.insertions == serial_report.insertions
     assert wave_report.deletions == serial_report.deletions
     assert wave_report.unrealised == serial_report.unrealised
-
-
-def test_inter_modes_cost_equivalent(engine_fleet, tf_perturbation):
-    """Not a bench: the two modes must realise the same TF at (near)
-    the same total cost — the speedup is free.
-
-    Per-location selections are cost-identical; over a whole run,
-    exact-distance ties at the restart path's k boundary may resolve to
-    a different equally-cheap owner and compound into a sub-percent
-    utility difference, hence the loose tolerance.
-    """
-    restart_out, restart = _apply_inter(
-        engine_fleet.dataset, tf_perturbation, "restart"
-    )
-    incremental_out, incremental = _apply_inter(
-        engine_fleet.dataset, tf_perturbation, "incremental"
-    )
-    assert incremental.insertions == restart.insertions
-    assert incremental.deletions == restart.deletions
-    assert incremental.unrealised == restart.unrealised
-    assert (
-        incremental_out.trajectory_frequencies()
-        == restart_out.trajectory_frequencies()
-    )
-    assert incremental.utility_loss == pytest.approx(
-        restart.utility_loss, rel=1e-2
-    )
 
 
 def test_bench_local_stage_serial(benchmark, bench_timer, engine_fleet):

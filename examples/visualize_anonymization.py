@@ -42,7 +42,7 @@ def main() -> None:
     print(f"fleet + signatures      -> {output / 'fleet.svg'}")
 
     anonymizer = GL(epsilon=1.0, signature_size=3, seed=5)
-    private = anonymizer.anonymize(fleet.dataset)
+    private, report = anonymizer.anonymize_with_report(fleet.dataset)
 
     (output / "before_after.svg").write_text(
         render_comparison(
@@ -56,7 +56,6 @@ def main() -> None:
     )
     print(f"published dataset       -> {output / 'private_fleet.svg'}")
 
-    report = anonymizer.last_report
     print(f"\nedits applied: {report.global_report.insertions + report.local_report.insertions} "
           f"insertions, {report.global_report.deletions + report.local_report.deletions} deletions "
           f"across {len(private)} trajectories")

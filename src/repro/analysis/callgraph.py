@@ -12,21 +12,20 @@ three frames down still counts as a close).
 
 RACE001 — unlocked shared-state writes reachable from pool workers.
 
-The engine fans work over thread pools in three places: the local-stage
-shards (``parallel_map``), the sweep stream (``parallel_map_stream``),
-and the wave planner's read-only simulations (the ``wave_map`` hook,
-backed by ``pool.map``). Any function reachable from a callable handed
-to one of those primitives runs concurrently with its siblings, so a
-write to ``self.*`` or to a module global from such a function is a
-data race unless it happens inside a ``with <lock>:`` block.
+The engine fans work over pools in two places: the local-stage shards
+(``parallel_map``) and the sweep stream (``parallel_map_stream``).
+Any function reachable from a callable handed to one of those
+primitives (or to an executor's ``map``/``submit``) runs concurrently
+with its siblings, so a write to ``self.*`` or to a module global from
+such a function is a data race unless it happens inside a
+``with <lock>:`` block.
 
 The reachability computation is a deliberately conservative call-graph
 approximation:
 
 * Entry points are the first argument of calls to ``parallel_map`` /
-  ``parallel_map_stream``, of ``.map``/``.submit`` on receivers whose
-  name mentions ``pool``/``executor``, and of any ``wave_map(...)``
-  call.
+  ``parallel_map_stream`` and of ``.map``/``.submit`` on receivers
+  whose name mentions ``pool``/``executor``.
 * Edges follow bare-name calls to module-level functions (including
   ones imported from other analyzed modules), ``self.method()`` calls
   to methods of the same class, and simple local aliases — both
@@ -61,8 +60,6 @@ _POOL_FUNCS = frozenset({"parallel_map", "parallel_map_stream"})
 _SUBMIT_ATTRS = frozenset({"map", "submit"})
 #: Receiver-name fragments identifying an executor object.
 _POOL_RECEIVERS = ("pool", "executor")
-#: Hook names that fan their first argument over a pool.
-_HOOK_NAMES = frozenset({"wave_map"})
 
 
 @dataclass(frozen=True)
@@ -475,10 +472,11 @@ class UnlockedSharedWrite(Rule):
         "self.* or a module global outside a `with <lock>` block"
     )
     rationale = (
-        "Worker callables handed to parallel_map/parallel_map_stream/"
-        "wave_map run concurrently; an unlocked shared-attribute or "
-        "global write from such code is a data race (the last_report "
-        "and SearchStats corruption bugs were exactly this class)."
+        "Worker callables handed to parallel_map/parallel_map_stream "
+        "or an executor's map/submit run concurrently; an unlocked "
+        "shared-attribute or global write from such code is a data "
+        "race (the last_report and SearchStats corruption bugs were "
+        "exactly this class)."
     )
     example = "def _worker(self, job): self.cache = build()  # needs a lock"
 
@@ -539,7 +537,7 @@ class UnlockedSharedWrite(Rule):
         func = call.func
         dotted = module.dotted(func) or ""
         tail = dotted.rpartition(".")[2]
-        if tail in _POOL_FUNCS or tail in _HOOK_NAMES:
+        if tail in _POOL_FUNCS:
             return call.args[0]
         if isinstance(func, ast.Attribute) and func.attr in _SUBMIT_ATTRS:
             receiver = module.dotted(func.value) or ""

@@ -8,8 +8,7 @@ frequency-family methods), the spec itself, and wall-clock timing.
 
 Results travel **with the return value** — nothing is stashed on
 shared instances, so concurrent runs can never clobber each other's
-reports (the ``last_report`` attribute survives only as a deprecated
-alias on the pipeline classes).
+reports.
 """
 
 from __future__ import annotations
@@ -88,17 +87,14 @@ def run(
     workers: int | None = None,
     executor: str = "process",
     shards_per_worker: int = 4,
-    global_workers: int | None = 1,
 ) -> RunResult:
     """Anonymize ``data`` as ``spec`` describes; return a :class:`RunResult`.
 
     ``engine="batch"`` routes frequency-family methods through
     :class:`repro.engine.BatchAnonymizer` (``workers`` / ``executor`` /
-    ``shards_per_worker`` configure the local-stage pool,
-    ``global_workers`` the global stage's wave-planning thread pool,
-    which only applies with ``candidate_source="wave"``)
-    with output byte-identical to the serial path for the same seed;
-    other families run the method as-is and reject the batch engine
+    ``shards_per_worker`` configure the local-stage pool) with output
+    byte-identical to the serial path for the same seed; other
+    families run the method as-is and reject the batch engine
     explicitly.
     """
     spec = as_spec(spec)
@@ -123,11 +119,7 @@ def run(
             workers=workers,
             executor=executor,
             shards_per_worker=shards_per_worker,
-            global_workers=global_workers,
         )
-        # The engine's wave-planning pool is persistent by design;
-        # this engine lives for one call, so tear it down on the way
-        # out rather than leaving threads to GC timing.
         with front:
             started = time.perf_counter()
             dataset, report = front.anonymize_with_report(data)
@@ -186,7 +178,6 @@ def publish(
     workers: int | None = None,
     executor: str = "process",
     shards_per_worker: int = 4,
-    global_workers: int | None = 1,
     publish_workers: int | None = 1,
     publish_executor: str = "process",
     spill_dir: str | os.PathLike | None = None,
@@ -250,7 +241,6 @@ def publish(
             workers=workers,
             executor=executor,
             shards_per_worker=shards_per_worker,
-            global_workers=global_workers,
         )
         with front:
             return StreamPublisher(front, **publisher_knobs).publish(

@@ -114,16 +114,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         default="process",
         help="worker pool kind for --engine batch",
     )
-    parser.add_argument(
-        "--global-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="thread-pool size for the global stage's wave planning "
-        "with --engine batch; only applies with --param "
-        "candidate_source=wave; 0 = one per CPU core, 1 = in-process "
-        "(output is byte-identical for any value)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -498,14 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="batch-engine worker pool kind",
     )
     serve.add_argument(
-        "--global-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="batch-engine global-stage thread pool; only applies to "
-        "specs with candidate_source=wave; 1 = in-process",
-    )
-    serve.add_argument(
         "--publish-workers",
         type=int,
         default=1,
@@ -671,7 +653,6 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
             engine=args.engine,
             workers=args.workers,
             executor=args.executor,
-            global_workers=args.global_workers,
         )
     except TypeError as exc:
         # A --param value of the wrong type fails in the method.
@@ -729,7 +710,6 @@ def _cmd_publish(args: argparse.Namespace) -> int:
                 engine=args.engine,
                 workers=args.workers,
                 executor=args.executor,
-                global_workers=args.global_workers,
                 publish_workers=args.publish_workers,
                 spill_dir=args.spill_dir,
                 byte_sink=lambda rows, _report: handle.write(rows),
@@ -997,7 +977,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         job_workers=args.job_workers,
         engine_workers=args.workers,
         engine_executor=args.executor,
-        global_workers=args.global_workers,
         publish_workers=args.publish_workers,
         tenants=tenants,
         registry_root=args.registry,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.core.edits import EditableTrajectory
 from repro.core.global_mechanism import TFPerturbation
@@ -30,7 +30,6 @@ from repro.geo.geometry import BBox, Coord
 from repro.index.base import SegmentIndex
 from repro.index.hierarchical import HierarchicalGridIndex
 from repro.index.linear import LinearSegmentIndex
-from repro.index.search import iter_nearest_via_knn, knn_batch_via_knn
 from repro.index.uniform import UniformGridIndex
 from repro.trajectory.model import LocationKey, Trajectory, TrajectoryDataset
 
@@ -90,28 +89,13 @@ def search_knn(
     return index.knn(q, k)
 
 
-def iter_nearest(index: SegmentIndex, q: Coord) -> Iterator[tuple[int, float]]:
-    """Dispatch incremental nearest-segment iteration to the index.
-
-    Every bundled backend implements ``iter_nearest`` natively; unknown
-    third-party indexes fall back to restart-doubling over ``knn``.
-    """
-    native = getattr(index, "iter_nearest", None)
-    if native is not None:
-        return native(q)
-    return iter_nearest_via_knn(index, q)
-
-
 def search_knn_batch(
     index: SegmentIndex, qs: Sequence[Coord], k: int, strategy: str
 ) -> list[list[tuple[int, float]]]:
     """Dispatch a batched kNN, passing the strategy where supported."""
     if isinstance(index, HierarchicalGridIndex):
         return index.knn_batch(qs, k, strategy=strategy)
-    native = getattr(index, "knn_batch", None)
-    if native is not None:
-        return native(qs, k)
-    return knn_batch_via_knn(index, qs, k)
+    return index.knn_batch(qs, k)
 
 
 @dataclass(slots=True)
@@ -293,13 +277,12 @@ def nearest_live_segment_of_owner(
 ) -> int | None:
     """The owner's nearest *live* segment to ``loc``, or None.
 
-    Consumes the incremental frontier lazily and — unlike the old
-    restart-scan — verifies each hit against the editable's own
-    segment table: a stale sid that still matches the owner in the
-    shared index but no longer exists on the trajectory must not be
-    returned (inserting into it would raise).
+    Consumes the incremental frontier lazily and verifies each hit
+    against the editable's own segment table: a stale sid that still
+    matches the owner in the shared index but no longer exists on the
+    trajectory must not be returned (inserting into it would raise).
     """
-    for sid, _ in iter_nearest(shared_index, loc):
+    for sid, _ in shared_index.iter_nearest(loc):
         if (
             shared_index.owner_of(sid) == editable.object_id
             and editable.node_for_segment(sid)
@@ -336,13 +319,7 @@ class InterTrajectoryModifier:
       apply the recorded decisions in serial order. Byte-identical to
       ``"incremental"`` by construction, and slower at every measured
       fleet size; kept as the independent reference the identity
-      tests compare the loop against;
-    * ``"restart"`` — the original restart-scan: run ``knn`` with
-      ``k = 4Δl`` and re-run from scratch with ``k`` quadrupled until
-      enough owners appear. Kept as the baseline the engine benchmark
-      measures against. Restart makes cost-identical selections;
-      exact-distance ties at the ``k`` boundary may resolve to a
-      different (equally cheap) owner.
+      tests compare the loop against.
     """
 
     def __init__(
@@ -356,7 +333,7 @@ class InterTrajectoryModifier:
             raise ValueError(
                 f"unknown trajectory selection {trajectory_selection!r}"
             )
-        if candidate_source not in ("wave", "incremental", "restart"):
+        if candidate_source not in ("incremental", "wave"):
             raise ValueError(
                 f"unknown candidate source {candidate_source!r}"
             )
@@ -365,22 +342,13 @@ class InterTrajectoryModifier:
         self.trajectory_selection = trajectory_selection
         self.candidate_source = candidate_source
         #: Diagnostics of the most recent wave-planned run (None for
-        #: the serial candidate sources), akin to an index's
-        #: ``last_stats``.
+        #: the serial loop), akin to an index's ``last_stats``.
         self.last_wave_stats = None
 
     def apply(
-        self,
-        dataset: TrajectoryDataset,
-        perturbation: TFPerturbation,
-        wave_map: Callable | None = None,
+        self, dataset: TrajectoryDataset, perturbation: TFPerturbation
     ) -> tuple[TrajectoryDataset, ModificationReport]:
-        """A new dataset satisfying the perturbed TF distribution.
-
-        ``wave_map`` (wave mode only) maps the planner's read-only
-        per-location simulations over an executor pool — the engine's
-        ``global_workers`` hook; ``None`` simulates in-process.
-        """
+        """A new dataset satisfying the perturbed TF distribution."""
         report = ModificationReport()
         if len(dataset) == 0:
             return dataset.copy(), report
@@ -397,9 +365,7 @@ class InterTrajectoryModifier:
             self.candidate_source == "wave"
             and self.trajectory_selection == "index"
         ):
-            self._apply_waves(
-                shared_index, editables, perturbation, report, wave_map
-            )
+            self._apply_waves(shared_index, editables, perturbation, report)
         else:
             self._apply_serial(shared_index, editables, perturbation, report)
 
@@ -457,14 +423,11 @@ class InterTrajectoryModifier:
         editables: dict[str, EditableTrajectory],
         perturbation: TFPerturbation,
         report: ModificationReport,
-        wave_map: Callable | None,
     ) -> None:
         """Drive the planner/executor pair over the TF schedule."""
         from repro.core.waves import WaveExecutor, WavePlanner
 
-        planner = WavePlanner(
-            shared_index, editables, strategy=self.strategy, wave_map=wave_map
-        )
+        planner = WavePlanner(shared_index, editables, strategy=self.strategy)
         executor = WaveExecutor(shared_index, editables)
         for kind, pending in perturbation.schedule():
             while pending:
@@ -488,72 +451,22 @@ class InterTrajectoryModifier:
         keep the first ``delta`` distinct owners not in ``ineligible``
         (the trajectories already passing through ``loc``).
         """
-        report = ModificationReport()
         if len(ineligible) >= len(editables):
-            report.unrealised += delta
-            return report
-
-        if self.candidate_source == "restart":
-            chosen = self._select_restart_scan(shared_index, ineligible, loc, delta)
-        else:
-            chosen = self._select_incremental(shared_index, ineligible, loc, delta)
-
-        report.merge(
-            apply_increase_selection(
-                shared_index, editables, loc, delta, list(chosen.items())
-            )
-        )
-        return report
-
-    def _select_incremental(
-        self,
-        shared_index: SegmentIndex,
-        ineligible: set[str],
-        loc: LocationKey,
-        delta: int,
-    ) -> dict[str, int]:
-        """First ``delta`` distinct eligible owners, pulled lazily.
-
-        Consumes the index's resumable nearest-segment frontier and
-        stops as soon as enough owners are found — the search never
-        scans farther than the Δl-th selected trajectory's nearest
-        segment (Algorithm 3's pruning carried across candidates).
-        """
+            return ModificationReport(unrealised=delta)
+        # Pull the index's resumable frontier only until Δl owners are
+        # found: the scan never goes farther than the Δl-th selected
+        # trajectory's nearest segment (Algorithm 3's pruning carried
+        # across candidates).
         chosen: dict[str, int] = {}  # object id -> best segment sid
-        for sid, _ in iter_nearest(shared_index, loc):
+        for sid, _ in shared_index.iter_nearest(loc):
             owner = shared_index.owner_of(sid)
             if owner not in ineligible and owner not in chosen:
                 chosen[owner] = sid
                 if len(chosen) >= delta:
                     break
-        return chosen
-
-    def _select_restart_scan(
-        self,
-        shared_index: SegmentIndex,
-        ineligible: set[str],
-        loc: LocationKey,
-        delta: int,
-    ) -> dict[str, int]:
-        """The original restart-scan selection (benchmark baseline).
-
-        Re-runs the full kNN search with ``k`` quadrupled until
-        ``delta`` distinct eligible owners appear among the hits.
-        """
-        chosen: dict[str, int] = {}
-        k = max(4 * delta, 16)
-        while True:
-            hits = search_knn(shared_index, loc, k, self.strategy)
-            for sid, _ in hits:
-                owner = shared_index.owner_of(sid)
-                if owner not in ineligible and owner not in chosen:
-                    chosen[owner] = sid
-                    if len(chosen) >= delta:
-                        break
-            if len(chosen) >= delta or k >= len(shared_index):
-                break
-            k = min(k * 4, max(len(shared_index), 1))
-        return chosen
+        return apply_increase_selection(
+            shared_index, editables, loc, delta, list(chosen.items())
+        )
 
     def _insert_with_bbox_pruning(
         self,
@@ -597,9 +510,3 @@ class InterTrajectoryModifier:
             report.insertions += 1
         report.unrealised += delta - len(best)
         return report
-
-    def _nearest_segment_of_owner(
-        self, shared_index: SegmentIndex, loc: LocationKey, editable: EditableTrajectory
-    ) -> int | None:
-        """See :func:`nearest_live_segment_of_owner`."""
-        return nearest_live_segment_of_owner(shared_index, loc, editable)

@@ -18,7 +18,6 @@ import math
 import os
 import random
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -58,6 +57,24 @@ def local_stream_seed(base_seed: int, object_id: str) -> int:
     reproduces exactly the serial draws.
     """
     return derive_seed(base_seed, "local", object_id)
+
+
+def check_epsilon(name: str, value: float) -> None:
+    """Reject a privacy budget no Laplace mechanism can honour.
+
+    ``name`` is the parameter as the caller spelled it, so :class:`GL`,
+    :class:`PureG` and :class:`PureL` report their own ``epsilon``, not
+    the per-stage share they derive from it.
+    """
+    if math.isnan(value) or value < 0:
+        raise ValueError(
+            f"{name} must be a non-negative privacy budget, got {value:g}"
+        )
+    if value == 0:
+        raise ValueError(
+            f"{name}=0 is a zero privacy budget, which a Laplace "
+            f"mechanism cannot honour"
+        )
 
 
 #: One per-trajectory result of the local stage:
@@ -166,10 +183,9 @@ class FrequencyAnonymizer:
         :func:`repro.core.modification.make_index_factory`).
     candidate_source:
         How the global stage finds candidate trajectories:
-        ``"incremental"`` (default — the per-location lazy frontier),
+        ``"incremental"`` (default — the per-location lazy frontier) or
         ``"wave"`` (the planner/executor path, byte-identical to the
-        serial loop and slower; opt-in), or ``"restart"`` (the
-        restart-scan benchmark baseline). See
+        serial loop and slower; opt-in). See
         :class:`~repro.core.modification.InterTrajectoryModifier`.
     global_first:
         GL composition order. The paper notes the ordering is
@@ -203,17 +219,13 @@ class FrequencyAnonymizer:
         ):
             if value is None:
                 continue
-            if math.isnan(value) or value < 0:
-                raise ValueError(
-                    f"{name} must be a non-negative privacy budget, got "
-                    f"{value!r}"
-                )
             if value == 0.0:
                 raise ValueError(
                     f"{name}=0 is an explicit zero budget, which a Laplace "
                     f"mechanism cannot honour; pass {name}=None to disable "
                     f"the stage instead"
                 )
+            check_epsilon(name, value)
         if epsilon_global is None and epsilon_local is None:
             raise ValueError("at least one of the two mechanisms must be enabled")
         self.epsilon_global = 0.0 if epsilon_global is None else float(epsilon_global)
@@ -249,8 +261,6 @@ class FrequencyAnonymizer:
             if epsilon_local is None
             else LocalPFMechanism(self.epsilon_local, m=signature_size)
         )
-        #: Backing store of the deprecated :attr:`last_report` alias.
-        self._last_report: AnonymizationReport | None = None
         #: How many anonymize() calls this instance has served; mixes
         #: into each call's base seed so successive datasets get fresh
         #: noise while the run as a whole stays reproducible. Reserved
@@ -299,34 +309,6 @@ class FrequencyAnonymizer:
 
         return MethodSpec("frequency", self.config())
 
-    @property
-    def last_report(self) -> AnonymizationReport | None:
-        """Deprecated: the report of the most recent :meth:`anonymize`.
-
-        Mutable shared state — concurrent runs clobber it. Use
-        :meth:`anonymize_with_report` (or :func:`repro.api.run`), which
-        return the report with the result.
-        """
-        warnings.warn(
-            "FrequencyAnonymizer.last_report is deprecated; use "
-            "anonymize_with_report() or repro.api.run(), which return "
-            "the report with the result",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._last_report
-
-    @last_report.setter
-    def last_report(self, report: AnonymizationReport | None) -> None:
-        warnings.warn(
-            "FrequencyAnonymizer.last_report is deprecated; reports "
-            "travel with the return value of anonymize_with_report() "
-            "and repro.api.run()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._last_report = report
-
     def reserve_call_index(self) -> int:
         """Atomically claim the next per-call noise-stream index."""
         with self._call_lock:
@@ -351,14 +333,9 @@ class FrequencyAnonymizer:
         return derive_seed("run", self.seed, call_index)
 
     def anonymize(self, dataset: TrajectoryDataset) -> TrajectoryDataset:
-        """Produce the ε-differentially-private dataset D*.
-
-        Thin wrapper over :meth:`anonymize_with_report` that also
-        stores the report in the deprecated :attr:`last_report` alias.
-        """
-        result, report = self.anonymize_with_report(dataset)
-        self._last_report = report
-        return result
+        """Produce the ε-differentially-private dataset D*: the dataset
+        half of :meth:`anonymize_with_report`."""
+        return self.anonymize_with_report(dataset)[0]
 
     def anonymize_with_report(
         self,
@@ -366,7 +343,6 @@ class FrequencyAnonymizer:
         *,
         local_runner: LocalRunner | None = None,
         call_index: int | None = None,
-        wave_map: Callable | None = None,
         tf_target: TFPerturbation | None = None,
         base_seed: int | None = None,
         scope: str = WHOLE_DATASET,
@@ -390,10 +366,7 @@ class FrequencyAnonymizer:
         ``local_runner`` overrides the local-stage executor for this
         call only (the batch engine's sharding hook); ``call_index``
         pins the per-call stream explicitly instead of reserving the
-        next one (worker processes replaying a specific call);
-        ``wave_map`` fans the global stage's read-only wave-planning
-        simulations over a pool (the batch engine's ``global_workers``
-        hook; only meaningful with ``candidate_source="wave"``).
+        next one (worker processes replaying a specific call).
 
         ``tf_target`` injects an externally-drawn TF perturbation: the
         global stage then *realises* the given target on this dataset
@@ -427,7 +400,6 @@ class FrequencyAnonymizer:
                     base_seed,
                     accountant,
                     report,
-                    wave_map,
                     tf_target=tf_target,
                     scope=scope,
                 )
@@ -450,7 +422,6 @@ class FrequencyAnonymizer:
         base_seed: int,
         accountant: PrivacyAccountant,
         report: AnonymizationReport,
-        wave_map: Callable | None = None,
         tf_target: TFPerturbation | None = None,
         scope: str = WHOLE_DATASET,
     ) -> TrajectoryDataset:
@@ -471,9 +442,7 @@ class FrequencyAnonymizer:
             perturbation = self._global.perturb(
                 signature_index.tf, len(dataset), rng
             )
-        modified, modification = self._inter.apply(
-            dataset, perturbation, wave_map=wave_map
-        )
+        modified, modification = self._inter.apply(dataset, perturbation)
         report.tf_perturbation = perturbation
         report.global_report = modification
         return modified
@@ -531,6 +500,7 @@ class PureG(FrequencyAnonymizer):
     """Global-only variant: ε-DP via TF randomization alone."""
 
     def __init__(self, epsilon: float = 0.5, **kwargs) -> None:
+        check_epsilon("epsilon", epsilon)
         super().__init__(epsilon_global=epsilon, epsilon_local=None, **kwargs)
 
 
@@ -538,6 +508,7 @@ class PureL(FrequencyAnonymizer):
     """Local-only variant: ε-DP via PF randomization alone."""
 
     def __init__(self, epsilon: float = 0.5, **kwargs) -> None:
+        check_epsilon("epsilon", epsilon)
         super().__init__(epsilon_global=None, epsilon_local=epsilon, **kwargs)
 
 
@@ -545,6 +516,7 @@ class GL(FrequencyAnonymizer):
     """The full model: global + local, ε split evenly (paper default)."""
 
     def __init__(self, epsilon: float = 1.0, **kwargs) -> None:
+        check_epsilon("epsilon", epsilon)
         super().__init__(
             epsilon_global=epsilon / 2.0, epsilon_local=epsilon / 2.0, **kwargs
         )

@@ -59,9 +59,8 @@ snapshot, so one batched vectorised kNN pass (``knn_batch`` — per-cell
 ``SegmentArray`` batches built once per chunk) answers almost every
 selection; a tie-boundary case rescans with ``search_knn`` at four
 times the ``k``, until the answer is prefix-exact or ``k`` covers the
-whole index. Being read-only, the simulations can also fan out over a
-thread pool (the engine's ``global_workers`` knob) without any
-locking.
+whole index. Planning runs in-process, on the thread that drives the
+stage.
 
 The serial per-location loop is the default global stage and is faster
 at every measured fleet size; this path is opt-in
@@ -72,9 +71,8 @@ identity tests compare the loop against.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.geo.vectorized import SegmentArray
 from repro.trajectory.model import LocationKey
@@ -86,11 +84,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
 
 #: A pending TF operation: (location, positive delta).
 PendingOp = tuple[LocationKey, int]
-
-#: Maps the planner's simulation function over a chunk of pending
-#: operations; the engine's ``global_workers`` hook. Must preserve
-#: input order. ``None`` means a plain in-process loop.
-WaveMap = Callable[[Callable, Sequence], Iterable]
 
 #: Relative slack on the stopping-radius conflict test, absorbing the
 #: (at most a few ulp) difference between the scalar and vectorised
@@ -230,10 +223,6 @@ class WavePlanner:
     strategy:
         Hierarchical-grid search strategy for the batched kNN
         simulations (matches the modifier's configured strategy).
-    wave_map:
-        Optional order-preserving map used to fan a chunk's
-        simulations over a pool; simulations are read-only, so a
-        thread pool is safe.
     chunk_size:
         How many pending locations are simulated speculatively per
         admission round. Larger chunks amortise the batched index
@@ -247,7 +236,6 @@ class WavePlanner:
         shared_index: "SegmentIndex",
         editables: dict[str, "EditableTrajectory"],
         strategy: str = "bottom_up_down",
-        wave_map: WaveMap | None = None,
         chunk_size: int = 32,
     ) -> None:
         if chunk_size < 1:
@@ -255,16 +243,8 @@ class WavePlanner:
         self.shared_index = shared_index
         self.editables = editables
         self.strategy = strategy
-        self.wave_map = wave_map
         self.chunk_size = chunk_size
         self.stats = WaveStats()
-        #: Guards the one counter simulations update from wave_map
-        #: worker threads (every other stat is driver-thread-only).
-        self._stats_lock = threading.Lock()
-        #: Guards the lazy containment-map build: simulations running
-        #: under wave_map all call :meth:`_containing_map`, and the
-        #: first one in a phase would otherwise race the build.
-        self._containing_lock = threading.Lock()
         #: Simulations not admitted into the wave they were computed
         #: for. A cached plan stays valid as long as every executed
         #: wave since keeps passing the conflict test against it —
@@ -359,52 +339,35 @@ class WavePlanner:
 
     def _simulate_chunk(
         self, kind: str, chunk: list[PendingOp]
-    ) -> Iterable[PlannedOp]:
+    ) -> list[PlannedOp]:
         self.stats.simulations += len(chunk)
-        self._containing_map()  # built in the driving thread, not under wave_map
         if kind == "decrease":
-            jobs: Sequence = chunk
-            simulate = self._simulate_decrease
-        else:
-            from repro.core.modification import search_knn_batch
+            return [self._simulate_decrease(op) for op in chunk]
+        from repro.core.modification import search_knn_batch
 
-            # One batched vectorised kNN pass answers (almost) every
-            # simulation in the chunk: the chunk shares one static
-            # snapshot, so per-cell segment batches are built once and
-            # the per-query scans reduce to walking a sorted hit list.
-            # Queries whose answer cannot be proven prefix-exact from
-            # the k hits rescan with a larger k inside
-            # :meth:`_simulate_increase`.
-            k = max(16, 4 * max(delta for _, delta in chunk))
-            hit_lists = search_knn_batch(
-                self.shared_index, [loc for loc, _ in chunk], k, self.strategy
-            )
-            jobs = [
-                (op, hits, k)
-                for op, hits in zip(chunk, hit_lists, strict=True)
-            ]
-            simulate = self._simulate_increase
-        if self.wave_map is None or len(jobs) <= 1:
-            return [simulate(job) for job in jobs]
-        return self.wave_map(simulate, jobs)
+        # One batched vectorised kNN pass answers (almost) every
+        # simulation in the chunk: the chunk shares one static
+        # snapshot, so per-cell segment batches are built once and the
+        # per-query scans reduce to walking a sorted hit list. Queries
+        # whose answer cannot be proven prefix-exact from the k hits
+        # rescan with a larger k inside :meth:`_simulate_increase`.
+        k = max(16, 4 * max(delta for _, delta in chunk))
+        hit_lists = search_knn_batch(
+            self.shared_index, [loc for loc, _ in chunk], k, self.strategy
+        )
+        return [
+            self._simulate_increase(op, hits, k)
+            for op, hits in zip(chunk, hit_lists, strict=True)
+        ]
 
     def _containing_map(self) -> dict[LocationKey, list[str]]:
         """The phase's :func:`~repro.core.modification.containing_map`,
-        built on first use.
+        built on first use."""
+        if self._containing_by_loc is None:
+            from repro.core.modification import containing_map
 
-        Double-checked under a lock: the driving thread pre-builds it
-        per chunk, but wave_map workers may still race a cold phase
-        entry.
-        """
-        existing = self._containing_by_loc
-        if existing is not None:
-            return existing
-        with self._containing_lock:
-            if self._containing_by_loc is None:
-                from repro.core.modification import containing_map
-
-                self._containing_by_loc = containing_map(self.editables)
-            return self._containing_by_loc
+            self._containing_by_loc = containing_map(self.editables)
+        return self._containing_by_loc
 
     def _simulate_decrease(self, op: PendingOp) -> PlannedOp:
         """Rank complete-deletion costs exactly like the serial loop."""
@@ -429,7 +392,9 @@ class WavePlanner:
             containing_count=len(containing),
         )
 
-    def _simulate_increase(self, job) -> PlannedOp:
+    def _simulate_increase(
+        self, op: PendingOp, hits: list[tuple[int, float]], k: int
+    ) -> PlannedOp:
         """Select from a batched kNN hit list, rescanning on ambiguity.
 
         A ``knn`` result sorted by ``(distance, sid)`` contains *every*
@@ -442,7 +407,7 @@ class WavePlanner:
         cases (stop at the k-th distance, or more than k hits needed)
         rescan, with ``search_knn`` at four times the ``k``.
         """
-        (loc, delta), hits, requested_k = job
+        loc, delta = op
         # Owners already passing through the location are ineligible;
         # everything else is fair game. The phase-level inverted map
         # replaces a full-dataset membership scan per simulation.
@@ -457,7 +422,6 @@ class WavePlanner:
                 created=(),
                 exposed=frozenset(),
             )
-        k = requested_k
         while True:
             plan = self._select_from_hits(
                 loc, delta, ineligible, hits, exhaustive=len(hits) < k
@@ -470,8 +434,7 @@ class WavePlanner:
             # always prefix-exact.
             from repro.core.modification import search_knn
 
-            with self._stats_lock:
-                self.stats.fallbacks += 1
+            self.stats.fallbacks += 1
             k *= 4
             hits = search_knn(self.shared_index, loc, k, self.strategy)
 

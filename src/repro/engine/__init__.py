@@ -23,10 +23,10 @@ Two pieces built for the "as fast as the hardware allows" roadmap:
   DP composition ledger (:mod:`repro.core.accounting`) recording the
   end-to-end ε.
 
-The other engine half — the incremental ``iter_nearest`` kNN frontier
-that removes the global stage's restart-scans — lives on the index
-backends themselves (see ``repro.index``) and is used by
-``InterTrajectoryModifier`` by default.
+The global stage is not sharded: it runs in-process, as the serial
+per-location loop over the index backends' incremental
+``iter_nearest`` kNN frontier (see ``repro.index``), or as the opt-in
+wave planner (:mod:`repro.core.waves`), which is byte-identical to it.
 """
 
 from repro.engine.batch import BatchAnonymizer

@@ -19,8 +19,6 @@ is byte-identical to the serial path for the same seed.
 from __future__ import annotations
 
 import random
-import threading
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -39,7 +37,6 @@ from repro.core.pipeline import (
 from repro.core.signature import SignatureIndex
 from repro.engine.pool import (
     EXECUTOR_KINDS,
-    _make_executor,
     parallel_map,
     parallel_map_stream,
     resolve_workers,
@@ -145,21 +142,11 @@ class BatchAnonymizer:
         Shards are contiguous dataset slices; a few shards per worker
         smooths out uneven trajectory lengths without drowning the pool
         in pickling overhead.
-    global_workers:
-        Pool size for the global stage's wave planning (``0``/``None``
-        = one per core, ``1`` = plan in-process). The planner's
-        per-location simulations are read-only against a shared index,
-        so they fan over a *thread* pool regardless of ``executor``
-        (processes cannot share the live index); output stays
-        byte-identical for any value. Only applies when the wrapped
-        pipeline uses ``candidate_source="wave"`` (opt-in; the default
-        serial loop plans nothing, so no pool is created for it). The
-        pool is created lazily on first use and **reused** across
-        calls and stream chunks; release it deterministically with
-        :meth:`close` or by using the engine as a context manager.
-        Closing is terminal: a closed engine raises ``RuntimeError``
-        on further use (long-lived holders like the serving daemon
-        rely on close meaning *closed*, not *paused*).
+
+    :meth:`close` (or leaving the engine's ``with`` block) is terminal:
+    a closed engine raises ``RuntimeError`` on further use (long-lived
+    holders like the serving daemon rely on close meaning *closed*,
+    not *paused*).
     """
 
     def __init__(
@@ -168,7 +155,6 @@ class BatchAnonymizer:
         workers: int | None = None,
         executor: str = "process",
         shards_per_worker: int = 4,
-        global_workers: int | None = 1,
     ) -> None:
         if executor not in EXECUTOR_KINDS:
             raise ValueError(
@@ -180,17 +166,9 @@ class BatchAnonymizer:
         self.workers = resolve_workers(workers)
         self.executor = executor
         self.shards_per_worker = shards_per_worker
-        self.global_workers = resolve_workers(global_workers)
-        #: The shared wave-planning thread pool (lazy; see
-        #: :meth:`_ensure_global_pool`). ``_global_pool_unavailable``
-        #: remembers a failed creation so an environment without
-        #: threads is not re-probed on every call.
-        self._global_pool = None
-        self._global_pool_unavailable = False
-        self._global_pool_lock = threading.Lock()
         self._closed = False
 
-    # -- pool lifecycle ---------------------------------------------------------
+    # -- lifecycle --------------------------------------------------------------
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -199,48 +177,13 @@ class BatchAnonymizer:
                 "of reusing a closed one"
             )
 
-    def _ensure_global_pool(self):
-        """The wave-planning thread pool, created once and reused.
-
-        Returns ``None`` when ``global_workers <= 1``, when the
-        wrapped pipeline does not plan waves (only
-        ``candidate_source="wave"`` calls ``wave_map``), or when the
-        environment cannot create thread pools (the serial planning
-        path is always equivalent). Creation is locked so the
-        documented concurrent-call safety holds: racing first calls
-        must not each build a pool and leak all but one.
-        """
-        if self.global_workers <= 1 or self.anonymizer.candidate_source != "wave":
-            return None
-        with self._global_pool_lock:
-            self._ensure_open()
-            if self._global_pool_unavailable:
-                return None
-            if self._global_pool is None:
-                pool = _make_executor("thread", self.global_workers)
-                if pool is None:
-                    self._global_pool_unavailable = True
-                    return None
-                self._global_pool = pool
-            return self._global_pool
-
     def close(self) -> None:
-        """Shut the engine down deterministically: idempotent, terminal.
+        """Shut the engine down: idempotent and terminal.
 
-        Releases the shared wave-planning pool; any later
-        ``anonymize*`` call (or context-manager re-entry) raises
-        ``RuntimeError`` — long-lived holders depend on a closed
-        engine staying closed rather than silently reviving its pool.
-        Like shutting any executor, ``close`` must not race calls
-        still in flight: let concurrent ``anonymize*`` calls finish
-        first (the context-manager form sequences this naturally).
+        Any later ``anonymize*`` call (or context-manager re-entry)
+        raises ``RuntimeError``.
         """
-        with self._global_pool_lock:
-            self._closed = True
-            pool = self._global_pool
-            self._global_pool = None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        self._closed = True
 
     def __enter__(self) -> "BatchAnonymizer":
         self._ensure_open()
@@ -249,59 +192,29 @@ class BatchAnonymizer:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    @property
-    def last_report(self) -> AnonymizationReport | None:
-        """Deprecated: the wrapped anonymizer's most recent report.
-
-        Mutable shared state — concurrent runs clobber it. Use
-        :meth:`anonymize_with_report` (or :func:`repro.api.run`), which
-        return the report with the result.
-        """
-        warnings.warn(
-            "BatchAnonymizer.last_report is deprecated; use "
-            "anonymize_with_report() or repro.api.run(), which return "
-            "the report with the result",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.anonymizer._last_report
-
     def anonymize(self, dataset: TrajectoryDataset) -> TrajectoryDataset:
         """ε-DP anonymization, local stage fanned across the pool.
 
         Byte-identical to ``self.anonymizer.anonymize(dataset)`` for
-        the same seed and call index. Also refreshes the deprecated
-        ``last_report`` alias; prefer :meth:`anonymize_with_report`.
+        the same seed and call index: the dataset half of
+        :meth:`anonymize_with_report`.
         """
-        result, report = self.anonymize_with_report(dataset)
-        self.anonymizer._last_report = report
-        return result
+        return self.anonymize_with_report(dataset)[0]
 
     def anonymize_with_report(
         self, dataset: TrajectoryDataset, **hooks
     ) -> tuple[TrajectoryDataset, AnonymizationReport]:
         """Anonymize and return ``(dataset, report)`` together.
 
-        Nothing is stored on the wrapped anonymizer — the sharding and
-        wave-planning hooks travel as per-call arguments — so
-        concurrent calls on one engine are safe: each gets its own
-        report and its own atomically reserved noise stream. Extra
-        keyword arguments (``tf_target``, ``base_seed``, ``scope``,
-        ``call_index``) are forwarded to
-        :meth:`FrequencyAnonymizer.anonymize_with_report` — the
-        streaming publisher's injection surface.
-
-        The wave-planning thread pool (``global_workers > 1`` with
-        ``candidate_source="wave"``) is created lazily on the first
-        call and reused by every later call and stream chunk; see
-        :meth:`close`.
+        Nothing is stored on the wrapped anonymizer — the sharding hook
+        travels as a per-call argument — so concurrent calls on one
+        engine are safe: each gets its own report and its own
+        atomically reserved noise stream. Extra keyword arguments
+        (``tf_target``, ``base_seed``, ``scope``, ``call_index``) are
+        forwarded to :meth:`FrequencyAnonymizer.anonymize_with_report`
+        — the streaming publisher's injection surface.
         """
         self._ensure_open()
-        pool = self._ensure_global_pool()
-        if pool is not None:
-            hooks.setdefault(
-                "wave_map", lambda fn, jobs: list(pool.map(fn, jobs))
-            )
         return self.anonymizer.anonymize_with_report(
             dataset, local_runner=self._run_local_sharded, **hooks
         )
@@ -320,9 +233,7 @@ class BatchAnonymizer:
         sequential ``anonymize`` call on the wrapped instance would.
 
         The in-process path (``workers <= 1`` or ``executor="serial"``)
-        runs chunks through :meth:`anonymize_with_report` directly, so
-        the lazily-created wave-planning pool is shared across all
-        chunks instead of being rebuilt per chunk.
+        runs chunks through :meth:`anonymize_with_report` directly.
 
         A closed engine refuses eagerly, at the call — not on first
         iteration of the returned generator.
@@ -335,11 +246,9 @@ class BatchAnonymizer:
     ) -> Iterator[tuple[TrajectoryDataset, AnonymizationReport]]:
         if self.workers <= 1 or self.executor == "serial":
             for dataset in datasets:
-                result, report = self.anonymize_with_report(
+                yield self.anonymize_with_report(
                     dataset, call_index=self.anonymizer.reserve_call_index()
                 )
-                self.anonymizer._last_report = report
-                yield result, report
             return
 
         spec = self.anonymizer.spec()
@@ -348,18 +257,12 @@ class BatchAnonymizer:
             for dataset in datasets:
                 yield (spec, self.anonymizer.reserve_call_index(), dataset)
 
-        for result, report in parallel_map_stream(
+        yield from parallel_map_stream(
             _anonymize_one,
             payloads(),
             workers=self.workers,
             executor=self.executor,
-        ):
-            # Keep the deprecated last_report alias fresh: the sweep
-            # ran on throwaway worker-side instances, so reflect each
-            # report onto the wrapped anonymizer. The authoritative
-            # channel is the yielded (result, report) pair.
-            self.anonymizer._last_report = report
-            yield result, report
+        )
 
     def publish(
         self,
@@ -378,7 +281,7 @@ class BatchAnonymizer:
         Convenience front for
         :class:`~repro.engine.publish.StreamPublisher` wrapping this
         engine: the in-process realisation path reuses this engine's
-        sharding and wave-planning pools, while ``publish_workers > 1``
+        local-stage sharding, while ``publish_workers > 1``
         fans spilled chunks over a separate pass-2 pool (chunks are
         then realised by worker-side rebuilt pipelines; output stays
         byte-identical either way). See ``StreamPublisher`` for the

@@ -354,8 +354,7 @@ class StreamPublisher:
     ----------
     engine:
         A :class:`~repro.engine.batch.BatchAnonymizer` (the in-process
-        path then shards each chunk's local stage and reuses the
-        engine's shared wave-planning pool across chunks) or a bare
+        path then shards each chunk's local stage) or a bare
         :class:`~repro.core.pipeline.FrequencyAnonymizer`.  The
         wrapped pipeline's ``epsilon_global`` / ``epsilon_local`` *are*
         the budget split: ε_G buys the one shared TF estimate of

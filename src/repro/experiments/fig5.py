@@ -12,14 +12,12 @@ Right panel — wall-clock share of local (intra-) vs global (inter-)
 trajectory modification, timed on the real pipeline with the HG+
 strategy (the paper reports global at 90 %+ of total time).
 
-Global-stage panel — the engine's three candidate sources for the
-inter-trajectory modification (``restart`` — the seed restart-scan,
-``incremental`` — PR 1's lazy frontier, ``wave`` — the wave-planned
-planner/executor path), crossed with the three hierarchical search
-strategies, all timed on real PureG runs. Wave and incremental are
-byte-identical to each other; restart makes cost-identical selections
-(exact-distance ties at its k boundary may pick a different equally
-cheap owner), so the comparison isolates pure search/scheduling cost.
+Global-stage panel — the two candidate sources of the
+inter-trajectory modification (``incremental`` — the serial loop over
+the lazy frontier, ``wave`` — the wave-planned planner/executor path),
+crossed with the three hierarchical search strategies, all timed on
+real PureG runs. The two sources are byte-identical, so the comparison
+isolates pure search/scheduling cost.
 
 Invoke with::
 
@@ -62,8 +60,8 @@ SEARCH_METHODS = ("Linear", "UG", "HGt", "HGb", "HG+", "RT")
 DEFAULT_SIZES = (25, 50, 100, 200)
 SMOKE_SIZES = (10, 20)
 
-#: Candidate sources of the global stage, benchmark baseline first.
-CANDIDATE_SOURCES = ("restart", "incremental", "wave")
+#: Candidate sources of the global stage, the default first.
+CANDIDATE_SOURCES = ("incremental", "wave")
 
 #: Hierarchical strategies crossed with the candidate sources in the
 #: global-stage panel, keyed by the paper's labels.
@@ -215,10 +213,8 @@ def global_stage_timings(
 
     Rows are ``"<source>/<strategy>"`` (e.g. ``"wave/HG+"``); each cell
     is the wall-clock of a full PureG run. For the same seed, wave and
-    incremental rows are byte-identical and restart rows cost-identical
-    (ties at its k boundary may resolve to a different equally cheap
-    owner), keeping the comparison honest across every strategy at
-    once.
+    incremental rows are byte-identical, keeping the comparison honest
+    across every strategy at once.
     """
     half = config.model_params(config.epsilon / 2)
     timings: dict[str, list[float]] = {

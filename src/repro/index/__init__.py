@@ -19,7 +19,7 @@ from repro.index.hierarchical import HierarchicalGridIndex
 from repro.index.linear import LinearSegmentIndex
 from repro.index.rtree import RTreeIndex
 from repro.index.uniform import UniformGridIndex
-from repro.index.search import iter_nearest_via_knn, linear_knn
+from repro.index.search import linear_knn
 
 __all__ = [
     "HierarchicalGridIndex",
@@ -28,6 +28,5 @@ __all__ = [
     "RTreeIndex",
     "SegmentIndex",
     "UniformGridIndex",
-    "iter_nearest_via_knn",
     "linear_knn",
 ]

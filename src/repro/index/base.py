@@ -64,9 +64,6 @@ class SegmentIndex(Protocol):
         the search with a growing ``k``. Ties are yielded in ascending
         sid order, matching :meth:`knn` output. The iterator snapshots
         or walks live structures — mutating the index invalidates it.
-
-        Implementors without a native incremental search can delegate
-        to :func:`repro.index.search.iter_nearest_via_knn`.
         """
         ...
 
@@ -77,27 +74,8 @@ class SegmentIndex(Protocol):
         lets grid backends share per-cell vectorised segment batches
         across the whole query set instead of rebuilding them per call.
         Each per-query result is exactly what :meth:`knn` returns.
-
-        Implementors can delegate to
-        :func:`repro.index.search.knn_batch_via_knn`.
-        """
-        ...
-
-    def iter_nearest_batch(
-        self, qs: Sequence[Coord]
-    ) -> list[Iterator[tuple[int, float]]]:
-        """:meth:`iter_nearest` for a batch of queries.
-
-        Returns one lazy iterator per query; all of them walk the same
-        index snapshot, so per-cell segment batches computed for one
-        query are reused by the others — the right surface for
-        consumers that need unbounded per-query frontiers over one
-        snapshot (the wave planner itself answers its simulations with
-        :meth:`knn_batch` plus a growing-``k`` rescan). Mutating the
-        index invalidates every returned iterator.
-
-        Implementors can delegate to
-        :func:`repro.index.search.iter_nearest_batch_via_single`.
+        Backends without shared per-query structure answer
+        ``[self.knn(q, k) for q in qs]``.
         """
         ...
 

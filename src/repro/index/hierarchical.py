@@ -368,29 +368,6 @@ class HierarchicalGridIndex:
         return cell.array
 
     def iter_nearest(self, q: Coord):
-        """Resumable best-first frontier over the cell hierarchy; see
-        :meth:`_iter_nearest` for the algorithm."""
-        stats = SearchStats()
-        self.last_stats = stats
-        yield from self._iter_nearest(q, stats)
-
-    def iter_nearest_batch(self, qs) -> list:
-        """:meth:`iter_nearest` for a batch of queries, one lazy
-        iterator per query.
-
-        All iterators walk the same index snapshot and share the
-        per-cell cached ``SegmentArray`` batches — on a static index
-        (the wave planner's read-only simulation rounds) each cell's
-        Python-side view is built at most once for the whole batch,
-        no matter how many query frontiers expand it.
-        :attr:`last_stats` is reset once, up front, and accumulates
-        the combined work of every iterator as it is consumed.
-        """
-        stats = SearchStats()
-        self.last_stats = stats
-        return [self._iter_nearest(q, stats) for q in qs]
-
-    def _iter_nearest(self, q: Coord, stats: SearchStats):
         """Resumable best-first frontier over the cell hierarchy.
 
         One priority queue holds unexplored cells (keyed by MINdist,
@@ -409,9 +386,11 @@ class HierarchicalGridIndex:
         inside an unexpanded cell cannot be skipped; segment ties
         resolve by ascending sid exactly like :meth:`knn` (within a
         cell the batch is (distance, sid)-sorted, and every cell's head
-        is always on the heap). Work is recorded in ``stats`` (the
-        caller's :attr:`last_stats`) like any other search.
+        is always on the heap). Work is recorded in :attr:`last_stats`
+        like any other search.
         """
+        stats = SearchStats()
+        self.last_stats = stats
         if not self._cells and not self._overflow:
             return
         # Entries: (distance, kind, key, ...) with kind 0 = cell —

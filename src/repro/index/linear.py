@@ -13,11 +13,7 @@ from typing import Iterator
 
 from repro.geo.geometry import Coord
 from repro.index.base import IndexedSegment, SegmentStore
-from repro.index.search import (
-    KnnCandidates,
-    iter_nearest_batch_via_single,
-    knn_batch_via_knn,
-)
+from repro.index.search import KnnCandidates
 
 
 class LinearSegmentIndex:
@@ -69,10 +65,7 @@ class LinearSegmentIndex:
 
     def knn_batch(self, qs, k: int) -> list[list[tuple[int, float]]]:
         """Per-query full scans (the honest linear-baseline batch)."""
-        return knn_batch_via_knn(self, qs, k)
-
-    def iter_nearest_batch(self, qs) -> list[Iterator[tuple[int, float]]]:
-        return iter_nearest_batch_via_single(self, qs)
+        return [self.knn(q, k) for q in qs]
 
     def __len__(self) -> int:
         return len(self.store)

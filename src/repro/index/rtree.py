@@ -20,11 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.geo.geometry import BBox, Coord
 from repro.index.base import IndexedSegment, SegmentStore
-from repro.index.search import (
-    KnnCandidates,
-    iter_nearest_batch_via_single,
-    knn_batch_via_knn,
-)
+from repro.index.search import KnnCandidates
 
 
 @dataclass(slots=True)
@@ -236,8 +232,5 @@ class RTreeIndex:
                     )
 
     def knn_batch(self, qs, k: int) -> list[list[tuple[int, float]]]:
-        """Per-query best-first traversals (``search.py`` fallback)."""
-        return knn_batch_via_knn(self, qs, k)
-
-    def iter_nearest_batch(self, qs):
-        return iter_nearest_batch_via_single(self, qs)
+        """Per-query best-first traversals."""
+        return [self.knn(q, k) for q in qs]

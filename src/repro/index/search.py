@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable
 
 from repro.geo.geometry import Coord
 from repro.index.base import IndexedSegment
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.index.base import SegmentIndex
 
 
 class KnnCandidates:
@@ -55,64 +52,6 @@ class KnnCandidates:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-def iter_nearest_via_knn(
-    index: "SegmentIndex", q: Coord, start_k: int = 16, growth: int = 4
-) -> Iterator[tuple[int, float]]:
-    """Incremental nearest-segment iteration for knn-only indexes.
-
-    Fallback implementation of ``SegmentIndex.iter_nearest`` built on
-    repeated :meth:`knn` calls with a geometrically growing ``k``.
-    Already-yielded prefixes are skipped, so consumers still see each
-    segment exactly once in ascending distance order, but the restarts
-    make this strictly worse than a native resumable frontier — it
-    exists so third-party backends satisfy the protocol cheaply.
-    """
-    if start_k < 1:
-        raise ValueError("start_k must be positive")
-    if growth < 2:
-        raise ValueError("growth must be at least 2")
-    k = start_k
-    # Dedup by sid rather than skipping a prefix: when distance ties
-    # span the k boundary, knn(k) and knn(k * growth) may retain
-    # *different* tied candidates at the cut, so consecutive result
-    # lists are not guaranteed to extend each other element-wise.
-    # Anything strictly closer than the k-th distance is always
-    # retained, so unseen hits never sort before already-yielded ones.
-    seen: set[int] = set()
-    while True:
-        hits = index.knn(q, k)
-        for sid, dist in hits:
-            if sid not in seen:
-                seen.add(sid)
-                yield sid, dist
-        if len(hits) < k or len(seen) >= len(index):
-            return
-        k *= growth
-
-
-def knn_batch_via_knn(
-    index: "SegmentIndex", qs: Sequence[Coord], k: int
-) -> list[list[tuple[int, float]]]:
-    """Fallback ``knn_batch``: answer each query with a plain ``knn``.
-
-    Backends without cross-query structure sharing (linear scan,
-    R-tree) satisfy the batched protocol with this; grid indexes
-    override it natively to reuse per-cell segment batches.
-    """
-    return [index.knn(q, k) for q in qs]
-
-
-def iter_nearest_batch_via_single(
-    index: "SegmentIndex", qs: Sequence[Coord]
-) -> list[Iterator[tuple[int, float]]]:
-    """Fallback ``iter_nearest_batch``: one ``iter_nearest`` per query.
-
-    The iterators are independent but walk the same index snapshot;
-    whatever per-structure caching the backend does is still shared.
-    """
-    return [index.iter_nearest(q) for q in qs]
 
 
 def linear_knn(

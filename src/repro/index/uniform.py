@@ -253,10 +253,6 @@ class UniformGridIndex:
             dist, sid = heapq.heappop(heap)
             yield sid, dist
 
-    def iter_nearest_batch(self, qs) -> list[Iterator[tuple[int, float]]]:
-        """:meth:`iter_nearest` per query, sharing cached bucket views."""
-        return [self.iter_nearest(q) for q in qs]
-
     def _ring_cells(self, qx: int, qy: int, ring: int):
         if ring == 0:
             yield (qx, qy)

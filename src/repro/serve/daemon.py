@@ -87,7 +87,6 @@ class ServeConfig:
     engine_workers: int | None = None
     engine_executor: str = "process"
     shards_per_worker: int = 4
-    global_workers: int | None = 1
     #: Pass-2 fan-out for streaming-publish jobs (``0`` = per core;
     #: ``1`` realises spilled chunks in-process). Spills stage under
     #: the spool, one directory per job, cleaned with the publish.
@@ -112,7 +111,6 @@ class Daemon:
             workers=self.config.engine_workers,
             executor=self.config.engine_executor,
             shards_per_worker=self.config.shards_per_worker,
-            global_workers=self.config.global_workers,
         )
         registry = None
         if self.config.registry_root is not None:

@@ -38,12 +38,10 @@ class EngineCache:
         workers: int | None = None,
         executor: str = "process",
         shards_per_worker: int = 4,
-        global_workers: int | None = 1,
     ) -> None:
         self.workers = workers
         self.executor = executor
         self.shards_per_worker = shards_per_worker
-        self.global_workers = global_workers
         self._engines: dict[str, object] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -68,7 +66,6 @@ class EngineCache:
                         workers=self.workers,
                         executor=self.executor,
                         shards_per_worker=self.shards_per_worker,
-                        global_workers=self.global_workers,
                     )
                 else:
                     engine = anonymizer

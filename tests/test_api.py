@@ -416,11 +416,3 @@ class TestConcurrencySafety:
         )
         assert coords_of(replay_second) == coords_of(second)
         assert coords_of(replay_second) != coords_of(first)
-
-    def test_last_report_alias_deprecated_on_engine(self, fleet):
-        engine = BatchAnonymizer(
-            PureL(epsilon=0.5, signature_size=3, seed=37), workers=1
-        )
-        engine.anonymize(fleet.dataset)
-        with pytest.warns(DeprecationWarning):
-            assert engine.last_report is not None

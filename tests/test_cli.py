@@ -210,6 +210,40 @@ class TestErrorBoundary:
         assert "missing.csv" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("model", ["gl", "pureg", "purel"])
+    def test_negative_epsilon_names_the_flag_value(
+        self, fleet_csv, tmp_path, capsys, model
+    ):
+        code = main(
+            [
+                "anonymize", "-i", str(fleet_csv), "-o", str(tmp_path / "x.csv"),
+                "--model", model, "--epsilon", "-1",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "repro anonymize: epsilon must be a non-negative privacy "
+            "budget, got -1\n"
+        )
+
+    def test_zero_epsilon_suggests_no_unreachable_setting(
+        self, fleet_csv, tmp_path, capsys
+    ):
+        """No CLI flag can pass ``epsilon_global=None``, so the error
+        must not tell the user to."""
+        code = main(
+            [
+                "anonymize", "-i", str(fleet_csv), "-o", str(tmp_path / "x.csv"),
+                "--model", "pureg", "--epsilon", "0",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro anonymize: epsilon=0 ")
+        assert "None" not in err
+        assert "epsilon_global" not in err
+
 
 class TestAttackAndEvaluate:
     def test_attack_self(self, fleet_csv, capsys):

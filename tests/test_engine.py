@@ -232,18 +232,6 @@ class TestBatchAnonymizer:
             assert report is not None
             assert report.epsilon_total == pytest.approx(1.0)
 
-    def test_anonymize_many_updates_last_report(self, fleet):
-        """Regression: the sweep ran on worker-side instances and left
-        the wrapped anonymizer's last_report stale."""
-        engine = BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=3, seed=28), workers=2, executor="thread"
-        )
-        outcomes = engine.anonymize_many([fleet.dataset] * 2)
-        with pytest.warns(DeprecationWarning, match="last_report"):
-            refreshed = engine.last_report
-        assert refreshed is not None
-        assert refreshed.to_dict() == outcomes[-1][1].to_dict()
-
     def test_anonymize_many_advances_call_counter(self, fleet):
         """A sweep then a direct call must keep drawing fresh streams."""
         engine = BatchAnonymizer(
@@ -281,56 +269,26 @@ def wave_gl():
 
 
 class TestGlobalPoolLifecycle:
-    """The wave-planning thread pool is created lazily once, reused
-    across calls and stream chunks, and torn down deterministically."""
+    """Closing an engine is idempotent and terminal, and the opt-in
+    wave global stage runs through the engine byte-identically."""
 
     def _engine(self):
-        return BatchAnonymizer(wave_gl(), workers=1, global_workers=2)
-
-    def test_pool_not_recreated_per_call_or_chunk(self, fleet, monkeypatch):
-        import repro.engine.batch as batch_module
-
-        created = []
-        real = batch_module._make_executor
-
-        def counting(kind, workers):
-            created.append(kind)
-            return real(kind, workers)
-
-        monkeypatch.setattr(batch_module, "_make_executor", counting)
-        engine = self._engine()
-        assert engine._global_pool is None  # lazy: nothing until first use
-        with engine:
-            engine.anonymize_with_report(fleet.dataset)
-            engine.anonymize_with_report(fleet.dataset)
-            list(engine.anonymize_stream([fleet.dataset] * 3))
-        assert created.count("thread") == 1
-
-    def test_pool_instance_is_shared(self, fleet):
-        engine = self._engine()
-        engine.anonymize_with_report(fleet.dataset)
-        pool = engine._global_pool
-        assert pool is not None
-        engine.anonymize_with_report(fleet.dataset)
-        assert engine._global_pool is pool
-        engine.close()
+        return BatchAnonymizer(wave_gl(), workers=1)
 
     def test_close_is_idempotent_and_terminal(self, fleet):
         engine = self._engine()
         engine.anonymize_with_report(fleet.dataset)
         engine.close()
-        assert engine._global_pool is None
         engine.close()  # idempotent
-        # Terminal: a closed engine refuses every entry point rather
-        # than silently reviving its pool (long-lived holders like the
-        # serving daemon depend on close meaning closed).
+        # Terminal: a closed engine refuses every entry point (long-
+        # lived holders like the serving daemon depend on close
+        # meaning closed).
         with pytest.raises(RuntimeError, match="closed"):
             engine.anonymize_with_report(fleet.dataset)
         with pytest.raises(RuntimeError, match="closed"):
             engine.anonymize(fleet.dataset)
         with pytest.raises(RuntimeError, match="closed"):
             engine.anonymize_stream([fleet.dataset])  # eager, no next()
-        assert engine._global_pool is None
 
     def test_context_manager_reentry_rejected_after_close(self, fleet):
         engine = self._engine()
@@ -340,46 +298,14 @@ class TestGlobalPoolLifecycle:
             with engine:
                 pass  # pragma: no cover — __enter__ must refuse
 
-    def test_no_pool_when_global_workers_is_one(self, fleet):
-        engine = BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=3, seed=31), workers=1
+    def test_pooled_output_identical_to_serial(self, fleet):
+        """A wave GL through a pooled engine equals the default GL run
+        in-process."""
+        serial = GL(epsilon=1.0, signature_size=3, seed=31).anonymize(
+            fleet.dataset
         )
-        engine.anonymize_with_report(fleet.dataset)
-        assert engine._global_pool is None
-
-    def test_no_pool_for_the_serial_global_stage(self, fleet):
-        """The default global stage never calls wave_map, so an engine
-        around it starts no threads whatever global_workers says."""
-        engine = BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=3, seed=31),
-            workers=1,
-            global_workers=2,
-        )
-        engine.anonymize_with_report(fleet.dataset)
-        assert engine._global_pool is None
-
-    def test_pooled_output_identical_to_serial(self, fleet, monkeypatch):
-        import repro.engine.batch as batch_module
-
-        mapped = []
-        real = batch_module._make_executor
-
-        def recording(kind, workers):
-            pool = real(kind, workers)
-            real_map = pool.map
-
-            def map_(fn, jobs):
-                mapped.append(len(jobs))
-                return real_map(fn, jobs)
-
-            pool.map = map_
-            return pool
-
-        monkeypatch.setattr(batch_module, "_make_executor", recording)
-        serial = wave_gl().anonymize(fleet.dataset)
-        with self._engine() as engine:
+        with BatchAnonymizer(wave_gl(), workers=2, executor="thread") as engine:
             pooled = engine.anonymize(fleet.dataset)
         assert coords_of(pooled) == coords_of(serial)
-        # The wave_map hook reached the planner through the engine.
+        # The wave planner ran: engine -> pipeline -> modifier wiring.
         assert engine.anonymizer._inter.last_wave_stats.operations > 0
-        assert mapped

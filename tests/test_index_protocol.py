@@ -118,8 +118,8 @@ class TestProtocolCompliance:
 
 
 class TestBatchedQueries:
-    """knn_batch / iter_nearest_batch agree with their per-query
-    counterparts on every backend (the wave planner's contract)."""
+    """knn_batch agrees with per-query knn on every backend (the wave
+    planner's contract)."""
 
     def test_knn_batch_matches_knn(self, index):
         fill(index)
@@ -131,13 +131,6 @@ class TestBatchedQueries:
     def test_knn_batch_empty(self, index):
         assert index.knn_batch([(1.0, 2.0)], 3) == [[]]
         assert index.knn_batch([], 3) == []
-
-    def test_iter_nearest_batch_matches_single(self, index):
-        fill(index)
-        queries = [(0.0, 0.0), (500.0, 500.0), (999.0, 999.0)]
-        expected = [list(index.iter_nearest(q)) for q in queries]
-        got = [list(it) for it in index.iter_nearest_batch(queries)]
-        assert got == expected
 
     def test_batches_see_mutations_between_calls(self, index):
         fill(index, n=20)

@@ -18,7 +18,6 @@ from repro.index import (
     LinearSegmentIndex,
     RTreeIndex,
     UniformGridIndex,
-    iter_nearest_via_knn,
     linear_knn,
 )
 
@@ -155,42 +154,3 @@ class TestHierarchicalBlockCursors:
 
         want = sorted((distance(a, b), sid) for sid, (a, b) in live.items())
         assert list(index.iter_nearest(q)) == [(sid, d) for d, sid in want]
-
-
-class TestIterNearestViaKnn:
-    """The restart-doubling fallback for knn-only backends."""
-
-    def test_matches_native_order(self):
-        index = LinearSegmentIndex()
-        segments = fill(index, n=40, seed=19)
-        got = list(iter_nearest_via_knn(index, (300.0, 300.0), start_k=4))
-        want = linear_knn(segments, (300.0, 300.0), 40)
-        assert [sid for sid, _ in got] == [sid for sid, _ in want]
-
-    def test_empty_index(self):
-        assert list(iter_nearest_via_knn(LinearSegmentIndex(), (0.0, 0.0))) == []
-
-    def test_ties_spanning_k_boundary_yield_each_segment_once(self):
-        """Regression: with many equidistant segments, knn(k) and
-        knn(k * growth) may retain *different* tied candidates at the
-        cut, so prefix-skipping duplicated some sids and dropped
-        others. Every segment must come out exactly once."""
-        import math
-
-        index = UniformGridIndex(BOX, granularity=16)
-        q = (500.0, 500.0)
-        n = 40
-        for i in range(n):  # point-segments on a circle: all tie at 300
-            x = 500.0 + 300.0 * math.cos(2 * math.pi * i / n)
-            y = 500.0 + 300.0 * math.sin(2 * math.pi * i / n)
-            index.insert((x, y), (x, y))
-        sids = [sid for sid, _ in iter_nearest_via_knn(index, q, start_k=4)]
-        assert len(sids) == n
-        assert len(set(sids)) == n
-
-    def test_rejects_bad_parameters(self):
-        index = LinearSegmentIndex()
-        with pytest.raises(ValueError):
-            list(iter_nearest_via_knn(index, (0.0, 0.0), start_k=0))
-        with pytest.raises(ValueError):
-            list(iter_nearest_via_knn(index, (0.0, 0.0), growth=1))

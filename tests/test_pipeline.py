@@ -40,6 +40,23 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="non-negative"):
             GL(epsilon=-2.0)
 
+    @pytest.mark.parametrize("cls", [GL, PureG, PureL])
+    def test_variants_name_the_epsilon_they_were_given(self, cls):
+        """Errors quote the caller's own ``epsilon``, not the per-stage
+        share derived from it."""
+        with pytest.raises(ValueError) as negative:
+            cls(epsilon=-1)
+        assert str(negative.value) == (
+            "epsilon must be a non-negative privacy budget, got -1"
+        )
+        with pytest.raises(ValueError) as zero:
+            cls(epsilon=0)
+        message = str(zero.value)
+        assert message.startswith("epsilon=0 ")
+        # A variant cannot disable its only budget: no None hint.
+        assert "None" not in message
+        assert "epsilon_" not in message
+
     def test_explicit_zero_epsilon_is_rejected(self):
         """ε=0 must not be silently conflated with "stage disabled"."""
         with pytest.raises(ValueError, match="explicit zero budget"):
@@ -245,40 +262,3 @@ class TestAnonymization:
             )
             result = anonymizer.anonymize(small)
             assert len(result) == 5
-
-
-class TestLastReportDeprecation:
-    """The silent alias era is over: reads and writes both warn."""
-
-    def test_read_warns_and_returns_latest_report(self, fleet):
-        anonymizer = PureL(epsilon=0.5, signature_size=3, seed=21)
-        anonymizer.anonymize(fleet.dataset)
-        with pytest.warns(DeprecationWarning, match="last_report is deprecated"):
-            report = anonymizer.last_report
-        assert report is not None
-        assert report.pf_perturbations is not None
-
-    def test_write_warns(self):
-        anonymizer = PureL(epsilon=0.5, signature_size=3, seed=22)
-        with pytest.warns(DeprecationWarning, match="last_report"):
-            anonymizer.last_report = None
-
-    def test_documented_replacement_is_race_free(self, fleet):
-        """anonymize_with_report returns the report with the result —
-        nothing observable is stored on the instance."""
-        anonymizer = PureL(epsilon=0.5, signature_size=3, seed=23)
-        result, report = anonymizer.anonymize_with_report(fleet.dataset)
-        assert len(result) == len(fleet.dataset)
-        assert report.pf_perturbations is not None
-        # The per-call path must not touch the deprecated alias.
-        assert anonymizer._last_report is None
-
-    def test_batch_engine_alias_warns(self, fleet):
-        from repro.engine.batch import BatchAnonymizer
-
-        engine = BatchAnonymizer(
-            PureL(epsilon=0.5, signature_size=3, seed=24), workers=1
-        )
-        engine.anonymize(fleet.dataset)
-        with pytest.warns(DeprecationWarning, match="last_report is deprecated"):
-            assert engine.last_report is not None

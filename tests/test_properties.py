@@ -288,16 +288,3 @@ class TestBatchedKnnProperty:
             index.insert((float(ax), float(ay)), (float(bx), float(by)))
         qs = [(float(x), float(y)) for x, y in queries]
         assert index.knn_batch(qs, k) == [index.knn(q, k) for q in qs]
-
-    @pytest.mark.parametrize(
-        "backend", ["linear", "uniform", "hierarchical", "rtree"]
-    )
-    @settings(max_examples=15, deadline=None)
-    @given(segments=segments_strategy, queries=queries_strategy)
-    def test_iter_nearest_batch_agrees(self, backend, segments, queries):
-        index = self.build_index(backend)
-        for ax, ay, bx, by in segments:
-            index.insert((float(ax), float(ay)), (float(bx), float(by)))
-        qs = [(float(x), float(y)) for x, y in queries]
-        expected = [list(index.iter_nearest(q)) for q in qs]
-        assert [list(it) for it in index.iter_nearest_batch(qs)] == expected

@@ -54,20 +54,18 @@ class TestSingleChunkIdentity:
         assert report.chunk_count == 1
 
     def test_byte_identical_through_batch_engine(self, fleet):
-        serial = GL(
-            epsilon=1.0, signature_size=3, seed=21, candidate_source="wave"
-        ).anonymize(fleet.dataset)
+        serial = GL(epsilon=1.0, signature_size=3, seed=21).anonymize(
+            fleet.dataset
+        )
         with BatchAnonymizer(
             GL(epsilon=1.0, signature_size=3, seed=21, candidate_source="wave"),
             workers=3,
             executor="thread",
-            global_workers=2,
         ) as engine:
             published, _ = StreamPublisher(engine).publish_collected(
                 source(fleet.dataset, 10_000)
             )
-            # The pooled wave planner ran on the publisher's tf_target path.
-            assert engine._global_pool is not None
+            # The wave planner ran on the publisher's tf_target path.
             assert engine.anonymizer._inter.last_wave_stats.operations > 0
         assert points_of(published) == points_of(serial)
 

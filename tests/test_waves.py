@@ -69,13 +69,13 @@ def snapshot(dataset) -> list:
     ]
 
 
-def apply_source(dataset, perturbation, backend, source, factory=None, **kwargs):
+def apply_source(dataset, perturbation, backend, source, factory=None):
     modifier = InterTrajectoryModifier(
         factory or make_index_factory(backend, levels=5, granularity=16),
         candidate_source=source,
     )
     copy = TrajectoryDataset([t.copy() for t in dataset])
-    out, report = modifier.apply(copy, perturbation, **kwargs)
+    out, report = modifier.apply(copy, perturbation)
     return modifier, out, report
 
 
@@ -176,30 +176,6 @@ class TestWaveByteIdentity:
             )
             assert snapshot(out) == snapshot(fresh_out)
             assert report_key(report) == report_key(fresh_report)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_threaded_wave_map_identical(self, seed):
-        """Fanning the read-only simulations over threads must not
-        change a byte (the global_workers contract)."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        rng = random.Random(seed)
-        dataset = lattice_fleet(rng, rng.randint(3, 8), 8)
-        perturbation = random_perturbation(rng, dataset)
-        _, serial_out, serial_report = apply_source(
-            dataset, perturbation, "hierarchical", "incremental"
-        )
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            _, wave_out, wave_report = apply_source(
-                dataset,
-                perturbation,
-                "hierarchical",
-                "wave",
-                wave_map=lambda fn, jobs: list(pool.map(fn, jobs)),
-            )
-        assert snapshot(wave_out) == snapshot(serial_out)
-        assert report_key(wave_report) == report_key(serial_report)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fleet_scale_identity(self, backend):
