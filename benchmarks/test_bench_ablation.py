@@ -3,8 +3,9 @@
 1. Stage-2 compensation on/off — cardinality preservation vs pure
    signature dilution;
 2. GL budget split — 50/50 (the paper) vs skewed splits;
-3. index backend — the modification pipeline over linear / uniform /
-   hierarchical backends (the practical version of Figure 5's claim).
+3. index backend — the GL pipeline with a linear / uniform /
+   hierarchical / R-tree shared index in the global stage (the
+   practical version of Figure 5's claim).
 """
 
 import random
@@ -12,7 +13,7 @@ import random
 import pytest
 
 from repro.core.local_mechanism import LocalPFMechanism
-from repro.core.modification import IntraTrajectoryModifier, make_index_factory
+from repro.core.modification import IntraTrajectoryModifier
 from repro.core.pipeline import FrequencyAnonymizer
 from repro.core.signature import SignatureExtractor
 
@@ -39,7 +40,7 @@ def _run_local(fleet, mechanism_cls, config):
     extractor = SignatureExtractor(m=config.signature_size)
     index = extractor.extract(fleet.dataset)
     mechanism = mechanism_cls(epsilon=0.5, m=config.signature_size)
-    modifier = IntraTrajectoryModifier(make_index_factory("hierarchical", levels=8))
+    modifier = IntraTrajectoryModifier()
     rng = random.Random(0)
     total_points = 0
     for trajectory in fleet.dataset:
@@ -125,7 +126,8 @@ def test_bench_trajectory_selection(benchmark, config, fleet, selection):
 
 @pytest.mark.parametrize("backend", ("linear", "uniform", "hierarchical", "rtree"))
 def test_bench_pipeline_backend(benchmark, config, fleet, backend):
-    """Full GL pipeline per index backend — Figure 5 in practice."""
+    """Full GL pipeline per global-stage index backend — Figure 5 in
+    practice (the local stage always uses its flat stores)."""
     anonymizer = FrequencyAnonymizer(
         epsilon_global=0.5,
         epsilon_local=0.5,

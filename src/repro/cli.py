@@ -84,11 +84,15 @@ def _add_method_args(parser: argparse.ArgumentParser) -> None:
         "--index",
         choices=("linear", "uniform", "hierarchical"),
         default="hierarchical",
+        help="the global stage's shared segment index; every backend "
+        "gives the same output bytes, so this picks speed only",
     )
     parser.add_argument(
         "--strategy",
         choices=("top_down", "bottom_up", "bottom_up_down"),
         default="bottom_up_down",
+        help="hierarchical search strategy of the global stage's "
+        "shared index; speed only, the output bytes do not change",
     )
 
 

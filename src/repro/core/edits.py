@@ -20,6 +20,7 @@ point).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from repro.geo.geometry import Coord, point_distance, point_segment_distance
@@ -303,19 +304,33 @@ class EditableTrajectory:
     def delete_cheapest(self, loc: LocationKey, count: int) -> EditOutcome:
         """Delete up to ``count`` occurrences of ``loc``, cheapest first.
 
-        Costs are recomputed after every removal since deleting one
-        occurrence changes its neighbours' replacement segments.
+        Each step removes the occurrence with the smallest current
+        ``(cost, seq)``. A node's cost reads only its two neighbours, so
+        a deletion changes the costs of the deleted node's neighbours
+        and nothing else: a heap built once is kept current by
+        re-pushing just those two, and entries whose node is gone or
+        whose cost has since changed are skipped when popped.
         """
+        nodes = self._nodes_by_loc.get(loc, ())
+        current = {node.seq: self.deletion_cost(node) for node in nodes}
+        heap = [(current[node.seq], node.seq, node) for node in nodes]
+        heapq.heapify(heap)
         total = 0.0
         removed = 0
-        for _ in range(count):
-            costs = self.occurrence_costs(loc)
-            if not costs:
-                break
-            _, node = costs[0]
+        while removed < count and heap:
+            cost, seq, node = heapq.heappop(heap)
+            if current.get(seq) != cost:
+                continue  # deleted, or re-pushed at a new cost
+            del current[seq]
+            before, after = node.prev, node.next
             outcome = self.delete_node(node)
             total += outcome.utility_loss
             removed += 1
+            for neighbour in (before, after):
+                if neighbour is not None and neighbour.seq in current:
+                    cost = self.deletion_cost(neighbour)
+                    current[neighbour.seq] = cost
+                    heapq.heappush(heap, (cost, neighbour.seq, neighbour))
         return EditOutcome(utility_loss=total, delta_points=-removed)
 
     def delete_all(self, loc: LocationKey) -> EditOutcome:

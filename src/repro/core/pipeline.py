@@ -179,8 +179,12 @@ class FrequencyAnonymizer:
         ``m`` — how many signature locations are extracted per
         trajectory. The local mechanism perturbs ``2m`` locations.
     index_backend, search_strategy, levels, granularity:
-        Spatial-index configuration for the modification step (see
-        :func:`repro.core.modification.make_index_factory`).
+        The global stage's shared segment index (see
+        :func:`repro.core.modification.make_index_factory`). Every
+        backend, shape and strategy answers kNN in the same
+        ``(distance, sid)`` order, so these pick speed only and never
+        change output bytes; the local stage always edits each
+        trajectory over its own flat store.
     candidate_source:
         How the global stage finds candidate trajectories:
         ``"incremental"`` (default — the per-location lazy frontier) or
@@ -240,12 +244,11 @@ class FrequencyAnonymizer:
         self.global_first = global_first
         self.seed = seed
         self.extractor = SignatureExtractor(m=signature_size)
-        factory = make_index_factory(
-            backend=index_backend, levels=levels, granularity=granularity
-        )
-        self._intra = IntraTrajectoryModifier(factory, strategy=search_strategy)
+        self._intra = IntraTrajectoryModifier()
         self._inter = InterTrajectoryModifier(
-            factory,
+            make_index_factory(
+                backend=index_backend, levels=levels, granularity=granularity
+            ),
             strategy=search_strategy,
             trajectory_selection=trajectory_selection,
             candidate_source=candidate_source,

@@ -62,12 +62,21 @@ class SignatureExtractor:
         self.m = m
 
     def weights(
-        self, trajectory: Trajectory, tf: Counter, dataset_size: int
+        self,
+        trajectory: Trajectory,
+        tf: Counter,
+        dataset_size: int,
+        pf: Counter | None = None,
     ) -> dict[LocationKey, float]:
-        """weight(p) = (PF/|τ|) * log(|D|/TF) for every location of τ."""
+        """weight(p) = (PF/|τ|) * log(|D|/TF) for every location of τ.
+
+        ``pf`` passes ``trajectory.point_frequencies()`` when the
+        caller already has it.
+        """
         if len(trajectory) == 0:
             return {}
-        pf = trajectory.point_frequencies()
+        if pf is None:
+            pf = trajectory.point_frequencies()
         n = float(len(trajectory))
         result: dict[LocationKey, float] = {}
         for loc, frequency in pf.items():
@@ -77,14 +86,20 @@ class SignatureExtractor:
         return result
 
     def signature_of(
-        self, trajectory: Trajectory, tf: Counter, dataset_size: int
+        self,
+        trajectory: Trajectory,
+        tf: Counter,
+        dataset_size: int,
+        pf: Counter | None = None,
     ) -> list[SignatureEntry]:
         """Top-m locations of one trajectory by descending weight.
 
         Ties are broken by location key so extraction is deterministic.
+        ``pf`` is as for :meth:`weights`.
         """
-        weights = self.weights(trajectory, tf, dataset_size)
-        pf = trajectory.point_frequencies()
+        if pf is None:
+            pf = trajectory.point_frequencies()
+        weights = self.weights(trajectory, tf, dataset_size, pf)
         ranked = sorted(weights.items(), key=lambda item: (-item[1], item[0]))
         return [
             SignatureEntry(loc, pf[loc], tf.get(loc, 0), weight)
@@ -99,14 +114,20 @@ class SignatureExtractor:
         ``tf`` accepts a precomputed ``dataset.trajectory_frequencies()``
         so callers that already scanned the dataset (the streaming
         publisher's estimate pass) don't pay for a second full scan.
+        Each trajectory's points are read once: its PF distribution
+        yields its weights, its signature entries and, when ``tf`` is
+        not given, its share of the TF distribution.
         """
+        pfs = [trajectory.point_frequencies() for trajectory in dataset]
         if tf is None:
-            tf = dataset.trajectory_frequencies()
+            tf = Counter()
+            for pf in pfs:
+                tf.update(pf.keys())
         n = len(dataset)
         signatures: dict[str, list[SignatureEntry]] = {}
         candidate_set: set[LocationKey] = set()
-        for trajectory in dataset:
-            entries = self.signature_of(trajectory, tf, n)
+        for trajectory, pf in zip(dataset, pfs, strict=True):
+            entries = self.signature_of(trajectory, tf, n, pf)
             signatures[trajectory.object_id] = entries
             candidate_set.update(entry.loc for entry in entries)
         tf_restricted = {loc: tf[loc] for loc in candidate_set}

@@ -5,8 +5,8 @@ edits every trajectory against one shared dataset-wide index — it is
 inherently sequential (and is what the incremental ``iter_nearest``
 frontier accelerates). The local stage perturbs and modifies each
 trajectory independently — it is embarrassingly parallel, and at the
-paper's |D| = 1000 scale dominated by per-trajectory index builds and
-kNN searches that share nothing.
+paper's |D| = 1000 scale dominated by per-trajectory edits and kNN
+scans that share nothing.
 
 :class:`BatchAnonymizer` wraps any :class:`FrequencyAnonymizer` and
 fans that local stage over a worker pool. Determinism is preserved by
@@ -23,11 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.local_mechanism import LocalPFMechanism, PFPerturbation
-from repro.core.modification import (
-    IntraTrajectoryModifier,
-    ModificationReport,
-    make_index_factory,
-)
+from repro.core.modification import IntraTrajectoryModifier, ModificationReport
 from repro.core.pipeline import (
     AnonymizationReport,
     FrequencyAnonymizer,
@@ -65,10 +61,6 @@ class _LocalShard:
     seeds: list[int]
     epsilon_local: float
     signature_size: int
-    index_backend: str
-    levels: int
-    granularity: int
-    search_strategy: str
 
 
 #: What a local-stage worker sends back: the modified trajectories as
@@ -80,14 +72,7 @@ _ShardResult = tuple[bytes, list[PFPerturbation], list[ModificationReport]]
 def _run_local_shard(shard: _LocalShard) -> _ShardResult:
     """Worker: the exact serial per-trajectory loop, on one shard."""
     mechanism = LocalPFMechanism(shard.epsilon_local, m=shard.signature_size)
-    intra = IntraTrajectoryModifier(
-        make_index_factory(
-            backend=shard.index_backend,
-            levels=shard.levels,
-            granularity=shard.granularity,
-        ),
-        strategy=shard.search_strategy,
-    )
+    intra = IntraTrajectoryModifier()
     modified: list[Trajectory] = []
     perturbations: list[PFPerturbation] = []
     reports: list[ModificationReport] = []
@@ -373,10 +358,6 @@ class BatchAnonymizer:
             ],
             epsilon_local=anonymizer.epsilon_local,
             signature_size=anonymizer.signature_size,
-            index_backend=anonymizer.index_backend,
-            levels=anonymizer.levels,
-            granularity=anonymizer.granularity,
-            search_strategy=anonymizer.search_strategy,
         )
 
 

@@ -180,7 +180,8 @@ def search_timings(
 def modification_timings(
     config: ExperimentConfig, sizes: tuple[int, ...], workers: int = 1
 ) -> dict[str, list[float]]:
-    """Right panel: local vs global modification wall-clock (HG+).
+    """Right panel: local vs global modification wall-clock (the global
+    stage on HG+, the local stage on its per-trajectory flat stores).
 
     With ``workers > 1``, a third row times the batch engine's sharded
     local stage for comparison against the serial local row.

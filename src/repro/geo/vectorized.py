@@ -165,18 +165,6 @@ class SegmentArray:
             return float("inf")
         return float(self.distances_to(q).min())
 
-    def nearest_order(self, q: Coord) -> list[tuple[int, float]]:
-        """Every row index paired with its distance, ascending.
-
-        One vectorised distance pass plus a stable sort, so equidistant
-        rows keep their insertion order — the tie-break the segment
-        indexes use (ascending sid). Backs the linear index's
-        incremental ``iter_nearest`` fast path.
-        """
-        distances = self.distances_to(q)
-        order = np.argsort(distances, kind="stable")
-        return list(zip(order.tolist(), distances[order].tolist(), strict=True))
-
     def knn(self, q: Coord, k: int) -> list[tuple[int, float]]:
         """The ``k`` nearest segment *positions* (row indices)."""
         if k < 1:

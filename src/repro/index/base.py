@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.geo.geometry import Coord, point_segment_distance
+from repro.geo.geometry import BBox, Coord
 from repro.geo.vectorized import SegmentArray, segment_columns
 
 
@@ -24,9 +25,6 @@ class IndexedSegment:
     a: Coord
     b: Coord
     owner: str | None = None
-
-    def distance_to(self, q: Coord) -> float:
-        return point_segment_distance(q, self.a, self.b)
 
 
 @runtime_checkable
@@ -100,6 +98,30 @@ def bulk_insert(
     if native is not None:
         return native(pairs, owner=owner)
     return [index.insert(a, b, owner=owner) for a, b in pairs]
+
+
+#: How far, in units of the largest coordinate magnitude in play, the
+#: column kernel's distance to a segment can fall below the exact
+#: distance: its projected point ``a + t * (b - a)`` is rounded at the
+#: endpoints' magnitude, not the distance's. A few ulp in practice;
+#: this bounds the kernel's rounding analysis with room to spare.
+_KERNEL_SLACK = 64 * sys.float_info.epsilon
+
+
+def kernel_slack(q: Coord, box: BBox) -> float:
+    """How far a pruning bound must be lowered so it never exceeds the
+    column kernel's distance from ``q`` to a segment inside ``box``.
+
+    A box's exact min-distance bounds the exact segment distance, but
+    the kernel's rounded distance can undercut it (a segment ending on
+    the box edge nearest ``q`` ties it exactly), so a search that
+    prunes or orders by the raw bound can drop a tied or nearer
+    segment.
+    """
+    return _KERNEL_SLACK * max(
+        abs(q[0]), abs(q[1]),
+        abs(box.min_x), abs(box.min_y), abs(box.max_x), abs(box.max_y),
+    )
 
 
 #: Rows a fresh :class:`SegmentStore` holds before its first doubling.
@@ -232,17 +254,6 @@ class SegmentStore:
             rows[self._BX].tolist(),
             rows[self._BY].tolist(),
         )
-
-    def scalar_distances(self, sids, q: Coord) -> list[float]:
-        """:func:`~repro.geo.geometry.point_segment_distance` from ``q``
-        to each of ``sids``, in order: the scalar kernel, on the exact
-        stored endpoints."""
-        if len(sids) == 0:
-            return []
-        return [
-            point_segment_distance(q, (ax, ay), (bx, by))
-            for ax, ay, bx, by in zip(*self.endpoints(sids), strict=True)
-        ]
 
     def __len__(self) -> int:
         return self._live

@@ -344,9 +344,8 @@ class HierarchicalGridIndex:
         # exactly up front (this also tightens θ_K before descent).
         overflow = list(self._overflow)
         stats.segments_checked += len(overflow)
-        for sid, dist in zip(
-            overflow, self.store.scalar_distances(overflow, q), strict=True
-        ):
+        distances = self.store.gather(overflow).distances_to(q).tolist()
+        for sid, dist in zip(overflow, distances, strict=True):
             candidates.offer(sid, dist)
         if not self._cells:
             return candidates.results()
@@ -410,7 +409,7 @@ class HierarchicalGridIndex:
             # frontier as one pre-sorted exact-distance cursor.
             sids = sorted(self._overflow)
             stats.segments_checked += len(sids)
-            raw = np.array(self.store.scalar_distances(sids, q))
+            raw = self.store.gather(sids).distances_to(q)
             block = sorted_block(raw)
             head = int(block[0])
             heap.append((float(raw[head]), 1, sids[head], sids, block, raw, 0))
@@ -462,11 +461,11 @@ class HierarchicalGridIndex:
         One vectorised pass over the cell's cached
         :class:`~repro.geo.vectorized.SegmentArray` replaces the old
         per-segment Python distance loop, for every search strategy at
-        once; distances already at or beyond θ_K are filtered on the
-        numpy side before they reach the candidate heap (``offer``
-        rejects non-improving candidates, so the filter is pure
-        short-circuiting). Ascending-sid offer order keeps boundary
-        ties resolved exactly like the linear baseline.
+        once; distances beyond θ_K are filtered on the numpy side
+        before they reach the candidate heap. A distance equal to θ_K
+        passes: it can still displace the worst retained candidate on
+        its sid (``offer`` keeps the smallest ``(distance, sid)``
+        pairs), so the filter is pure short-circuiting.
         """
         cell = self._cells.get(key)
         if cell is None:
@@ -478,7 +477,7 @@ class HierarchicalGridIndex:
         stats.segments_checked += len(sids)
         distances = array.distances_to(q)
         if candidates.full:
-            positions = np.flatnonzero(distances < candidates.threshold)
+            positions = np.flatnonzero(distances <= candidates.threshold)
             hits = zip(
                 [sids[position] for position in positions.tolist()],
                 distances[positions].tolist(),

@@ -2,16 +2,21 @@
 
 Implements the same protocol as the grid indexes but answers kNN by a
 full scan, so the modification machinery can run against it unchanged
-for the efficiency comparison (Figure 5). Incremental iteration uses
-one vectorised distance pass over a gather of every live segment
-instead of a Python-level scan.
+for the efficiency comparison (Figure 5). Incremental iteration runs
+one vectorised distance pass over a gather of every live segment and
+sorts it a block at a time, so a consumer that stops after a few hits
+never sorts the rest. That makes it the cheapest structure for small
+segment sets: the local stage gives every trajectory one.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 from repro.geo.geometry import Coord
+from repro.geo.vectorized import sorted_block
 from repro.index.base import IndexedSegment, SegmentStore
 from repro.index.search import KnnCandidates
 
@@ -26,6 +31,15 @@ class LinearSegmentIndex:
     def insert(self, a: Coord, b: Coord, owner: str | None = None) -> int:
         return self.store.allocate(a, b, owner)
 
+    def insert_many(self, pairs, owner: str | None = None) -> list[int]:
+        """Bulk :meth:`insert`: the whole batch as one block of store
+        rows, with the sids the equivalent ``insert`` loop assigns."""
+        if not pairs:
+            return []
+        starts = np.asarray([a for a, _ in pairs], dtype=np.float64)
+        ends = np.asarray([b for _, b in pairs], dtype=np.float64)
+        return list(self.store.allocate_many(starts, ends, owner))
+
     def remove(self, sid: int) -> None:
         self.store.release(sid)
 
@@ -36,32 +50,42 @@ class LinearSegmentIndex:
         return self.store.owner_of(sid)
 
     def knn(self, q: Coord, k: int) -> list[tuple[int, float]]:
-        """Brute-force scan with the scalar kernel, offering in
+        """Brute-force scan: one column-kernel pass over every live
+        segment, then each one offered to the candidate heap in
         ascending sid order exactly like
         :func:`~repro.index.search.linear_knn`."""
         candidates = KnnCandidates(k)
-        sids = self.store.live_sids().tolist()
-        for sid, dist in zip(
-            sids, self.store.scalar_distances(sids, q), strict=True
-        ):
+        sids = self.store.live_sids()
+        distances = self.store.gather(sids).distances_to(q)
+        for sid, dist in zip(sids.tolist(), distances.tolist(), strict=True):
             candidates.offer(sid, dist)
         return candidates.results()
 
     def iter_nearest(self, q: Coord) -> Iterator[tuple[int, float]]:
-        """All segments in ascending distance order, lazily.
+        """All segments in ascending (distance, sid) order, lazily.
 
-        Snapshots the live sids on first pull, gathers their columns,
-        and runs one vectorised distance pass over the whole batch — a
-        single numpy pass beats repeated Python-level partial scans as
-        soon as the index holds more than a handful of segments.
+        Snapshots the live sids on first pull and measures them all in
+        one vectorised pass, then sorts the distances one block at a
+        time (:func:`~repro.geo.vectorized.sorted_block`): pulling the
+        first few hits costs one partition, not a full sort.
         """
         sids = self.store.live_sids()
         if len(sids) == 0:
             return
-        order = self.store.gather(sids).nearest_order(q)
+        raw = self.store.gather(sids).distances_to(q)
         sids = sids.tolist()
-        for row, dist in order:
-            yield sids[row], dist
+        yielded = 0
+        block = sorted_block(raw)
+        while True:
+            distances = raw[block].tolist()
+            for row, dist in zip(block.tolist(), distances, strict=True):
+                yield sids[row], dist
+            yielded += len(block)
+            if yielded == len(sids):
+                return
+            # Blocks include their ties, so the rest is everything
+            # strictly beyond the last distance yielded.
+            block = sorted_block(raw, distances[-1])
 
     def knn_batch(self, qs, k: int) -> list[list[tuple[int, float]]]:
         """Per-query full scans (the honest linear-baseline batch)."""

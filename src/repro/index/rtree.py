@@ -7,9 +7,10 @@ fourth backend for the efficiency ablation.
 Design: a static Sort-Tile-Recursive (STR) bulk-loaded tree plus an
 overflow buffer for dynamic inserts and a tombstone set for removals;
 the tree is rebuilt when either side grows past a fraction of the tree
-size. kNN is best-first over node MBRs (a segment's MBR min-distance
-lower-bounds its exact distance, so pruning is safe) with the overflow
-buffer scanned linearly.
+size. kNN is best-first over node MBRs with the overflow buffer
+scanned linearly. A node's MBR min-distance, lowered by
+:func:`~repro.index.base.kernel_slack`, lower-bounds the column
+kernel's distance to every segment under it, so pruning is safe.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.geo.geometry import BBox, Coord
-from repro.index.base import IndexedSegment, SegmentStore
+from repro.index.base import IndexedSegment, SegmentStore, kernel_slack
 from repro.index.search import KnnCandidates
 
 
@@ -147,9 +148,11 @@ class RTreeIndex:
     def __len__(self) -> int:
         return len(self.store)
 
-    def _exact(self, sids, q: Coord):
-        """``(sid, distance)`` for ``sids`` in order, by the scalar kernel."""
-        return zip(sids, self.store.scalar_distances(sids, q), strict=True)
+    def _exact(self, sids: list[int], q: Coord):
+        """``(sid, distance)`` for ``sids`` in order, by the column kernel."""
+        return zip(
+            sids, self.store.gather(sids).distances_to(q).tolist(), strict=True
+        )
 
     @property
     def tree_height(self) -> int:
@@ -171,9 +174,10 @@ class RTreeIndex:
         for sid, dist in self._exact(list(self._buffer), q):
             candidates.offer(sid, dist)
         if self._root is not None:
+            slack = kernel_slack(q, self._root.mbr)
             counter = 0  # heap tie-breaker (BBox is not orderable)
             heap: list[tuple[float, int, _Node]] = [
-                (self._root.mbr.min_distance(q), counter, self._root)
+                (self._root.mbr.min_distance(q) - slack, counter, self._root)
             ]
             while heap:
                 dist, _, node = heapq.heappop(heap)
@@ -185,7 +189,7 @@ class RTreeIndex:
                         candidates.offer(sid, dist)
                 else:
                     for child in node.children:
-                        child_dist = child.mbr.min_distance(q)
+                        child_dist = child.mbr.min_distance(q) - slack
                         if not candidates.full or child_dist <= candidates.threshold:
                             counter += 1
                             heapq.heappush(heap, (child_dist, counter, child))
@@ -194,8 +198,9 @@ class RTreeIndex:
     def iter_nearest(self, q: Coord):
         """Best-first incremental traversal over node MBRs.
 
-        Nodes enter the frontier keyed by MBR min-distance (a lower
-        bound on their contents), live segments by exact distance, so
+        Nodes enter the frontier keyed by MBR min-distance less the
+        kernel slack (a lower bound on their contents' kernel
+        distances), live segments by their kernel distance, so
         pop order yields segments in nondecreasing distance. Nodes sort
         ahead of equidistant segments; segment ties resolve by
         ascending sid. The overflow buffer is measured up front (it is
@@ -211,8 +216,10 @@ class RTreeIndex:
         heapq.heapify(heap)
         counter = 0
         if self._root is not None:
+            slack = kernel_slack(q, self._root.mbr)
             heapq.heappush(
-                heap, (self._root.mbr.min_distance(q), 0, counter, self._root)
+                heap,
+                (self._root.mbr.min_distance(q) - slack, 0, counter, self._root),
             )
         while heap:
             dist, kind, tie, node = heapq.heappop(heap)
@@ -228,7 +235,8 @@ class RTreeIndex:
                 for child in node.children:
                     counter += 1
                     heapq.heappush(
-                        heap, (child.mbr.min_distance(q), 0, counter, child)
+                        heap,
+                        (child.mbr.min_distance(q) - slack, 0, counter, child),
                     )
 
     def knn_batch(self, qs, k: int) -> list[list[tuple[int, float]]]:

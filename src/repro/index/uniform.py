@@ -168,9 +168,8 @@ class UniformGridIndex:
         # Out-of-bbox segments carry no valid cell bound; check them
         # exactly up front (this also tightens θ_K before the rings).
         overflow = list(self._overflow)
-        for sid, dist in zip(
-            overflow, self.store.scalar_distances(overflow, q), strict=True
-        ):
+        distances = self.store.gather(overflow).distances_to(q).tolist()
+        for sid, dist in zip(overflow, distances, strict=True):
             candidates.offer(sid, dist)
         qx, qy = self.cell_of(q)
         seen: set[int] = set()
@@ -228,9 +227,8 @@ class UniformGridIndex:
         # Out-of-bbox segments join the heap with exact distances up
         # front; the ring release bound stays valid for them.
         overflow = list(self._overflow)
-        for sid, dist in zip(
-            overflow, self.store.scalar_distances(overflow, q), strict=True
-        ):
+        distances = self.store.gather(overflow).distances_to(q).tolist()
+        for sid, dist in zip(overflow, distances, strict=True):
             seen.add(sid)
             heapq.heappush(heap, (dist, sid))
         for ring in range(self.granularity + 1):

@@ -1,6 +1,7 @@
 """Tests for EditableTrajectory: edit operations, costs, index sync."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.edits import EditableTrajectory
 from repro.geo.geometry import BBox
@@ -160,6 +161,76 @@ class TestDeletion:
         cost = e.complete_deletion_cost((5.0, 3.0))
         assert cost > 0
         assert e.occurrence_count((5.0, 3.0)) == 2  # unchanged
+
+
+class TestLazyHeapDeletion:
+    """``delete_cheapest`` keeps one heap and re-costs only the deleted
+    node's neighbours; it must remove exactly what recomputing every
+    occurrence's cost before each step would remove."""
+
+    @staticmethod
+    def positions(e):
+        """Node seq -> index along the trajectory as built."""
+        seqs = []
+        node = e._head
+        while node is not None:
+            seqs.append(node.seq)
+            node = node.next
+        return {seq: i for i, seq in enumerate(seqs)}
+
+    @staticmethod
+    def reference(e, loc, count):
+        """Recompute every occurrence's cost before each deletion."""
+        removed, total = [], 0.0
+        for _ in range(count):
+            costs = e.occurrence_costs(loc)
+            if not costs:
+                break
+            node = costs[0][1]
+            removed.append(node.seq)
+            total += e.delete_node(node).utility_loss
+        return removed, total
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # Few distinct locations on a small lattice: long runs of one
+        # location and many equal deletion costs.
+        coords=st.lists(
+            st.sampled_from([(0, 0), (10, 0), (20, 0), (10, 10), (0, 20)]),
+            min_size=1,
+            max_size=40,
+        ),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from([(0, 0), (10, 0), (20, 0), (10, 10), (0, 20)]),
+                st.integers(1, 12),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_matches_recompute_every_step(self, coords, ops):
+        lazy, ref = editable(coords), editable(coords)
+        lazy_at, ref_at = self.positions(lazy), self.positions(ref)
+        removed = []
+        delete_node = lazy.delete_node
+
+        def spy(node):
+            removed.append(node.seq)
+            return delete_node(node)
+
+        lazy.delete_node = spy
+        for (x, y), count in ops:
+            loc = (float(x), float(y))
+            removed.clear()
+            outcome = lazy.delete_cheapest(loc, count)
+            want_removed, want_total = self.reference(ref, loc, count)
+            assert [lazy_at[seq] for seq in removed] == [
+                ref_at[seq] for seq in want_removed
+            ]
+            assert outcome.utility_loss == want_total
+            assert -outcome.delta_points == len(want_removed)
+        assert lazy.to_trajectory().points == ref.to_trajectory().points
 
 
 class TestSharedIndex:

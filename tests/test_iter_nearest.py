@@ -9,10 +9,8 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.geo.geometry import BBox, point_segment_distance
-from repro.geo.vectorized import SORT_BLOCK, SegmentArray
+from repro.geo.geometry import BBox
 from repro.index import (
     HierarchicalGridIndex,
     LinearSegmentIndex,
@@ -101,56 +99,3 @@ class TestIterNearest:
         first = next(iter(index.iter_nearest((500.0, 500.0))))
         assert first is not None
         assert index.last_stats.segments_checked < 200
-
-
-class TestHierarchicalBlockCursors:
-    """The hierarchical frontier sorts big cells one block at a time;
-    its yield order must still be the exact (distance, sid) order."""
-
-    BOX = BBox(0.0, 0.0, 10.0, 10.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        q=st.tuples(st.integers(-2, 12), st.integers(-2, 12)),
-    )
-    def test_matches_brute_force_with_churn_and_overflow(self, seed, q):
-        rng = random.Random(seed)
-        q = (float(q[0]), float(q[1]))
-        index = HierarchicalGridIndex(self.BOX, levels=4)
-        live: dict[int, tuple] = {}
-
-        def lattice(low, high):
-            return float(rng.randrange(low, high))
-
-        shapes = []
-        # Lattice segments crossing the vertical centre line share the
-        # root cell, on three rows only: ties abound, often more than a
-        # block's worth at one distance.
-        for _ in range(2 * SORT_BLOCK + 1 + rng.randrange(3 * SORT_BLOCK)):
-            y = lattice(4, 7)
-            shapes.append(((lattice(3, 5), y), (lattice(6, 8), y)))
-        for _ in range(rng.randrange(30)):  # short ones in finer cells
-            x, y = lattice(0, 10), lattice(0, 10)
-            shapes.append(((x, y), (x + rng.randrange(2), y)))
-        for _ in range(rng.randrange(3 * SORT_BLOCK)):  # outside the bbox
-            shapes.append(((lattice(-4, 0), lattice(0, 11)), (lattice(0, 11), lattice(0, 11))))
-        for a, b in shapes:
-            live[index.insert(a, b, owner="o")] = (a, b)
-        list(itertools.islice(index.iter_nearest(q), 5))  # cache views
-        for sid in rng.sample(sorted(live), len(live) // 3):
-            a, b = live.pop(sid)
-            index.remove(sid)
-            live[index.insert(a, b, owner="o")] = (a, b)
-
-        assert max(len(cell.segments) for cell in index._cells.values()) > (
-            2 * SORT_BLOCK
-        )
-
-        def distance(a, b):
-            if self.BOX.contains(a) and self.BOX.contains(b):
-                return float(SegmentArray.from_pairs([(a, b)]).distances_to(q)[0])
-            return point_segment_distance(q, a, b)  # overflow: scalar kernel
-
-        want = sorted((distance(a, b), sid) for sid, (a, b) in live.items())
-        assert list(index.iter_nearest(q)) == [(sid, d) for d, sid in want]

@@ -12,12 +12,12 @@ from repro.core.global_mechanism import TFPerturbation
 from repro.core.local_mechanism import PFPerturbation
 from repro.core.modification import (
     InterTrajectoryModifier,
-    IntraTrajectoryModifier,
     index_extent,
     make_index_factory,
     nearest_live_segment_of_owner,
     search_knn,
 )
+from repro.core.pipeline import FrequencyAnonymizer
 from repro.index.hierarchical import HierarchicalGridIndex
 from repro.geo.geometry import BBox
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
@@ -69,10 +69,15 @@ class TestMakeIndexFactory:
 
 @pytest.mark.parametrize("backend", ["linear", "uniform", "hierarchical"])
 class TestIntraTrajectoryModifier:
+    """The local stage of a pipeline configured with each index
+    backend: those settings pick the global stage's shared index only,
+    so every configuration's local modifier must behave the same."""
+
     def make(self, backend):
-        return IntraTrajectoryModifier(
-            make_index_factory(backend, levels=6, granularity=32)
+        anonymizer = FrequencyAnonymizer(
+            index_backend=backend, levels=6, granularity=32
         )
+        return anonymizer._intra
 
     def test_satisfies_perturbed_pf(self, backend):
         trajectory = traj(

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.edits import EditableTrajectory
 from repro.core.local_mechanism import PFPerturbation
-from repro.core.modification import IntraTrajectoryModifier, make_index_factory
+from repro.core.modification import IntraTrajectoryModifier
 from repro.core.signature import SignatureExtractor
 from repro.geo.geometry import BBox
 from repro.index.hierarchical import HierarchicalGridIndex
@@ -118,37 +118,12 @@ class TestModificationRealisesPerturbations:
             stage1_mean_noise=0.0,
             epsilon=1.0,
         )
-        modifier = IntraTrajectoryModifier(make_index_factory("linear"))
+        modifier = IntraTrajectoryModifier()
         modified, report = modifier.apply(trajectory, perturbation)
         new_pf = modified.point_frequencies()
         for loc, target in perturbed.items():
             assert new_pf.get(loc, 0) == target, loc
         assert report.utility_loss >= 0.0
-
-    @settings(max_examples=20, deadline=None)
-    @given(coords=coords_strategy, seed=st.integers(0, 9999))
-    def test_backends_agree_on_realised_distribution(self, coords, seed):
-        """All index backends realise the same PF (costs may tie-break
-        differently, but the published frequencies are identical)."""
-        trajectory = build_trajectory(coords)
-        pf = trajectory.point_frequencies()
-        rng = random.Random(seed)
-        loc = sorted(pf)[0]
-        perturbation = PFPerturbation(
-            object_id="t",
-            original={loc: pf[loc]},
-            perturbed={loc: max(0, pf[loc] + rng.choice([-2, -1, 1, 2]))},
-            stage1_mean_noise=0.0,
-            epsilon=1.0,
-        )
-        outcomes = set()
-        for backend in ("linear", "uniform", "hierarchical"):
-            modifier = IntraTrajectoryModifier(
-                make_index_factory(backend, levels=6, granularity=32)
-            )
-            modified, _ = modifier.apply(trajectory, perturbation)
-            outcomes.add(modified.point_frequencies().get(loc, 0))
-        assert len(outcomes) == 1
 
 
 class TestBestFitProperty:

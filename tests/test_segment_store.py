@@ -214,12 +214,12 @@ class TestViewsNeverStale:
     @staticmethod
     def check(index, live, q):
         want = sorted(
-            IndexedSegment(sid, a, b).distance_to(q) for sid, (a, b) in live.items()
+            SegmentArray.from_pairs(list(live.values())).distances_to(q).tolist()
         )
         frontier = list(index.iter_nearest(q))
         assert sorted(sid for sid, _ in frontier) == sorted(live)
-        assert [d for _, d in frontier] == pytest.approx(want, abs=1e-9)
+        assert [d for _, d in frontier] == want
         k = max(1, len(live) // 2)
         for hits in (index.knn(q, k), index.knn_batch([q], k)[0]):
             assert all(sid in live for sid, _ in hits)
-            assert [d for _, d in hits] == pytest.approx(want[:k], abs=1e-9)
+            assert [d for _, d in hits] == want[:k]

@@ -7,8 +7,10 @@ import pytest
 
 from repro.core.signature import (
     SignatureExtractor,
+    SignatureIndex,
     select_perturbation_targets,
 )
+from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
 
@@ -148,3 +150,45 @@ class TestSelectPerturbationTargets:
             dataset[0], index.signatures["a"], index.candidate_set, 2, random.Random(9)
         )
         assert t1 == t2
+
+
+class TestOnePassExtraction:
+    """``extract`` reads each trajectory's locations once; the index it
+    builds must equal the per-trajectory, multi-pass definition."""
+
+    @staticmethod
+    def reference(extractor, dataset, tf=None):
+        if tf is None:
+            tf = dataset.trajectory_frequencies()
+        signatures = {
+            t.object_id: extractor.signature_of(t, tf, len(dataset)) for t in dataset
+        }
+        candidate_set = {e.loc for entries in signatures.values() for e in entries}
+        return SignatureIndex(
+            m=extractor.m,
+            signatures=signatures,
+            candidate_set=candidate_set,
+            tf={loc: tf[loc] for loc in candidate_set},
+        )
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_multi_pass_definition(self, seed):
+        dataset = generate_fleet(
+            FleetConfig(n_objects=30, points_per_trajectory=60, rows=10, cols=10,
+                        seed=seed)
+        ).dataset
+        for m in (1, 3, 10):
+            extractor = SignatureExtractor(m=m)
+            assert extractor.extract(dataset) == self.reference(extractor, dataset)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_matches_with_publisher_tf(self, seed):
+        """The publisher passes the whole stream's TF with each chunk."""
+        dataset = generate_fleet(
+            FleetConfig(n_objects=30, points_per_trajectory=60, rows=10, cols=10,
+                        seed=seed)
+        ).dataset
+        tf = dataset.trajectory_frequencies()
+        chunk = TrajectoryDataset(list(dataset)[:12])
+        extractor = SignatureExtractor(m=5)
+        assert extractor.extract(chunk, tf=tf) == self.reference(extractor, chunk, tf)
