@@ -129,7 +129,9 @@ def test_bench_local_stage_serial(benchmark, bench_timer, engine_fleet):
 
 def test_bench_local_stage_batch(benchmark, bench_timer, engine_fleet):
     """Sharded local stage via the process pool (falls back to serial
-    where pools are unavailable; output is identical either way)."""
+    where pools are unavailable, or below ``workers *
+    MIN_POINTS_PER_WORKER`` points as at smoke scale; output is
+    identical either way)."""
     benchmark.pedantic(
         lambda: bench_timer(
             "local_stage",
@@ -228,6 +230,8 @@ def test_bench_publish_shared_tf_parallel(
 
 
 def test_batch_output_identical_to_serial(engine_fleet):
+    # Crosses the pool at paper scale; the smoke fleet is below the
+    # batch engine's size rule, so there both sides run in process.
     serial = PureL(
         epsilon=0.5, signature_size=SIGNATURE_SIZE, seed=7
     ).anonymize(engine_fleet.dataset)

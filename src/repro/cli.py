@@ -483,7 +483,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="batch-engine pool size per warm engine; 0 = one per core",
+        help="local-stage pool size per job; 0 = one per core; a job "
+        "under N x 4000 points runs its local stage in process",
     )
     serve.add_argument(
         "--executor",

@@ -43,6 +43,12 @@ from repro.trajectory.model import Trajectory, TrajectoryDataset
 if TYPE_CHECKING:  # engine sits below repro.api; runtime imports are lazy
     from repro.api.spec import MethodSpec
 
+#: The local stage forks its pool only for a dataset of at least
+#: ``workers * MIN_POINTS_PER_WORKER`` points; a smaller one runs in
+#: process, where it finishes before a pool would pay for itself (see
+#: "When the local stage forks" in docs/architecture.md).
+MIN_POINTS_PER_WORKER = 4000
+
 
 @dataclass(frozen=True, slots=True)
 class _LocalShard:
@@ -119,7 +125,9 @@ class BatchAnonymizer:
         unchanged in-process; its local stage is sharded.
     workers:
         Pool size; ``0``/``None`` means one worker per CPU core,
-        ``1`` keeps everything serial (but still byte-identical).
+        ``1`` keeps everything serial (but still byte-identical). A
+        dataset under ``workers * MIN_POINTS_PER_WORKER`` points runs
+        its local stage in process whatever the pool size.
     executor:
         ``"process"`` (default), ``"thread"``, or ``"serial"`` — see
         :mod:`repro.engine.pool`.
@@ -313,7 +321,11 @@ class BatchAnonymizer:
         shard_count = max(
             1, min(len(trajectories), self.workers * self.shards_per_worker)
         )
-        if shard_count == 1 or self.workers <= 1:
+        if (
+            shard_count == 1
+            or self.workers <= 1
+            or dataset.total_points() < self.workers * MIN_POINTS_PER_WORKER
+        ):
             return self.anonymizer._run_local_serial(
                 dataset, signature_index, base_seed
             )

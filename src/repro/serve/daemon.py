@@ -25,7 +25,8 @@ Refusal contract: errors are structured JSON objects with an
 and the tenant's requested/remaining/budget figures, so a client can
 tell "never" (shrink the job) from "not yet" (wait for a new budget).
 A malformed ``Content-Length`` gets 400 and one above
-:data:`MAX_BODY_BYTES` gets 413, without reading the body.
+:data:`MAX_BODY_BYTES` gets 413, without reading the body; a body
+that stalls for :data:`READ_TIMEOUT_S` gets 408.
 """
 
 from __future__ import annotations
@@ -58,11 +59,16 @@ CHUNK_BYTES = 64 * 1024
 #: longer declared body is refused with 413 before any of it is read.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a connection may sit on one socket read or write. A
+#: declared body that stalls this long is answered with 408; an idle
+#: keep-alive connection is closed by ``http.server`` itself.
+READ_TIMEOUT_S = 30.0
+
 
 class _BodyRefused(Exception):
-    """A request body the daemon will not read: answered with
-    ``status``/``payload`` and the connection closed, since the unread
-    bytes would otherwise be parsed as the next request."""
+    """A request body the daemon will not (or could not) read: answered
+    with ``status``/``payload`` and the connection closed, since the
+    unread bytes would otherwise be parsed as the next request."""
 
     def __init__(self, status: int, payload: dict) -> None:
         super().__init__(payload["detail"])
@@ -204,6 +210,12 @@ class _ServeServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted connection: a response goes out as
+    #: a header write then a body write, and with Nagle on the body
+    #: waits for the client's delayed ACK of the headers (~40 ms).
+    disable_nagle_algorithm = True
+    #: Socket timeout, applied by ``StreamRequestHandler.setup``.
+    timeout = READ_TIMEOUT_S
 
     # -- plumbing ------------------------------------------------------------
 
@@ -245,7 +257,16 @@ class _Handler(BaseHTTPRequestHandler):
                     "limit": MAX_BODY_BYTES,
                 },
             )
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            raise _BodyRefused(
+                408,
+                {
+                    "error": "request-timeout",
+                    "detail": f"request body stalled for {self.timeout} s",
+                },
+            ) from None
         if not raw:
             return {}
         payload = json.loads(raw.decode("utf-8"))

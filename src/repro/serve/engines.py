@@ -1,17 +1,21 @@
-"""Warm anonymizer instances shared across daemon requests.
+"""Anonymizer instances shared across daemon requests.
 
-Building a :class:`~repro.engine.BatchAnonymizer` per request would
-pay pool construction on every job; the daemon instead keeps one warm
-engine per distinct :class:`~repro.api.spec.MethodSpec` digest and
-routes every job with that configuration through it. Concurrent calls
-on one engine are safe by design (reports travel with the return
-value, noise streams are reserved per call), so the cache needs no
+The daemon keeps one engine per distinct
+:class:`~repro.api.spec.MethodSpec` digest and routes every job with
+that configuration through it, so a repeat submission skips building
+the anonymizer. What stays warm is the engine object, not a pool: a
+:class:`~repro.engine.BatchAnonymizer` holds no worker processes
+between jobs. A job whose local stage is big enough to shard gets a
+fresh pool from :func:`~repro.engine.pool.parallel_map`, and a small
+one runs its local stage in process (see
+``repro.engine.batch.MIN_POINTS_PER_WORKER``). Concurrent calls on one
+engine are safe by design (reports travel with the return value,
+noise streams are reserved per call), so the cache needs no
 per-engine serialization — only its own map lock.
 
-Frequency-family methods get the batch engine (warm worker pools);
-other families are cached as their bare anonymizer — they have no
-pool to keep warm, but construction (e.g. a fitted generative
-baseline's setup) is still amortized.
+Frequency-family methods get the batch engine; other families are
+cached as their bare anonymizer, so their construction (e.g. a fitted
+generative baseline's setup) is amortized too.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ __all__ = ["EngineCache"]
 
 
 class EngineCache:
-    """``spec.digest -> warm anonymizer`` map with a close lifecycle.
+    """``spec.digest -> anonymizer`` map with a close lifecycle.
 
-    Parameters mirror the batch engine's pool knobs; they apply to
-    every frequency-family engine the cache builds.
+    Parameters mirror the batch engine's sharding knobs; they apply to
+    every frequency-family engine the cache builds. An entry keeps the
+    built engine, not worker processes.
     """
 
     def __init__(

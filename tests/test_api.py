@@ -36,6 +36,7 @@ from repro.api import registry as registry_module
 from repro.core.pipeline import GL, FrequencyAnonymizer, PureL
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.engine import BatchAnonymizer
+from repro.engine import batch as batch_module
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.methods import (
     SYNTHETIC_METHODS,
@@ -318,7 +319,9 @@ class TestRun:
         for a, b in zip(legacy, result.dataset, strict=True):
             assert [p.t for p in a] == [p.t for p in b]
 
-    def test_byte_identical_to_legacy_batch(self, fleet):
+    def test_byte_identical_to_legacy_batch(self, fleet, monkeypatch):
+        # Cross the pool although the fleet is below the size rule.
+        monkeypatch.setattr(batch_module, "MIN_POINTS_PER_WORKER", 0)
         legacy = GL(epsilon=1.0, signature_size=3, seed=21).anonymize(fleet.dataset)
         spec = MethodSpec("gl", {"epsilon": 1.0, "signature_size": 3, "seed": 21})
         result = run(

@@ -18,6 +18,7 @@ from repro.engine import (
     parallel_map_stream,
     resolve_workers,
 )
+from repro.engine import batch as batch_module
 from repro.engine.batch import _chunks, _run_local_shard
 from repro.engine.spill import decode_chunk
 
@@ -27,6 +28,12 @@ def fleet():
     return generate_fleet(
         FleetConfig(n_objects=14, points_per_trajectory=70, rows=10, cols=10, seed=3)
     )
+
+
+@pytest.fixture
+def always_shard(monkeypatch):
+    """Cross the pool even for a fleet below the size rule's bound."""
+    monkeypatch.setattr(batch_module, "MIN_POINTS_PER_WORKER", 0)
 
 
 def coords_of(dataset):
@@ -160,7 +167,7 @@ class TestLocalShardPayload:
         assert len(decode_chunk(payload)) == len(perturbations) == len(reports) == 3
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_sharded_results_equal_serial(self, fleet, executor):
+    def test_sharded_results_equal_serial(self, fleet, executor, always_shard):
         anonymizer = GL(epsilon=1.0, signature_size=3, seed=27)
         signature_index = anonymizer.extractor.extract(fleet.dataset)
         serial = anonymizer._run_local_serial(fleet.dataset, signature_index, 9)
@@ -175,9 +182,43 @@ class TestLocalShardPayload:
             assert [(p.x, p.y, p.t) for p in traj2] == [(p.x, p.y, p.t) for p in traj]
 
 
+class TestPoolSizeRule:
+    """The local stage forks only for a dataset of at least
+    ``workers * MIN_POINTS_PER_WORKER`` points."""
+
+    def _run(self, fleet, monkeypatch, min_points, map_fn):
+        monkeypatch.setattr(batch_module, "MIN_POINTS_PER_WORKER", min_points)
+        monkeypatch.setattr(batch_module, "parallel_map", map_fn)
+        anonymizer = GL(epsilon=1.0, signature_size=3, seed=29)
+        signature_index = anonymizer.extractor.extract(fleet.dataset)
+        engine = BatchAnonymizer(anonymizer, workers=2, executor="thread")
+        return engine._run_local_sharded(fleet.dataset, signature_index, 9)
+
+    def test_below_the_bound_runs_in_process(self, fleet, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the local stage crossed the pool")
+
+        bound = fleet.dataset.total_points() // 2 + 1  # 2 workers
+        results = self._run(fleet, monkeypatch, bound, refuse)
+        assert len(results) == len(fleet.dataset)
+
+    def test_at_the_bound_crosses_the_pool(self, fleet, monkeypatch):
+        calls = []
+
+        def spy(fn, items, **kwargs):
+            calls.append(len(items))
+            return parallel_map(fn, items, **kwargs)
+
+        total = fleet.dataset.total_points()
+        assert total % 2 == 0
+        results = self._run(fleet, monkeypatch, total // 2, spy)
+        assert calls == [8]  # 2 workers x 4 shards each
+        assert len(results) == len(fleet.dataset)
+
+
 class TestBatchAnonymizer:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_byte_identical_to_serial(self, fleet, executor):
+    def test_byte_identical_to_serial(self, fleet, executor, always_shard):
         serial = GL(epsilon=1.0, signature_size=3, seed=21).anonymize(fleet.dataset)
         anonymizer = GL(epsilon=1.0, signature_size=3, seed=21)
         engine = BatchAnonymizer(anonymizer, workers=3, executor=executor)
@@ -187,7 +228,7 @@ class TestBatchAnonymizer:
         for a, b in zip(serial, batched, strict=True):
             assert [p.t for p in a] == [p.t for p in b]
 
-    def test_report_identical_to_serial(self, fleet):
+    def test_report_identical_to_serial(self, fleet, always_shard):
         reference = GL(epsilon=1.0, signature_size=3, seed=22)
         _, expected = reference.anonymize_with_report(fleet.dataset)
         anonymizer = GL(epsilon=1.0, signature_size=3, seed=22)
@@ -203,7 +244,7 @@ class TestBatchAnonymizer:
         )
         assert coords_of(engine.anonymize(fleet.dataset)) == coords_of(serial)
 
-    def test_shard_count_independent(self, fleet):
+    def test_shard_count_independent(self, fleet, always_shard):
         """Output must not depend on how the dataset is sliced."""
         results = []
         for shards_per_worker in (1, 2, 7):

@@ -21,6 +21,7 @@ from repro.core.pipeline import GL, PureG, PureL
 from repro.data.stream import chunked
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.engine import BatchAnonymizer, StreamPublisher
+from repro.engine import batch as batch_module
 from repro.engine.publish import chunk_source
 from repro.trajectory.io import read_csv, write_csv
 
@@ -53,7 +54,9 @@ class TestSingleChunkIdentity:
         assert points_of(published) == points_of(serial)
         assert report.chunk_count == 1
 
-    def test_byte_identical_through_batch_engine(self, fleet):
+    def test_byte_identical_through_batch_engine(self, fleet, monkeypatch):
+        # Cross the pool although the fleet is below the size rule.
+        monkeypatch.setattr(batch_module, "MIN_POINTS_PER_WORKER", 0)
         serial = GL(epsilon=1.0, signature_size=3, seed=21).anonymize(
             fleet.dataset
         )

@@ -4,8 +4,10 @@ Each test boots a real `Daemon` on an ephemeral port and talks plain
 `urllib` to it — the same wire a tenant would use.
 """
 
+import http.client
 import json
 import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -16,7 +18,7 @@ import pytest
 from repro.api import run
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.serve import Daemon, ServeConfig
-from repro.serve.daemon import MAX_BODY_BYTES
+from repro.serve.daemon import MAX_BODY_BYTES, _Handler
 from repro.trajectory.io import write_csv
 
 
@@ -180,6 +182,69 @@ class TestBodyLimits:
         assert b"Connection: close" in head
         assert json.loads(body)["error"] == "unknown-route"
         assert response.count(b"HTTP/1.1 ") == 1
+
+
+class TestConnectionTimeout:
+    """A connection that stalls is dropped after ``_Handler.timeout``
+    instead of holding its handler thread forever."""
+
+    @pytest.fixture(autouse=True)
+    def short_timeout(self, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+
+    def test_stalled_body_gets_408_and_close(self, daemon, client):
+        host, port = daemon.address
+        # The socket's own timeout fails the test instead of hanging it
+        # if the daemon never gives up on the body.
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                f"POST /v1/jobs HTTP/1.1\r\nHost: {host}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: 100\r\n\r\n".encode()
+                + b'{"tenant":'
+            )
+            response = b""
+            while chunk := sock.recv(65536):  # EOF: the daemon closed
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 ")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == "request-timeout"
+        assert client.get("/v1/health")[0] == 200
+
+    def test_idle_keep_alive_connection_is_closed(self, daemon):
+        host, port = daemon.address
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                f"GET /v1/health HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
+            )
+            response = b""
+            while chunk := sock.recv(65536):  # EOF once the link idles
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 200 ")
+        assert response.count(b"HTTP/1.1 ") == 1
+
+
+class TestKeepAliveLatency:
+    def test_responses_do_not_wait_for_delayed_acks(self, daemon):
+        """A response is a header write then a body write. With Nagle's
+        algorithm on, the body waits for the client's delayed ACK of
+        the headers, about 40 ms per request on a keep-alive
+        connection; with TCP_NODELAY a round trip takes well under 1
+        ms on loopback."""
+        conn = http.client.HTTPConnection(*daemon.address, timeout=5)
+        round_trips = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                response.read()
+                round_trips.append(time.perf_counter() - started)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(round_trips) < 0.020
 
 
 class TestJobLifecycle:
