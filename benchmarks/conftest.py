@@ -8,15 +8,11 @@ larger presets.
 
 Benches that time hot paths record their measurements through the
 ``bench_timer`` fixture; at session end they are assembled into one
-schema-validated :class:`repro.bench.BenchRecord` and written twice:
-
-- the legacy flat snapshot (``BENCH_engine.json`` for paper-scale
-  runs, ``BENCH_engine.smoke.json`` for everything else) keeps the
-  README-visible numbers in their familiar shape;
-- the record is appended to the scale-matching history
-  (``BENCH_history.jsonl`` committed for paper scale,
-  ``BENCH_history.smoke.jsonl`` untracked for smoke) that
-  ``tools/check_bench.py`` gates regressions against.
+schema-validated :class:`repro.bench.BenchRecord` and appended to the
+scale-matching history (``BENCH_history.jsonl`` committed for paper
+scale, ``BENCH_history.smoke.jsonl`` untracked for smoke), which
+``tools/check_bench.py`` gates regressions against and
+``repro bench report`` reads.
 
 The record's scale descriptor is the engine fleet's
 (``n_objects x points, m``): it is the dimension that actually varies
@@ -39,15 +35,6 @@ from repro.bench import BenchHistory, BenchRecord, BenchScale
 from repro.datagen.generator import generate_fleet
 from repro.experiments.config import ExperimentConfig
 
-#: The committed paper-scale perf record (REPRO_BENCH_SCALE=paper).
-BENCH_RESULTS_FILENAME = "BENCH_engine.json"
-#: Output of any lower-scale run (CI bench-smoke, local pytest).
-BENCH_SMOKE_RESULTS_FILENAME = "BENCH_engine.smoke.json"
-#: The serving daemon's snapshot pair (its own bench partition in the
-#: history: request latency is a different quantity from engine
-#: throughput and must never share a baseline with it).
-BENCH_SERVE_RESULTS_FILENAME = "BENCH_serve.json"
-BENCH_SERVE_SMOKE_RESULTS_FILENAME = "BENCH_serve.smoke.json"
 #: The append-only histories the regression gate reads (see
 #: repro.bench.history for the committed/untracked split).
 BENCH_HISTORY_FILENAME = "BENCH_history.jsonl"
@@ -72,8 +59,9 @@ BENCH_SCALE = BenchScale(
 )
 
 _RECORDS: dict = {}
-#: The serve bench's sink — a separate record (bench="serve") so a
-#: serve-only session never writes an engine snapshot and vice versa.
+#: The serve bench's sink — a separate record (bench="serve"), its own
+#: history partition: request latency is a different quantity from
+#: engine throughput and must never share a baseline with it.
 _SERVE_RECORDS: dict = {}
 
 
@@ -157,8 +145,8 @@ def _derive_speedups(metrics: dict) -> dict:
     return speedups
 
 
-def _emit_record(session, bench: str, metrics: dict, snapshot_name: str):
-    """Write one bench's snapshot + history append (see module doc)."""
+def _emit_record(session, bench: str, metrics: dict):
+    """Append one bench's record to the history (see module doc)."""
     record = BenchRecord(
         bench=bench,
         scale=BENCH_SCALE,
@@ -174,8 +162,6 @@ def _emit_record(session, bench: str, metrics: dict, snapshot_name: str):
         },
     )
     root = Path(session.config.rootpath)
-    snapshot = root / snapshot_name
-    snapshot.write_text(record.to_snapshot_json())
     history = BenchHistory(
         root
         / (
@@ -187,39 +173,23 @@ def _emit_record(session, bench: str, metrics: dict, snapshot_name: str):
     history.append(record)
     reporter = session.config.pluginmanager.get_plugin("terminalreporter")
     if reporter is not None:
-        reporter.write_line(f"bench results written to {snapshot}")
         reporter.write_line(
-            f"bench record ({record.bench} @ {record.scale.key}) "
+            f"bench results ({record.bench} @ {record.scale.key}) "
             f"appended to {history.path}"
         )
 
 
 def pytest_sessionfinish(session, exitstatus):
-    # Paper-scale runs refresh the committed snapshots and append to
-    # the committed history (that append is the act of blessing the
-    # run as a baseline); any other scale writes the untracked smoke
-    # siblings, so casual/CI runs never clobber the records yet always
-    # produce fresh numbers for the CI artifact. Each sink only writes
-    # when its benches actually ran — a serve-only session must not
-    # emit an empty engine record (or overwrite the committed one),
+    # Paper-scale runs append to the committed history (that append
+    # is the act of blessing the run as a baseline); any other scale
+    # appends to the untracked smoke sibling, so casual/CI runs never
+    # touch the committed record yet always produce fresh numbers for
+    # the CI artifact. Each sink only writes when its benches actually
+    # ran — a serve-only session must not emit an empty engine record,
     # and vice versa. Anchored to the pytest root (the repo), not the
     # invocation cwd.
     if _RECORDS:
-        _emit_record(
-            session,
-            "engine",
-            _RECORDS,
-            BENCH_RESULTS_FILENAME
-            if PAPER_SCALE
-            else BENCH_SMOKE_RESULTS_FILENAME,
-        )
+        _emit_record(session, "engine", _RECORDS)
     if _SERVE_RECORDS:
-        _emit_record(
-            session,
-            "serve",
-            _SERVE_RECORDS,
-            BENCH_SERVE_RESULTS_FILENAME
-            if PAPER_SCALE
-            else BENCH_SERVE_SMOKE_RESULTS_FILENAME,
-        )
+        _emit_record(session, "serve", _SERVE_RECORDS)
 

@@ -15,10 +15,9 @@ trajectories x 300 points, m=10) instead — the scale the engine's
 speedup targets are recorded at.
 
 Wall-clock measurements land in the session :class:`repro.bench.BenchRecord`
-via the ``bench_timer`` fixture (see ``conftest``) — written to
-``BENCH_engine.json`` and appended to the scale-keyed history — so the
-perf trajectory is tracked across PRs even under
-``--benchmark-disable``.
+via the ``bench_timer`` fixture (see ``conftest``) and are appended to
+the scale-keyed history, so the perf trajectory is tracked across PRs
+even under ``--benchmark-disable``.
 """
 
 import random

@@ -57,8 +57,8 @@ _DRAW_QUALIFIED = frozenset(
 )
 
 #: A scope containing any of these attribute calls is considered to
-#: thread its draws through the composition ledger / accountant.
-_LEDGER_ATTRS = frozenset({"record", "record_parallel", "spend"})
+#: thread its draws through the composition ledger.
+_LEDGER_ATTRS = frozenset({"record", "record_parallel"})
 
 
 class _DrawCollector(ast.NodeVisitor):
@@ -105,9 +105,8 @@ class UnledgeredNoise(Rule):
     )
     rationale = (
         "Every Laplace draw consumes privacy budget; a draw that is not "
-        "recorded via CompositionLedger.record/record_parallel or "
-        "PrivacyAccountant.spend silently under-reports the true epsilon "
-        "of a published dataset."
+        "recorded via CompositionLedger.record/record_parallel silently "
+        "under-reports the true epsilon of a published dataset."
     )
     example = "noisy = mechanism.perturb_count(count, rng)  # no ledger in scope"
 
@@ -126,7 +125,7 @@ class UnledgeredNoise(Rule):
                         module,
                         call,
                         f"noise draw in {where} without a ledger "
-                        f"record/record_parallel/spend call; thread a "
+                        f"record/record_parallel call; thread a "
                         f"CompositionLedger or move the draw into a "
                         f"sanctioned mechanism module",
                     )

@@ -169,14 +169,12 @@ class AdaTrace:
         """
         from repro.core.pipeline import AnonymizationReport
 
-        ledger = CompositionLedger()
         report = AnonymizationReport(
-            epsilon_total=self.epsilon, accounting=ledger, spec=self.spec()
+            epsilon_total=self.epsilon,
+            accounting=CompositionLedger(),
+            spec=self.spec(),
         )
-        result = self._synthesize_dataset(dataset, ledger)
-        report.budget_ledger = [
-            (draw.label, draw.epsilon) for draw in ledger.draws
-        ]
+        result = self._synthesize_dataset(dataset, report.accounting)
         return result, report
 
     def _synthesize_dataset(

@@ -1,13 +1,12 @@
 """Benchmark history, percentile statistics, and shift classification.
 
-``BENCH_engine.json`` used to be a single overwritable snapshot —
-nothing noticed a silent 20% regression. This package turns the
-benchmark layer into tested infrastructure:
+Every bench session appends one record to an append-only history,
+so a silent 20% regression shows against the runs before it. This
+package is that benchmark layer:
 
 :mod:`repro.bench.record`
     The versioned, schema-validated :class:`BenchRecord` every bench
-    session emits through (``benchmarks/conftest.py``), with the
-    legacy flat snapshot kept as an import/export shape.
+    session emits through (``benchmarks/conftest.py``).
 :mod:`repro.bench.history`
     The append-only ``BENCH_history.jsonl`` store, partitioned by
     ``(bench, scale)`` so paper-scale and smoke-scale runs never share
@@ -21,7 +20,7 @@ benchmark layer into tested infrastructure:
     metadata (``*_s`` lower-is-better, ``speedups.*``
     higher-is-better).
 
-Front doors: the ``repro bench`` CLI (record / compare / report) and
+Front doors: the ``repro bench`` CLI (compare / report) and
 the ``tools/check_bench.py`` CI gate, which fails on significant
 degradation of any tracked key. See ``docs/benchmarks.md``.
 """

@@ -73,10 +73,9 @@ class BenchHistory:
         """Every record, in append order; corrupt lines fail loudly."""
         if not self.path.is_file():
             raise HistoryError(
-                f"{self.path}: no benchmark history — create one with "
-                f"`repro bench record --snapshot BENCH_engine.json "
-                f"--history {self.path.name}` or by running the bench "
-                f"suite"
+                f"{self.path}: no benchmark history — create one by "
+                f"running the bench suite (`REPRO_BENCH_SCALE=paper "
+                f"python -m pytest benchmarks`)"
             )
         records: list[BenchRecord] = []
         with open(self.path) as handle:

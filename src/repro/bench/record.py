@@ -6,18 +6,11 @@ per session, :class:`~repro.bench.history.BenchHistory` appends them
 to the JSONL store, and :mod:`repro.bench.shift` classifies a new
 record against a baseline window of earlier same-scale records.
 
-Two serialized shapes exist on purpose:
-
-``to_dict`` / ``from_dict``
-    The versioned history schema (``{"version": 1, "bench", "scale",
-    "python", "metrics", "speedups", "provenance"}``) — what lives in
-    ``BENCH_history.jsonl``, one compact sorted-key JSON object per
-    line, validated on load so a corrupt store fails loudly.
-``to_snapshot_dict`` / ``from_snapshot``
-    The legacy flat ``BENCH_engine.json`` layout (metric groups at the
-    top level) — still emitted so the README-visible numbers keep
-    their shape, and accepted by ``repro bench record`` as the
-    one-shot import path for pre-history snapshots.
+Its one serialized shape, ``to_dict`` / ``from_dict``, is the
+versioned history schema (``{"version": 1, "bench", "scale",
+"python", "metrics", "speedups", "provenance"}``): what lives in
+``BENCH_history.jsonl``, one compact sorted-key JSON object per line,
+validated on load so a corrupt store fails loudly.
 
 Scale is a first-class field because timings from different input
 sizes must never share a baseline: the smoke fleet legitimately shows
@@ -36,9 +29,6 @@ __all__ = ["BenchRecord", "BenchScale", "RecordError", "RECORD_VERSION"]
 
 #: Current history schema version; bump on incompatible layout changes.
 RECORD_VERSION = 1
-
-#: Top-level keys of the legacy flat snapshot that are not metric groups.
-_SNAPSHOT_RESERVED = ("bench", "python", "scale", "speedups", "version")
 
 
 class RecordError(ValueError):
@@ -275,56 +265,3 @@ class BenchRecord:
         except json.JSONDecodeError as exc:
             raise RecordError(f"invalid JSON in history line: {exc}") from exc
         return cls.from_dict(payload)
-
-    # -- legacy flat snapshot shape -----------------------------------
-
-    def to_snapshot_dict(self) -> dict:
-        """The flat ``BENCH_engine.json`` layout (groups at top level)."""
-        payload: dict = {
-            "bench": self.bench,
-            "python": self.python,
-            "scale": self.scale.to_dict(),
-            "speedups": dict(self.speedups),
-        }
-        for group, entries in self.metrics.items():
-            payload[group] = dict(entries)
-        return payload
-
-    def to_snapshot_json(self) -> str:
-        return (
-            json.dumps(self.to_snapshot_dict(), indent=2, sort_keys=True)
-            + "\n"
-        )
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        payload: Mapping,
-        provenance: Mapping[str, str] | None = None,
-    ) -> "BenchRecord":
-        """Parse the legacy flat layout (the pre-history snapshots).
-
-        Every top-level object other than the reserved fields is a
-        metric group; this is the ``repro bench record`` import path.
-        """
-        _require(
-            isinstance(payload, Mapping), "snapshot must be a JSON object"
-        )
-        metrics = {
-            key: value
-            for key, value in payload.items()
-            if key not in _SNAPSHOT_RESERVED
-        }
-        _require(
-            bool(metrics),
-            "snapshot contains no metric groups beyond "
-            + ", ".join(_SNAPSHOT_RESERVED),
-        )
-        return cls(
-            bench=payload.get("bench", ""),
-            scale=BenchScale.from_dict(payload.get("scale", {})),
-            python=payload.get("python", ""),
-            metrics=metrics,
-            speedups=payload.get("speedups", {}),
-            provenance=provenance or {},
-        )

@@ -11,7 +11,7 @@ Subcommands::
     repro evaluate   compute utility metrics between two datasets
     repro experiment regenerate a table/figure of the paper
     repro check      run the project's static-analysis rules
-    repro bench      benchmark history: import, compare, report
+    repro bench      benchmark history: compare, report
     repro serve      run the anonymization service daemon
 
 Dataset arguments accept a planar CSV path, a preprocessed-artifact
@@ -91,8 +91,10 @@ def _add_method_args(parser: argparse.ArgumentParser) -> None:
         "--strategy",
         choices=("top_down", "bottom_up", "bottom_up_down"),
         default="bottom_up_down",
-        help="hierarchical search strategy of the global stage's "
-        "shared index; speed only, the output bytes do not change",
+        help="kNN strategy of the hierarchical index; only the opt-in "
+        "wave global stage (--param candidate_source=wave) reads it, "
+        "because the default loop's frontier search takes none; the "
+        "output bytes do not change",
     )
 
 
@@ -363,34 +365,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="benchmark history: import snapshots, compare against the "
-        "baseline window, report shift classifications (see "
-        "docs/benchmarks.md)",
+        help="benchmark history: compare against the baseline window, "
+        "report shift classifications (see docs/benchmarks.md)",
     )
     bench.add_argument(
         "action",
-        choices=("record", "compare", "report"),
-        help="record: append a snapshot to the history; compare: gate "
-        "the newest record of one bench/scale; report: classify every "
-        "bench/scale partition",
+        choices=("compare", "report"),
+        help="compare: gate the newest record of one bench/scale; "
+        "report: classify every bench/scale partition",
     )
     bench.add_argument(
         "--history",
         default="BENCH_history.jsonl",
         metavar="JSONL",
         help="the append-only record store (default: BENCH_history.jsonl)",
-    )
-    bench.add_argument(
-        "--snapshot",
-        default=None,
-        metavar="JSON",
-        help="flat BENCH_*.json snapshot to import (record only)",
-    )
-    bench.add_argument(
-        "--source",
-        default="snapshot-import",
-        metavar="LABEL",
-        help="provenance label stored with an imported record",
     )
     bench.add_argument(
         "--bench",
@@ -670,8 +658,8 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
             f"{spec.kind.upper()} (eps = {report.epsilon_total:g}) "
             f"-> {args.output}"
         )
-        for label, epsilon in report.budget_ledger:
-            print(f"  budget: {epsilon:g} on {label}")
+        for draw in report.accounting.draws:
+            print(f"  budget: {draw.epsilon:g} on {draw.label}")
         print(f"  utility loss: {report.utility_loss / 1000.0:.2f} km")
     else:
         print(
@@ -861,46 +849,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench record|compare|report`` — exit 0/1/2 like ``check``.
+    """``repro bench compare|report`` — exit 0/1/2 like ``check``.
 
     0: stable or better (minor shifts print as warnings), 1: significant
     degradation of any tracked key, 2: the invocation itself failed
-    (missing/corrupt history, cross-scale comparison, bad snapshot).
+    (missing/corrupt history, cross-scale comparison).
     """
-    from pathlib import Path
-
-    from repro.bench import (
-        BenchHistory,
-        BenchRecord,
-        HistoryError,
-        RecordError,
-        Thresholds,
-    )
+    from repro.bench import BenchHistory, Thresholds
 
     history = BenchHistory(args.history)
     try:
         thresholds = Thresholds(
             minor=args.minor, significant=args.significant
         )
-        if args.action == "record":
-            if not args.snapshot:
-                print(
-                    "repro bench record: --snapshot is required "
-                    "(the flat BENCH_*.json to import)",
-                    file=sys.stderr,
-                )
-                return 2
-            payload = json.loads(Path(args.snapshot).read_text())
-            record = BenchRecord.from_snapshot(
-                payload, provenance={"source": args.source}
-            )
-            history.append(record)
-            print(
-                f"recorded bench {record.bench} @ {record.scale.key} "
-                f"({len(record.tracked_keys())} tracked key(s)) "
-                f"-> {history.path}"
-            )
-            return 0
         if args.action == "compare":
             comparisons = [
                 history.compare_latest(
@@ -920,13 +881,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-    except (
-        HistoryError,
-        RecordError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
+        # HistoryError, RecordError and CrossScaleError are ValueErrors.
         print(f"repro bench {args.action}: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

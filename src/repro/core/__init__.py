@@ -1,7 +1,9 @@
 """The paper's primary contribution: frequency-based DP randomization.
 
 * :mod:`repro.core.laplace` — zero- and non-zero-mean Laplace mechanism
-  with budget accounting (Definitions 1-3, Theorems 1-2);
+  (Definitions 1-3, Theorem 2);
+* :mod:`repro.core.accounting` — the composition ledger every draw is
+  recorded in (Theorem 1);
 * :mod:`repro.core.signature` — PF/TF signature extraction (Section III-B1);
 * :mod:`repro.core.global_mechanism` — Algorithm 1;
 * :mod:`repro.core.local_mechanism` — Algorithm 2;
@@ -11,7 +13,7 @@
 * :mod:`repro.core.pipeline` — the published anonymizers PureG, PureL, GL.
 """
 
-from repro.core.laplace import LaplaceMechanism, PrivacyAccountant, laplace_noise
+from repro.core.laplace import LaplaceMechanism, laplace_noise
 from repro.core.signature import SignatureExtractor, SignatureIndex
 from repro.core.global_mechanism import GlobalTFMechanism
 from repro.core.local_mechanism import LocalPFMechanism
@@ -23,7 +25,6 @@ __all__ = [
     "GlobalTFMechanism",
     "LaplaceMechanism",
     "LocalPFMechanism",
-    "PrivacyAccountant",
     "PureG",
     "PureL",
     "SignatureExtractor",

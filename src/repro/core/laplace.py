@@ -1,4 +1,4 @@
-"""Laplace machinery: noise sampling, mechanism wrapper, budget accounting.
+"""Laplace machinery: noise sampling and the mechanism wrapper.
 
 The paper's local mechanism relies on a *non-trivial* Laplace mechanism
 whose distribution mean is non-zero (Theorem 2 proves this preserves
@@ -7,17 +7,17 @@ whose distribution mean is non-zero (Theorem 2 proves this preserves
 * :func:`laplace_noise` — a seeded ``Lap(μ, λ)`` sampler;
 * :class:`LaplaceMechanism` — query perturbation with explicit
   sensitivity and post-processing (integer rounding / range clamping,
-  which never weakens the guarantee — Dwork & Roth §2.1);
-* :class:`PrivacyAccountant` — sequential-composition bookkeeping
-  (Theorem 1): the total budget is the sum of the budgets of the
-  mechanisms applied.
+  which never weakens the guarantee — Dwork & Roth §2.1).
+
+What each draw spends is recorded by its caller in a
+:class:`~repro.core.accounting.CompositionLedger`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def laplace_noise(rng: random.Random, mu: float = 0.0, scale: float = 1.0) -> float:
@@ -96,47 +96,3 @@ class LaplaceMechanism:
         if upper is None:
             return max(lower, noisy)
         return clamp(noisy, lower, upper)
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a mechanism tries to spend more budget than remains."""
-
-
-@dataclass(slots=True)
-class PrivacyAccountant:
-    """Sequential-composition ledger (Theorem 1).
-
-    Mechanisms register their spend; the accountant refuses spends that
-    would push the total over ``total_budget``. Used by the pipeline to
-    guarantee the advertised ε = ε_G + ε_L is never exceeded.
-    """
-
-    total_budget: float
-    _spent: list[tuple[str, float]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.total_budget <= 0.0:
-            raise ValueError("total budget must be positive")
-
-    @property
-    def spent(self) -> float:
-        return sum(amount for _, amount in self._spent)
-
-    @property
-    def remaining(self) -> float:
-        return self.total_budget - self.spent
-
-    def spend(self, label: str, epsilon: float) -> None:
-        """Record that ``label`` consumed ``epsilon`` of the budget."""
-        if epsilon <= 0.0:
-            raise ValueError("spend must be positive")
-        if self.spent + epsilon > self.total_budget + 1e-12:
-            raise BudgetExceededError(
-                f"spending {epsilon} on {label!r} would exceed the total "
-                f"budget {self.total_budget} (already spent {self.spent})"
-            )
-        self._spent.append((label, epsilon))
-
-    def ledger(self) -> list[tuple[str, float]]:
-        """A copy of the (label, epsilon) spend history."""
-        return list(self._spent)

@@ -6,9 +6,9 @@
   privacy budget is ε = ε_G + ε_L (the paper splits it evenly).
 
 All three are thin configurations of :class:`FrequencyAnonymizer`,
-which wires the mechanisms to the modification optimisers and a
-:class:`~repro.core.laplace.PrivacyAccountant` that enforces the
-advertised budget.
+which wires the mechanisms to the modification optimisers and records
+every draw in a :class:`~repro.core.accounting.CompositionLedger`
+capped at the advertised budget.
 """
 
 from __future__ import annotations
@@ -18,12 +18,11 @@ import math
 import os
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.accounting import WHOLE_DATASET, CompositionLedger
 from repro.core.global_mechanism import GlobalTFMechanism, TFPerturbation
-from repro.core.laplace import PrivacyAccountant
 from repro.core.local_mechanism import LocalPFMechanism, PFPerturbation
 from repro.core.modification import (
     InterTrajectoryModifier,
@@ -92,7 +91,6 @@ class AnonymizationReport:
     """Everything observable about one anonymization run."""
 
     epsilon_total: float
-    budget_ledger: list[tuple[str, float]] = field(default_factory=list)
     #: Composition accounting of *this call's own* mechanism draws:
     #: which mechanism spent what over which slice of the data.  For a
     #: plain run both entries are sequential draws over the whole
@@ -103,7 +101,7 @@ class AnonymizationReport:
     #: :attr:`epsilon_total` — the latter keeps stating the end-to-end
     #: guarantee of the published output (the shared draw covers this
     #: chunk too); the publisher's merged ledger is the full story.
-    accounting: CompositionLedger | None = None
+    accounting: CompositionLedger
     global_report: ModificationReport | None = None
     local_report: ModificationReport | None = None
     tf_perturbation: TFPerturbation | None = None
@@ -111,6 +109,12 @@ class AnonymizationReport:
     #: Provenance: the :class:`~repro.api.spec.MethodSpec` describing
     #: the configuration that produced this run.
     spec: "MethodSpec | None" = None
+
+    @property
+    def budget_ledger(self) -> list[tuple[str, float]]:
+        """``(label, epsilon)`` of each draw in :attr:`accounting`, in
+        record order."""
+        return [(draw.label, draw.epsilon) for draw in self.accounting.draws]
 
     @property
     def utility_loss(self) -> float:
@@ -145,9 +149,7 @@ class AnonymizationReport:
                 {"mechanism": label, "epsilon": epsilon}
                 for label, epsilon in self.budget_ledger
             ],
-            "accounting": (
-                None if self.accounting is None else self.accounting.to_dict()
-            ),
+            "accounting": self.accounting.to_dict(),
             "global": modification(self.global_report),
             "local": modification(self.local_report),
             "utility_loss_m": self.utility_loss,
@@ -178,13 +180,19 @@ class FrequencyAnonymizer:
     signature_size:
         ``m`` — how many signature locations are extracted per
         trajectory. The local mechanism perturbs ``2m`` locations.
-    index_backend, search_strategy, levels, granularity:
+    index_backend, levels, granularity:
         The global stage's shared segment index (see
         :func:`repro.core.modification.make_index_factory`). Every
-        backend, shape and strategy answers kNN in the same
-        ``(distance, sid)`` order, so these pick speed only and never
-        change output bytes; the local stage always edits each
-        trajectory over its own flat store.
+        backend and shape answers kNN in the same ``(distance, sid)``
+        order, so these pick speed only and never change output
+        bytes; the local stage always edits each trajectory over its
+        own flat store.
+    search_strategy:
+        The hierarchical index's kNN strategy. Only
+        ``candidate_source="wave"`` reads it: the default loop
+        searches with ``iter_nearest``, which takes no strategy
+        (fig5's kNN panel passes its strategies to ``knn`` directly).
+        Never changes output bytes.
     candidate_source:
         How the global stage finds candidate trajectories:
         ``"incremental"`` (default — the per-location lazy frontier) or
@@ -386,10 +394,10 @@ class FrequencyAnonymizer:
             if call_index is None:
                 call_index = self.reserve_call_index()
             base_seed = self.base_seed_for(call_index)
-        accountant = PrivacyAccountant(self.epsilon)
-        ledger = CompositionLedger()
         report = AnonymizationReport(
-            epsilon_total=self.epsilon, accounting=ledger, spec=self.spec()
+            epsilon_total=self.epsilon,
+            accounting=CompositionLedger(budget=self.epsilon),
+            spec=self.spec(),
         )
 
         stages = ["global", "local"] if self.global_first else ["local", "global"]
@@ -401,7 +409,6 @@ class FrequencyAnonymizer:
                 current = self._run_global(
                     current,
                     base_seed,
-                    accountant,
                     report,
                     tf_target=tf_target,
                     scope=scope,
@@ -410,20 +417,16 @@ class FrequencyAnonymizer:
                 current = self._run_local(
                     current,
                     base_seed,
-                    accountant,
                     report,
                     local_runner,
                     scope=scope,
                 )
-
-        report.budget_ledger = accountant.ledger()
         return current, report
 
     def _run_global(
         self,
         dataset: TrajectoryDataset,
         base_seed: int,
-        accountant: PrivacyAccountant,
         report: AnonymizationReport,
         tf_target: TFPerturbation | None = None,
         scope: str = WHOLE_DATASET,
@@ -434,11 +437,9 @@ class FrequencyAnonymizer:
             # upstream, so this call spends nothing here.
             perturbation = tf_target
         else:
-            accountant.spend("global TF randomization", self.epsilon_global)
-            if report.accounting is not None:
-                report.accounting.record(
-                    "global TF randomization", self.epsilon_global, scope=scope
-                )
+            report.accounting.record(
+                "global TF randomization", self.epsilon_global, scope=scope
+            )
             signature_index = self.extractor.extract(dataset)
             assert self._global is not None
             rng = random.Random(derive_seed(base_seed, "global"))
@@ -454,16 +455,13 @@ class FrequencyAnonymizer:
         self,
         dataset: TrajectoryDataset,
         base_seed: int,
-        accountant: PrivacyAccountant,
         report: AnonymizationReport,
         local_runner: LocalRunner | None = None,
         scope: str = WHOLE_DATASET,
     ) -> TrajectoryDataset:
-        accountant.spend("local PF randomization", self.epsilon_local)
-        if report.accounting is not None:
-            report.accounting.record(
-                "local PF randomization", self.epsilon_local, scope=scope
-            )
+        report.accounting.record(
+            "local PF randomization", self.epsilon_local, scope=scope
+        )
         signature_index = self.extractor.extract(dataset)
         runner = local_runner or self._run_local_serial
         results = runner(dataset, signature_index, base_seed)

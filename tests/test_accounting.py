@@ -101,6 +101,99 @@ class TestSerialisation:
             CompositionLedger.from_dict(payload)
 
 
+class TestBudgetCap:
+    """The optional ``budget``: a record that would push the composed
+    total over it is refused, and the ledger is left as it was."""
+
+    def test_requires_positive_budget(self):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="budget"):
+                CompositionLedger(budget=bad)
+
+    def test_tracks_spend(self):
+        ledger = CompositionLedger(budget=1.0)
+        ledger.record("global", 0.5)
+        assert ledger.epsilon_total == 0.5
+        ledger.record("local", 0.5)
+        assert ledger.epsilon_total == pytest.approx(1.0)
+
+    def test_rejects_overspend(self):
+        ledger = CompositionLedger(budget=1.0)
+        ledger.record("global", 0.8)
+        with pytest.raises(ValueError, match="over its budget"):
+            ledger.record("local", 0.3)
+        assert [draw.label for draw in ledger.draws] == ["global"]
+        assert ledger.epsilon_total == 0.8
+
+    def test_rejects_non_positive_spend(self):
+        ledger = CompositionLedger(budget=1.0)
+        with pytest.raises(ValueError):
+            ledger.record("noop", 0.0)
+        assert ledger.draws == []
+
+    def test_ledger(self):
+        ledger = CompositionLedger(budget=2.0)
+        ledger.record("a", 1.0)
+        ledger.record("b", 0.5)
+        assert [(d.label, d.epsilon) for d in ledger.draws] == [
+            ("a", 1.0),
+            ("b", 0.5),
+        ]
+
+    def test_parallel_draws_count_their_max(self):
+        ledger = CompositionLedger(budget=1.0)
+        ledger.record("global", 0.5)
+        for i in range(4):
+            ledger.record_parallel("local", "pf", 0.5, scope=f"chunk:{i}")
+        assert ledger.epsilon_total == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="over its budget"):
+            ledger.record_parallel("other", "pf", 0.5, scope="chunk:0")
+        with pytest.raises(ValueError, match="over its budget"):
+            ledger.merge(CompositionLedger([MechanismDraw("extra", 0.1)]))
+        assert len(ledger.draws) == 5
+
+    def test_budget_is_not_serialised(self):
+        capped = CompositionLedger(budget=1.0)
+        plain = CompositionLedger()
+        for ledger in (capped, plain):
+            ledger.record("global", 0.5)
+        assert capped.to_dict() == plain.to_dict()
+        assert "budget" not in capped.to_dict()
+        assert capped == plain
+
+
+class TestMalformedPayload:
+    """``from_dict`` raises ValueError, never AttributeError/TypeError,
+    for JSON that is not a ledger (tenant account files replay it)."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            "x",
+            3,
+            None,
+            {"draws": "x"},
+            {"draws": {}},
+            {"draws": 3},
+            {"draws": ["x"]},
+            {"draws": [[]]},
+            {"draws": [3]},
+            {"draws": [{"epsilon": 1.0}]},
+            {"draws": [{"label": 5, "epsilon": 1.0}]},
+            {"draws": [{"label": "g", "epsilon": 1.0, "scope": 5}]},
+            {"draws": [{"label": "g", "epsilon": 1.0, "group": 5}]},
+            {"draws": [{"label": "g", "epsilon": None}]},
+            {"draws": [{"label": "g", "epsilon": 10**400}]},
+            {"draws": [], "epsilon_total": []},
+            {"draws": [], "epsilon_total": 10**400},
+        ],
+    )
+    def test_rejected_with_value_error(self, payload):
+        with pytest.raises(ValueError):
+            CompositionLedger.from_dict(payload)
+
+
 class TestApportion:
     def test_sums_exactly_and_respects_caps(self):
         shares = apportion(7, [3, 3, 1], [3, 3, 1])

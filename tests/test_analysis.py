@@ -230,6 +230,19 @@ class TestDP001:
         )
         assert report.clean
 
+    def test_spend_is_not_a_ledger_call(self):
+        """No ledger has ``spend``; only record/record_parallel count."""
+        report = check(
+            """
+            class Stage:
+                def apply(self, acct, count, rng):
+                    acct.spend("stage/count", 1.0)
+                    return self.mechanism.perturb_count(count, rng)
+            """,
+            codes=["DP001"],
+        )
+        assert codes_of(report) == ["DP001"]
+
     def test_module_level_qualified_draw_flagged(self):
         report = check(
             """

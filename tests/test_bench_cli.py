@@ -15,14 +15,6 @@ SMOKE = BenchScale(
     n_objects=60, points_per_trajectory=120, signature_size=5,
 )
 
-SNAPSHOT = {
-    "bench": "engine",
-    "python": "3.11.7",
-    "scale": PAPER.to_dict(),
-    "inter_modification": {"wave_s": 12.0, "restart_s": 18.0},
-    "speedups": {"wave_over_restart": 1.5},
-}
-
 
 def _append(history_path, wave_s, *, scale=PAPER):
     BenchHistory(history_path).append(
@@ -39,46 +31,6 @@ def _append(history_path, wave_s, *, scale=PAPER):
 @pytest.fixture
 def history_path(tmp_path):
     return tmp_path / "BENCH_history.jsonl"
-
-
-class TestRecord:
-    def test_snapshot_import(self, tmp_path, history_path, capsys):
-        snapshot = tmp_path / "BENCH_engine.json"
-        snapshot.write_text(json.dumps(SNAPSHOT))
-        code = main(
-            [
-                "bench", "record",
-                "--snapshot", str(snapshot),
-                "--history", str(history_path),
-                "--source", "unit-test",
-            ]
-        )
-        assert code == 0
-        assert "recorded bench engine @ paper-500x300-m10" in (
-            capsys.readouterr().out
-        )
-        (record,) = BenchHistory(history_path).load()
-        assert record.provenance == {"source": "unit-test"}
-
-    def test_record_requires_snapshot(self, history_path, capsys):
-        code = main(["bench", "record", "--history", str(history_path)])
-        assert code == 2
-        assert "--snapshot is required" in capsys.readouterr().err
-
-    def test_unreadable_snapshot_exits_two(
-        self, tmp_path, history_path, capsys
-    ):
-        snapshot = tmp_path / "broken.json"
-        snapshot.write_text("{nope")
-        code = main(
-            [
-                "bench", "record",
-                "--snapshot", str(snapshot),
-                "--history", str(history_path),
-            ]
-        )
-        assert code == 2
-        assert "repro bench record:" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -1,6 +1,6 @@
 """Tests for the versioned benchmark record (repro.bench.record)."""
 
-import json
+from pathlib import Path
 
 import pytest
 
@@ -11,27 +11,31 @@ PAPER_SCALE = BenchScale(
     paper_scale=True,
 )
 
-LEGACY_SNAPSHOT = {
-    "bench": "engine",
-    "python": "3.11.7",
-    "scale": {
-        "n_objects": 500,
-        "points_per_trajectory": 300,
-        "signature_size": 10,
-        "paper_scale": True,
+ENGINE_RECORD = BenchRecord(
+    bench="engine",
+    scale=PAPER_SCALE,
+    python="3.11.7",
+    metrics={
+        "inter_modification": {
+            "restart_s": 18.17,
+            "incremental_s": 17.29,
+            "wave_s": 12.03,
+        },
+        "stream_publisher": {
+            "chunks": 4,
+            "per_chunk_s": 11.02,
+            "shared_tf_s": 13.31,
+        },
     },
-    "inter_modification": {
-        "restart_s": 18.17,
-        "incremental_s": 17.29,
-        "wave_s": 12.03,
-    },
-    "stream_publisher": {
-        "chunks": 4,
-        "per_chunk_s": 11.02,
-        "shared_tf_s": 13.31,
-    },
-    "speedups": {"wave_over_incremental": 1.43},
-}
+    speedups={"wave_over_incremental": 1.43},
+)
+
+
+def _legacy_import_line() -> str:
+    """The committed history's first line: the import of the flat
+    snapshot that predates the history."""
+    history = Path(__file__).resolve().parent.parent / "BENCH_history.jsonl"
+    return history.read_text().splitlines()[0]
 
 
 def _record(**overrides):
@@ -113,14 +117,13 @@ class TestRecordValidation:
 
 class TestTrackedKeys:
     def test_seconds_and_speedups_tracked_counters_not(self):
-        record = BenchRecord.from_snapshot(LEGACY_SNAPSHOT)
-        keys = record.tracked_keys()
+        keys = ENGINE_RECORD.tracked_keys()
         assert "inter_modification.wave_s" in keys
         assert "speedups.wave_over_incremental" in keys
         assert "stream_publisher.chunks" not in keys
 
     def test_value_lookup(self):
-        record = BenchRecord.from_snapshot(LEGACY_SNAPSHOT)
+        record = ENGINE_RECORD
         assert record.value("inter_modification.wave_s") == 12.03
         assert record.value("speedups.wave_over_incremental") == 1.43
         assert record.value("nope.missing") is None
@@ -137,17 +140,9 @@ class TestRoundTrip:
         assert reloaded.to_jsonl().encode() == line.encode()
 
     def test_legacy_import_round_trips_byte_equal(self):
-        """snapshot → record → JSONL → load → snapshot, both shapes."""
-        record = BenchRecord.from_snapshot(
-            LEGACY_SNAPSHOT, provenance={"source": "import"}
-        )
-        line = record.to_jsonl()
-        reloaded = BenchRecord.from_jsonl(line)
-        assert reloaded.to_jsonl() == line
-        # And the legacy shape survives the trip exactly.
-        assert json.dumps(
-            reloaded.to_snapshot_dict(), sort_keys=True
-        ) == json.dumps(LEGACY_SNAPSHOT, sort_keys=True)
+        """The committed legacy-import line → record → line, byte-equal."""
+        line = _legacy_import_line()
+        assert BenchRecord.from_jsonl(line).to_jsonl() == line
 
     def test_from_dict_equals_original(self):
         record = _record()
@@ -159,30 +154,17 @@ class TestRoundTrip:
 
 
 class TestLegacySnapshot:
+    """The flat snapshot that predates the history lives on as the
+    committed history's first record."""
+
     def test_import_carries_provenance(self):
-        record = BenchRecord.from_snapshot(
-            LEGACY_SNAPSHOT, provenance={"source": "legacy-import"}
-        )
-        assert record.provenance == {"source": "legacy-import"}
+        record = BenchRecord.from_jsonl(_legacy_import_line())
+        assert record.provenance == {"source": "legacy-snapshot-import"}
         assert record.bench == "engine"
         assert record.scale == PAPER_SCALE
 
-    def test_snapshot_without_metric_groups_rejected(self):
-        with pytest.raises(RecordError, match="no metric groups"):
-            BenchRecord.from_snapshot(
-                {
-                    "bench": "engine",
-                    "python": "3",
-                    "scale": PAPER_SCALE.to_dict(),
-                    "speedups": {},
-                }
-            )
-
     def test_committed_snapshot_imports(self):
-        """The real committed BENCH_engine.json must parse."""
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-        record = BenchRecord.from_snapshot(json.loads(path.read_text()))
+        """The import is a paper-scale record with keys to gate."""
+        record = BenchRecord.from_jsonl(_legacy_import_line())
         assert record.scale.paper_scale
         assert record.tracked_keys()

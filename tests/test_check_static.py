@@ -189,7 +189,7 @@ class TestBenchSection:
         )
         assert check_static.main(["bench"]) == 1
         out = capsys.readouterr().out
-        assert "repro bench record --snapshot BENCH_engine.json" in out
+        assert "REPRO_BENCH_SCALE=paper python -m pytest benchmarks" in out
         assert "static gate failed: bench" in out
 
     def test_corrupt_history_is_a_section_error(

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.core.accounting import CompositionLedger
+from repro.serve.budget import BudgetStore
 from repro.trajectory.io import read_csv
 
 
@@ -208,6 +212,43 @@ class TestErrorBoundary:
         assert code == 2
         assert err.startswith(f"repro {argv[0]}: ")
         assert "missing.csv" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "ledger",
+        [
+            [],
+            "x",
+            3,
+            {"draws": [{"label": "global", "epsilon": 1.0, "group": 5}]},
+        ],
+        ids=["list", "string", "number", "group-not-a-string"],
+    )
+    def test_tampered_account_file_is_a_clean_serve_error(
+        self, tmp_path, capsys, ledger
+    ):
+        store = BudgetStore(tmp_path / "budgets")
+        store.declare("t", 5.0)
+        store.reserve("t", "j1", 1.0)
+        committed = CompositionLedger()
+        committed.record("global", 1.0)
+        store.commit("t", "j1", committed)
+        path = store.account("t").path
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[-1])
+        entry["ledger"] = ledger
+        path.write_text("\n".join(lines[:-1] + [json.dumps(entry)]) + "\n")
+        code = main(
+            [
+                "serve", "--budget-root", str(tmp_path / "budgets"),
+                "--spool", str(tmp_path / "spool"), "--tenant", "t=5",
+                "--port", "0",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro serve: ")
+        assert "commit 'j1' carries a ledger that does not round-trip" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("model", ["gl", "pureg", "purel"])

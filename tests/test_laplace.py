@@ -1,4 +1,4 @@
-"""Tests for the Laplace machinery and privacy accounting."""
+"""Tests for the Laplace machinery."""
 
 import math
 import random
@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.laplace import (
-    BudgetExceededError,
     LaplaceMechanism,
-    PrivacyAccountant,
     clamp,
     laplace_noise,
     round_to_int,
@@ -135,34 +133,3 @@ class TestLaplaceMechanism:
                 continue
             assert px <= bound * py * 1.15
             assert py <= bound * px * 1.15
-
-
-class TestPrivacyAccountant:
-    def test_requires_positive_budget(self):
-        with pytest.raises(ValueError):
-            PrivacyAccountant(0.0)
-
-    def test_tracks_spend(self):
-        acc = PrivacyAccountant(1.0)
-        acc.spend("global", 0.5)
-        assert acc.spent == 0.5
-        assert acc.remaining == 0.5
-        acc.spend("local", 0.5)
-        assert acc.remaining == pytest.approx(0.0)
-
-    def test_rejects_overspend(self):
-        acc = PrivacyAccountant(1.0)
-        acc.spend("global", 0.8)
-        with pytest.raises(BudgetExceededError):
-            acc.spend("local", 0.3)
-
-    def test_rejects_non_positive_spend(self):
-        acc = PrivacyAccountant(1.0)
-        with pytest.raises(ValueError):
-            acc.spend("noop", 0.0)
-
-    def test_ledger(self):
-        acc = PrivacyAccountant(2.0)
-        acc.spend("a", 1.0)
-        acc.spend("b", 0.5)
-        assert acc.ledger() == [("a", 1.0), ("b", 0.5)]

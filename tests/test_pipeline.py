@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.baselines.adatrace import AdaTrace
+from repro.baselines.dpt import DPT
 from repro.core.pipeline import GL, FrequencyAnonymizer, PureG, PureL
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.trajectory.model import TrajectoryDataset
@@ -262,3 +264,49 @@ class TestAnonymization:
             )
             result = anonymizer.anonymize(small)
             assert len(result) == 5
+
+
+def _publish_chunk_report(dataset):
+    """A publish chunk: the shared TF target is injected, so the call
+    records only its local draw, scoped to the chunk."""
+    _, shared = GL(epsilon=1.0, signature_size=3, seed=5).anonymize_with_report(
+        dataset
+    )
+    return GL(epsilon=1.0, signature_size=3, seed=5).anonymize_with_report(
+        dataset, tf_target=shared.tf_perturbation, base_seed=7, scope="chunk:0"
+    )[1]
+
+
+@pytest.mark.parametrize(
+    "make_report, plain",
+    [
+        (lambda ds: GL(epsilon=1.0, signature_size=3, seed=5)
+            .anonymize_with_report(ds)[1], True),
+        (lambda ds: PureG(epsilon=0.7, signature_size=3, seed=5)
+            .anonymize_with_report(ds)[1], True),
+        (lambda ds: PureL(epsilon=0.7, signature_size=3, seed=5)
+            .anonymize_with_report(ds)[1], True),
+        (lambda ds: DPT(epsilon=1.0, order=2, seed=5)
+            .anonymize_with_report(ds)[1], True),
+        (lambda ds: AdaTrace(epsilon=1.0, seed=5)
+            .anonymize_with_report(ds)[1], True),
+        (_publish_chunk_report, False),
+    ],
+    ids=["GL", "PureG", "PureL", "DPT", "AdaTrace", "publish-chunk"],
+)
+def test_budget_ledger_is_the_accounting_view(fleet, make_report, plain):
+    """Every report producer records ε once, in ``accounting``;
+    ``budget_ledger`` lists its draws in order."""
+    report = make_report(fleet.dataset)
+    assert report.to_dict()["budget_ledger"] == [
+        {"mechanism": draw.label, "epsilon": draw.epsilon}
+        for draw in report.accounting.draws
+    ]
+    assert report.accounting.draws
+    if plain:
+        # DPT's ε/3 + ε/3 + ε/6 + ε/6 sums one ulp below ε.
+        assert report.accounting.epsilon_total == pytest.approx(
+            report.epsilon_total, rel=1e-12
+        )
+    else:
+        assert [draw.scope for draw in report.accounting.draws] == ["chunk:0"]

@@ -119,11 +119,20 @@ class TestLocalMechanismAdjacency:
 
     def test_total_epsilon_composition_bound(self):
         """GL's advertised budget equals the sum of its stages' budgets
-        and the accountant blocks anything beyond it."""
-        from repro.core.laplace import BudgetExceededError, PrivacyAccountant
+        and its ledger, capped at that budget, blocks anything beyond
+        it."""
+        from repro.core.pipeline import GL
 
-        accountant = PrivacyAccountant(1.0)
-        accountant.spend("global", 0.5)
-        accountant.spend("local", 0.5)
-        with pytest.raises(BudgetExceededError):
-            accountant.spend("extra", 0.01)
+        base = [(1, 1), (1, 1), (2, 2), (1, 1), (2, 2)]
+        dataset = TrajectoryDataset(
+            [traj("a", base), traj("b", base[::-1])]
+        )
+        _, report = GL(epsilon=1.0, signature_size=1, seed=3).anonymize_with_report(
+            dataset
+        )
+        ledger = report.accounting
+        assert ledger.budget == 1.0
+        assert [draw.epsilon for draw in ledger.draws] == [0.5, 0.5]
+        assert ledger.epsilon_total == report.epsilon_total == 1.0
+        with pytest.raises(ValueError, match="over its budget"):
+            ledger.record("extra", 0.01)

@@ -240,6 +240,23 @@ class TestPersistence:
             json.dumps({"kind": "frobnicate", "job": "j1"}),
             json.dumps({"kind": "commit", "job": "never-reserved",
                         "epsilon": 0.1, "ledger": None}),
+            # a reserved job whose commit carries JSON that is no ledger
+            *(
+                pytest.param(
+                    json.dumps({"kind": "reserve", "job": "j1", "epsilon": 0.5})
+                    + "\n"
+                    + json.dumps({"kind": "commit", "job": "j1",
+                                  "epsilon": 0.5, "ledger": ledger}),
+                    id=f"commit-ledger-{name}",
+                )
+                for name, ledger in (
+                    ("list", []),
+                    ("string", "x"),
+                    ("number", 3),
+                    ("group-not-a-string",
+                     {"draws": [{"label": "g", "epsilon": 0.5, "group": 5}]}),
+                )
+            ),
         ],
     )
     def test_malformed_lines_rejected(self, store, garbage):

@@ -23,9 +23,10 @@ enforcing as the ``bench`` section of the unified
 in the ``bench-smoke`` job (shared-runner timings are noisy).
 
 To bless an intentional regression, append the run that exhibits it
-to the history (``REPRO_BENCH_SCALE=paper pytest benchmarks`` or
-``repro bench record --snapshot BENCH_engine.json``) — once recorded
-it joins the baseline window. See ``docs/benchmarks.md``.
+to the history by running the bench suite
+(``REPRO_BENCH_SCALE=paper python -m pytest benchmarks``) — once
+recorded it joins the baseline window. A missing history is created
+the same way. See ``docs/benchmarks.md``.
 """
 
 from __future__ import annotations

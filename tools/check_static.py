@@ -164,8 +164,8 @@ def run_bench() -> SectionResult:
     history = check_bench.DEFAULT_HISTORY
     if not history.is_file():
         result.problems.append(
-            f"{history}: missing — import the snapshot with "
-            f"`repro bench record --snapshot BENCH_engine.json`"
+            f"{history}: missing — create it by running the bench "
+            f"suite (`REPRO_BENCH_SCALE=paper python -m pytest benchmarks`)"
         )
         return result
     comparisons = check_bench.gate(history_path=history)
