@@ -1,21 +1,26 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the pipeline's design choices.
 
 1. Stage-2 compensation on/off — cardinality preservation vs pure
    signature dilution;
 2. GL budget split — 50/50 (the paper) vs skewed splits;
-3. index backend — the GL pipeline with a linear / uniform /
-   hierarchical / R-tree shared index in the global stage (the
+3. trajectory selection — shared-index scan vs bounding-box pruning;
+4. shared index — the GL pipeline with the paper's hierarchical grid
+   against a brute-force linear scan in the global stage (the
    practical version of Figure 5's claim).
 """
 
+import functools
 import random
 
 import pytest
 
+from repro.core import pipeline
 from repro.core.local_mechanism import LocalPFMechanism
-from repro.core.modification import IntraTrajectoryModifier
+from repro.core.modification import InterTrajectoryModifier, IntraTrajectoryModifier
 from repro.core.pipeline import FrequencyAnonymizer
 from repro.core.signature import SignatureExtractor
+from repro.index.hierarchical import HierarchicalGridIndex
+from repro.index.linear import LinearSegmentIndex
 
 
 class _Stage1OnlyMechanism(LocalPFMechanism):
@@ -124,17 +129,27 @@ def test_bench_trajectory_selection(benchmark, config, fleet, selection):
     assert len(result) == len(fleet.dataset)
 
 
-@pytest.mark.parametrize("backend", ("linear", "uniform", "hierarchical", "rtree"))
-def test_bench_pipeline_backend(benchmark, config, fleet, backend):
-    """Full GL pipeline per global-stage index backend — Figure 5 in
+#: The global stage's shared index, substituted through the
+#: ``index_factory`` seam of ``InterTrajectoryModifier``.
+SHARED_INDEXES = {
+    "linear": lambda extent: LinearSegmentIndex(),
+    "hierarchical": lambda extent: HierarchicalGridIndex(extent, levels=10),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(SHARED_INDEXES))
+def test_bench_pipeline_backend(benchmark, config, fleet, backend, monkeypatch):
+    """Full GL pipeline per global-stage shared index — Figure 5 in
     practice (the local stage always uses its flat stores)."""
+    monkeypatch.setattr(
+        pipeline,
+        "InterTrajectoryModifier",
+        functools.partial(InterTrajectoryModifier, SHARED_INDEXES[backend]),
+    )
     anonymizer = FrequencyAnonymizer(
         epsilon_global=0.5,
         epsilon_local=0.5,
         signature_size=config.signature_size,
-        index_backend=backend,
-        granularity=128,
-        levels=8,
         seed=config.seed,
     )
     result = benchmark.pedantic(

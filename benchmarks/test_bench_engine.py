@@ -26,7 +26,7 @@ import pytest
 from conftest import N_OBJECTS, N_POINTS, SIGNATURE_SIZE
 
 from repro.core.global_mechanism import GlobalTFMechanism
-from repro.core.modification import InterTrajectoryModifier, make_index_factory
+from repro.core.modification import InterTrajectoryModifier
 from repro.core.pipeline import GL, PureL
 from repro.core.signature import SignatureExtractor
 from repro.data.stream import chunked
@@ -56,9 +56,7 @@ def tf_perturbation(engine_fleet):
 
 
 def _apply_inter(dataset, perturbation, candidate_source):
-    modifier = InterTrajectoryModifier(
-        make_index_factory("hierarchical"), candidate_source=candidate_source
-    )
+    modifier = InterTrajectoryModifier(candidate_source=candidate_source)
     return modifier.apply(dataset, perturbation)
 
 

@@ -20,48 +20,42 @@ from repro.experiments.fig5 import (
 @pytest.fixture(scope="module")
 def indexed(config, fleet):
     bbox = index_extent(fleet.dataset.bbox())
-    linear, uniform, hierarchical, rtree = _build_indexes(fleet.dataset, bbox)
+    linear, uniform, hierarchical = _build_indexes(fleet.dataset, bbox)
     queries = _query_points(fleet.dataset, config.signature_size, limit=60)
-    return linear, uniform, hierarchical, rtree, queries
+    return linear, uniform, hierarchical, queries
 
 
 def test_bench_search_linear(benchmark, indexed):
-    linear, _, _, _, queries = indexed
+    linear, _, _, queries = indexed
     benchmark(lambda: [linear.knn(q, 8) for q in queries])
 
 
 def test_bench_search_uniform_grid(benchmark, indexed):
-    _, uniform, _, _, queries = indexed
+    _, uniform, _, queries = indexed
     benchmark(lambda: [uniform.knn(q, 8) for q in queries])
 
 
 def test_bench_search_hg_top_down(benchmark, indexed):
-    _, _, hierarchical, _, queries = indexed
+    _, _, hierarchical, queries = indexed
     benchmark(
         lambda: [hierarchical.knn(q, 8, strategy="top_down") for q in queries]
     )
 
 
 def test_bench_search_hg_bottom_up(benchmark, indexed):
-    _, _, hierarchical, _, queries = indexed
+    _, _, hierarchical, queries = indexed
     benchmark(
         lambda: [hierarchical.knn(q, 8, strategy="bottom_up") for q in queries]
     )
 
 
 def test_bench_search_hg_bottom_up_down(benchmark, indexed):
-    _, _, hierarchical, _, queries = indexed
+    _, _, hierarchical, queries = indexed
     benchmark(
         lambda: [
             hierarchical.knn(q, 8, strategy="bottom_up_down") for q in queries
         ]
     )
-
-
-def test_bench_search_rtree(benchmark, indexed):
-    """Beyond the paper: STR R-tree over the same workload."""
-    _, _, _, rtree, queries = indexed
-    benchmark(lambda: [rtree.knn(q, 8) for q in queries])
 
 
 def test_bench_modification_split(benchmark, config):
@@ -83,4 +77,4 @@ def test_bench_fig5_end_to_end(benchmark, bench_timer, config):
         rounds=1,
         iterations=1,
     )
-    assert set(results["search"]) == {"Linear", "UG", "HGt", "HGb", "HG+", "RT"}
+    assert set(results["search"]) == {"Linear", "UG", "HGt", "HGb", "HG+"}

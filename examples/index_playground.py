@@ -29,7 +29,7 @@ def main() -> None:
 
     print("== building indexes over", dataset.total_points(), "points ==")
     linear = LinearSegmentIndex()
-    uniform = UniformGridIndex(bbox, granularity=512, assignment="midpoint")
+    uniform = UniformGridIndex(bbox, granularity=512)
     hierarchical = HierarchicalGridIndex(bbox, levels=10)
     for trajectory in dataset:
         for _, a, b in trajectory.segments():

@@ -224,12 +224,9 @@ def _frequency(
     epsilon_global: float | None = 0.5,
     epsilon_local: float | None = 0.5,
     signature_size: int = 10,
-    index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
     candidate_source: str = "incremental",
-    levels: int = 10,
-    granularity: int = 512,
     global_first: bool = True,
     seed: int | None = None,
 ):
@@ -239,12 +236,9 @@ def _frequency(
         epsilon_global=epsilon_global,
         epsilon_local=epsilon_local,
         signature_size=signature_size,
-        index_backend=index_backend,
         search_strategy=search_strategy,
         trajectory_selection=trajectory_selection,
         candidate_source=candidate_source,
-        levels=levels,
-        granularity=granularity,
         global_first=global_first,
         seed=seed,
     )
@@ -259,12 +253,9 @@ def _frequency(
 def _gl(
     epsilon: float = 1.0,
     signature_size: int = 10,
-    index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
     candidate_source: str = "incremental",
-    levels: int = 10,
-    granularity: int = 512,
     global_first: bool = True,
     seed: int | None = None,
 ):
@@ -273,12 +264,9 @@ def _gl(
     return GL(
         epsilon=epsilon,
         signature_size=signature_size,
-        index_backend=index_backend,
         search_strategy=search_strategy,
         trajectory_selection=trajectory_selection,
         candidate_source=candidate_source,
-        levels=levels,
-        granularity=granularity,
         global_first=global_first,
         seed=seed,
     )
@@ -292,12 +280,9 @@ def _gl(
 def _pureg(
     epsilon: float = 0.5,
     signature_size: int = 10,
-    index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
     candidate_source: str = "incremental",
-    levels: int = 10,
-    granularity: int = 512,
     seed: int | None = None,
 ):
     from repro.core.pipeline import PureG
@@ -305,12 +290,9 @@ def _pureg(
     return PureG(
         epsilon=epsilon,
         signature_size=signature_size,
-        index_backend=index_backend,
         search_strategy=search_strategy,
         trajectory_selection=trajectory_selection,
         candidate_source=candidate_source,
-        levels=levels,
-        granularity=granularity,
         seed=seed,
     )
 
@@ -323,12 +305,9 @@ def _pureg(
 def _purel(
     epsilon: float = 0.5,
     signature_size: int = 10,
-    index_backend: str = "hierarchical",
     search_strategy: str = "bottom_up_down",
     trajectory_selection: str = "index",
     candidate_source: str = "incremental",
-    levels: int = 10,
-    granularity: int = 512,
     seed: int | None = None,
 ):
     from repro.core.pipeline import PureL
@@ -336,12 +315,9 @@ def _purel(
     return PureL(
         epsilon=epsilon,
         signature_size=signature_size,
-        index_backend=index_backend,
         search_strategy=search_strategy,
         trajectory_selection=trajectory_selection,
         candidate_source=candidate_source,
-        levels=levels,
-        granularity=granularity,
         seed=seed,
     )
 

@@ -49,6 +49,10 @@ class KLT(Glove):
             raise ValueError("l must be at least 1")
         if not 0.0 <= t_closeness <= 1.0:
             raise ValueError("t must lie in [0, 1]")
+        if n_categories < 1:
+            raise ValueError(
+                f"n_categories must be at least 1, got {n_categories}"
+            )
         self.l_diversity = l_diversity
         self.t_closeness = t_closeness
         self.n_categories = n_categories

@@ -266,8 +266,12 @@ def compare_records(
 
     Every baseline must come from the same ``(bench, scale)`` partition
     as the candidate — anything else raises :class:`CrossScaleError`
-    rather than producing a scale-poisoned verdict.
+    rather than producing a scale-poisoned verdict. A ``window`` below
+    1 raises :class:`ValueError` (a slice by it would silently widen
+    the window instead).
     """
+    if window is not None and window < 1:
+        raise ValueError(f"window must be at least 1, got {window}")
     for baseline in baselines:
         if (
             baseline.bench != candidate.bench

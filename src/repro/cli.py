@@ -42,6 +42,7 @@ import tarfile
 from repro.api import MethodSpec, method_info, method_names, run
 from repro.attacks.linkage import SIGNATURE_KINDS, LinkageAttack
 from repro.datagen.generator import FleetConfig, generate_fleet
+from repro.index.hierarchical import STRATEGIES
 from repro.metrics.privacy import mutual_information
 from repro.metrics.utility import (
     diameter_error,
@@ -81,15 +82,8 @@ def _add_method_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--signature-size", type=int, default=10)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--index",
-        choices=("linear", "uniform", "hierarchical"),
-        default="hierarchical",
-        help="the global stage's shared segment index; every backend "
-        "gives the same output bytes, so this picks speed only",
-    )
-    parser.add_argument(
         "--strategy",
-        choices=("top_down", "bottom_up", "bottom_up_down"),
+        choices=STRATEGIES,
         default="bottom_up_down",
         help="kNN strategy of the hierarchical index; only the opt-in "
         "wave global stage (--param candidate_source=wave) reads it, "
@@ -540,7 +534,6 @@ def _build_spec(args: argparse.Namespace) -> MethodSpec:
         "epsilon": args.epsilon,
         "signature_size": args.signature_size,
         "seed": args.seed,
-        "index_backend": args.index,
         "search_strategy": args.strategy,
     }
     params = {name: value for name, value in flags.items() if name in accepted}

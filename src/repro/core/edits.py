@@ -24,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 
 from repro.geo.geometry import Coord, point_distance, point_segment_distance
-from repro.index.base import SegmentIndex, bulk_insert
+from repro.index.base import SegmentIndex
 from repro.trajectory.model import LocationKey, Point, Trajectory
 
 
@@ -99,11 +99,10 @@ class EditableTrajectory:
             previous = node
         self._tail = previous
         # Bulk-register the initial segments: one block of index rows
-        # and one vectorised placement pass on indexes that support
-        # it, with sid assignment identical to the per-segment loop.
+        # and one vectorised placement pass, with sid assignment
+        # identical to the per-segment loop.
         if starts:
-            sids = bulk_insert(
-                self.index,
+            sids = self.index.insert_many(
                 [(n.point.coord, n.next.point.coord) for n in starts],
                 owner=self.object_id,
             )

@@ -13,11 +13,11 @@ the noisy distributions while greedily minimising utility loss:
   K-nearest-trajectory searches (Definition 8), aggregated from a
   shared dataset-wide segment index.
 
-The shared index takes any of the paper's backends (linear scan,
-uniform grid, hierarchical grid, plus an R-tree) and, for the
-hierarchical grid, the three search strategies of Section IV-C2. Every
-backend answers kNN with the same ``(distance, sid)`` order, so the
-choice changes speed, never output.
+The shared index is the paper's hierarchical grid (Section IV-C) at its
+finest granularity of 512x512. Every index answers kNN in the same
+``(distance, sid)`` order, so a test can hand the global stage a
+brute-force :class:`~repro.index.linear.LinearSegmentIndex` instead
+and must get the same output.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from repro.core.global_mechanism import TFPerturbation
 from repro.core.local_mechanism import PFPerturbation
 from repro.geo.geometry import BBox, Coord
 from repro.index.base import SegmentIndex
-from repro.index.hierarchical import HierarchicalGridIndex
+from repro.index.hierarchical import STRATEGIES, HierarchicalGridIndex
 from repro.index.linear import LinearSegmentIndex
-from repro.index.uniform import UniformGridIndex
 from repro.trajectory.model import LocationKey, Trajectory, TrajectoryDataset
 
 IndexFactory = Callable[[BBox], SegmentIndex]
@@ -61,27 +60,10 @@ def index_extent(bbox: BBox) -> BBox:
     return bbox.expand(margin)
 
 
-def make_index_factory(
-    backend: str = "hierarchical",
-    levels: int = 10,
-    granularity: int = 512,
-) -> IndexFactory:
-    """A factory building the requested index backend over a bbox.
-
-    ``backend`` is one of ``"linear"``, ``"uniform"``, ``"hierarchical"``,
-    or ``"rtree"``.
-    """
-    if backend == "linear":
-        return lambda bbox: LinearSegmentIndex()
-    if backend == "uniform":
-        return lambda bbox: UniformGridIndex(bbox, granularity=granularity)
-    if backend == "hierarchical":
-        return lambda bbox: HierarchicalGridIndex(bbox, levels=levels)
-    if backend == "rtree":
-        from repro.index.rtree import RTreeIndex
-
-        return lambda bbox: RTreeIndex()
-    raise ValueError(f"unknown index backend {backend!r}")
+def _paper_index(extent: BBox) -> HierarchicalGridIndex:
+    """The global stage's shared index: the paper's hierarchical grid
+    with a finest level of 512x512 cells."""
+    return HierarchicalGridIndex(extent, levels=10)
 
 
 def search_knn(
@@ -324,6 +306,13 @@ class InterTrajectoryModifier:
       ``"incremental"`` by construction, and slower at every measured
       fleet size; kept as the independent reference the identity
       tests compare the loop against.
+
+    ``strategy`` is the hierarchical grid's kNN strategy (one of
+    :data:`~repro.index.hierarchical.STRATEGIES`); only the wave
+    planner reads it. The shared index is always the paper's
+    hierarchical grid; ``index_factory`` exists so tests can substitute
+    another index over the same extent (e.g. the brute-force
+    :class:`~repro.index.linear.LinearSegmentIndex`) and compare bytes.
     """
 
     def __init__(
@@ -341,7 +330,11 @@ class InterTrajectoryModifier:
             raise ValueError(
                 f"unknown candidate source {candidate_source!r}"
             )
-        self.index_factory = index_factory or make_index_factory()
+        if strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown search strategy {strategy!r}; choose from {STRATEGIES}"
+            )
+        self.index_factory = index_factory or _paper_index
         self.strategy = strategy
         self.trajectory_selection = trajectory_selection
         self.candidate_source = candidate_source

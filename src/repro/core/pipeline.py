@@ -28,7 +28,6 @@ from repro.core.modification import (
     InterTrajectoryModifier,
     IntraTrajectoryModifier,
     ModificationReport,
-    make_index_factory,
 )
 from repro.core.signature import SignatureExtractor, SignatureIndex
 from repro.trajectory.model import Trajectory, TrajectoryDataset
@@ -180,19 +179,13 @@ class FrequencyAnonymizer:
     signature_size:
         ``m`` — how many signature locations are extracted per
         trajectory. The local mechanism perturbs ``2m`` locations.
-    index_backend, levels, granularity:
-        The global stage's shared segment index (see
-        :func:`repro.core.modification.make_index_factory`). Every
-        backend and shape answers kNN in the same ``(distance, sid)``
-        order, so these pick speed only and never change output
-        bytes; the local stage always edits each trajectory over its
-        own flat store.
     search_strategy:
-        The hierarchical index's kNN strategy. Only
-        ``candidate_source="wave"`` reads it: the default loop
-        searches with ``iter_nearest``, which takes no strategy
-        (fig5's kNN panel passes its strategies to ``knn`` directly).
-        Never changes output bytes.
+        The global stage's hierarchical grid kNN strategy, one of
+        :data:`repro.index.hierarchical.STRATEGIES`; any other name is
+        refused. Only ``candidate_source="wave"`` reads it: the
+        default loop searches with ``iter_nearest``, which takes no
+        strategy (fig5's kNN panel passes its strategies to ``knn``
+        directly). Never changes output bytes.
     candidate_source:
         How the global stage finds candidate trajectories:
         ``"incremental"`` (default — the per-location lazy frontier) or
@@ -216,12 +209,9 @@ class FrequencyAnonymizer:
         epsilon_global: float | None = 0.5,
         epsilon_local: float | None = 0.5,
         signature_size: int = 10,
-        index_backend: str = "hierarchical",
         search_strategy: str = "bottom_up_down",
         trajectory_selection: str = "index",
         candidate_source: str = "incremental",
-        levels: int = 10,
-        granularity: int = 512,
         global_first: bool = True,
         seed: int | None = None,
     ) -> None:
@@ -243,20 +233,14 @@ class FrequencyAnonymizer:
         self.epsilon_global = 0.0 if epsilon_global is None else float(epsilon_global)
         self.epsilon_local = 0.0 if epsilon_local is None else float(epsilon_local)
         self.signature_size = signature_size
-        self.index_backend = index_backend
         self.search_strategy = search_strategy
         self.trajectory_selection = trajectory_selection
         self.candidate_source = candidate_source
-        self.levels = levels
-        self.granularity = granularity
         self.global_first = global_first
         self.seed = seed
         self.extractor = SignatureExtractor(m=signature_size)
         self._intra = IntraTrajectoryModifier()
         self._inter = InterTrajectoryModifier(
-            make_index_factory(
-                backend=index_backend, levels=levels, granularity=granularity
-            ),
             strategy=search_strategy,
             trajectory_selection=trajectory_selection,
             candidate_source=candidate_source,
@@ -284,19 +268,16 @@ class FrequencyAnonymizer:
 
         Everything here is picklable plain data, so the batch engine
         can rebuild equivalent anonymizers inside worker processes
-        (the instance itself holds index-factory closures and cannot
-        cross a process boundary).
+        (the instance itself holds a lock and cannot cross a process
+        boundary).
         """
         return {
             "epsilon_global": None if self._global is None else self.epsilon_global,
             "epsilon_local": None if self._local is None else self.epsilon_local,
             "signature_size": self.signature_size,
-            "index_backend": self.index_backend,
             "search_strategy": self.search_strategy,
             "trajectory_selection": self.trajectory_selection,
             "candidate_source": self.candidate_source,
-            "levels": self.levels,
-            "granularity": self.granularity,
             "global_first": self.global_first,
             "seed": self.seed,
         }

@@ -79,6 +79,18 @@ class FleetConfig:
     anchors_on_spurs: bool = True
     seed: int = 42
 
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("n_objects", 0),
+            ("points_per_trajectory", 1),
+            ("rows", 1),
+            ("cols", 1),
+            ("n_hotspots", 1),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+
 
 @dataclass(slots=True)
 class FleetResult:

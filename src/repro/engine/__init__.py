@@ -24,7 +24,7 @@ Two pieces built for the "as fast as the hardware allows" roadmap:
   end-to-end ε.
 
 The global stage is not sharded: it runs in-process, as the serial
-per-location loop over the index backends' incremental
+per-location loop over the hierarchical grid's incremental
 ``iter_nearest`` kNN frontier (see ``repro.index``), or as the opt-in
 wave planner (:mod:`repro.core.waves`), which is byte-identical to it.
 """

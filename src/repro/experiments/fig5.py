@@ -50,12 +50,10 @@ from repro.experiments.config import (
 from repro.geo.geometry import BBox
 from repro.index.hierarchical import HierarchicalGridIndex
 from repro.index.linear import LinearSegmentIndex
-from repro.index.rtree import RTreeIndex
 from repro.index.uniform import UniformGridIndex
 
-#: Strategy labels of the left panel, in the paper's order, plus an
-#: STR R-tree bonus row (not in the paper; see DESIGN.md §4b).
-SEARCH_METHODS = ("Linear", "UG", "HGt", "HGb", "HG+", "RT")
+#: Strategy labels of the left panel, in the paper's order.
+SEARCH_METHODS = ("Linear", "UG", "HGt", "HGb", "HG+")
 
 DEFAULT_SIZES = (25, 50, 100, 200)
 SMOKE_SIZES = (10, 20)
@@ -104,19 +102,15 @@ def effective_sizes(
 def _build_indexes(dataset, bbox: BBox):
     # Paper setting: 512x512 for the uniform grid and for the finest
     # level of the hierarchical grid (levels=10 -> 2^9 = 512 per side).
-    # UG uses the classic single-cell (midpoint) assignment the paper
-    # compares against; see UniformGridIndex for the overlap variant.
     linear = LinearSegmentIndex()
-    uniform = UniformGridIndex(bbox, granularity=512, assignment="midpoint")
+    uniform = UniformGridIndex(bbox, granularity=512)
     hierarchical = HierarchicalGridIndex(bbox, levels=10)
-    rtree = RTreeIndex()
     for trajectory in dataset:
         for _, a, b in trajectory.segments():
             linear.insert(a.coord, b.coord, owner=trajectory.object_id)
             uniform.insert(a.coord, b.coord, owner=trajectory.object_id)
             hierarchical.insert(a.coord, b.coord, owner=trajectory.object_id)
-            rtree.insert(a.coord, b.coord, owner=trajectory.object_id)
-    return linear, uniform, hierarchical, rtree
+    return linear, uniform, hierarchical
 
 
 def _query_points(dataset, signature_size: int, limit: int = 200):
@@ -142,7 +136,7 @@ def search_timings(
     for size in sizes:
         dataset = _dataset_for_size(config, size)
         bbox = index_extent(dataset.bbox())
-        linear, uniform, hierarchical, rtree = _build_indexes(dataset, bbox)
+        linear, uniform, hierarchical = _build_indexes(dataset, bbox)
         queries = _query_points(dataset, config.signature_size)
 
         def time_batch(search) -> float:
@@ -155,8 +149,6 @@ def search_timings(
         work["Linear"].append(len(linear) * len(queries))
         timings["UG"].append(time_batch(lambda q: uniform.knn(q, k)))
         work["UG"].append(-1)  # UG does not track per-query counters
-        timings["RT"].append(time_batch(lambda q: rtree.knn(q, k)))
-        work["RT"].append(-1)
 
         for label, strategy in (
             ("HGt", "top_down"),

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.geo.geometry import BBox, Coord
+from repro.geo.geometry import Coord
 from repro.geo.vectorized import SegmentArray, segment_columns
 
 
@@ -41,6 +40,14 @@ class SegmentIndex(Protocol):
 
     def segment(self, sid: int) -> IndexedSegment:
         """Look up a registered segment."""
+        ...
+
+    def insert_many(
+        self, pairs: Sequence[tuple[Coord, Coord]], owner: str | None = None
+    ) -> list[int]:
+        """Register a batch of segments in one block; returns their sids
+        in input order, exactly the sids the equivalent :meth:`insert`
+        loop assigns."""
         ...
 
     def owner_of(self, sid: int) -> str | None:
@@ -79,49 +86,6 @@ class SegmentIndex(Protocol):
 
     def __len__(self) -> int:
         ...
-
-
-def bulk_insert(
-    index: SegmentIndex,
-    pairs: Sequence[tuple[Coord, Coord]],
-    owner: str | None = None,
-) -> list[int]:
-    """Insert a batch of segments, returning their sids in input order.
-
-    Dispatches to the index's native ``insert_many`` when present (the
-    hierarchical grid vectorises best-fit placement over the whole
-    batch), else falls back to per-segment ``insert``. Allocation
-    order — hence sid assignment — matches the equivalent insert loop
-    exactly, so the two paths are interchangeable byte for byte.
-    """
-    native = getattr(index, "insert_many", None)
-    if native is not None:
-        return native(pairs, owner=owner)
-    return [index.insert(a, b, owner=owner) for a, b in pairs]
-
-
-#: How far, in units of the largest coordinate magnitude in play, the
-#: column kernel's distance to a segment can fall below the exact
-#: distance: its projected point ``a + t * (b - a)`` is rounded at the
-#: endpoints' magnitude, not the distance's. A few ulp in practice;
-#: this bounds the kernel's rounding analysis with room to spare.
-_KERNEL_SLACK = 64 * sys.float_info.epsilon
-
-
-def kernel_slack(q: Coord, box: BBox) -> float:
-    """How far a pruning bound must be lowered so it never exceeds the
-    column kernel's distance from ``q`` to a segment inside ``box``.
-
-    A box's exact min-distance bounds the exact segment distance, but
-    the kernel's rounded distance can undercut it (a segment ending on
-    the box edge nearest ``q`` ties it exactly), so a search that
-    prunes or orders by the raw bound can drop a tied or nearer
-    segment.
-    """
-    return _KERNEL_SLACK * max(
-        abs(q[0]), abs(q[1]),
-        abs(box.min_x), abs(box.min_y), abs(box.max_x), abs(box.max_y),
-    )
 
 
 #: Rows a fresh :class:`SegmentStore` holds before its first doubling.

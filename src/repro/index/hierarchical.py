@@ -39,7 +39,8 @@ CellKey = tuple[int, int, int]
 
 ROOT: CellKey = (0, 0, 0)
 
-_STRATEGIES = ("top_down", "bottom_up", "bottom_up_down")
+#: The three search strategies of Section IV-C2 (HGt, HGb, HG+).
+STRATEGIES = ("top_down", "bottom_up", "bottom_up_down")
 
 
 def _bit_lengths(values: np.ndarray) -> np.ndarray:
@@ -310,8 +311,8 @@ class HierarchicalGridIndex:
         self, q: Coord, k: int, strategy: str = "bottom_up_down"
     ) -> list[tuple[int, float]]:
         """K-nearest segment search with the chosen strategy."""
-        if strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; choose from {_STRATEGIES}")
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
         stats = SearchStats()
         self.last_stats = stats
         return self._knn_one(q, k, strategy, stats)
@@ -328,8 +329,8 @@ class HierarchicalGridIndex:
         but the Python-side view construction only per cell.
         :attr:`last_stats` accumulates the work of the whole batch.
         """
-        if strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; choose from {_STRATEGIES}")
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
         stats = SearchStats()
         self.last_stats = stats
         return [self._knn_one(q, k, strategy, stats) for q in qs]

@@ -48,6 +48,18 @@ class TestCompare:
         assert code == 1
         assert "significant_degradation" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("action", ["compare", "report"])
+    def test_window_below_one_exits_two(self, history_path, capsys, action):
+        for value in (10.0, 10.1, 9.9):
+            _append(history_path, value)
+        code = main(
+            ["bench", action, "--history", str(history_path), "--window", "0"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"repro bench {action}: window must be at least 1, got 0\n"
+        )
+
     def test_missing_history_exits_two(self, history_path, capsys):
         code = main(["bench", "compare", "--history", str(history_path)])
         assert code == 2

@@ -168,6 +168,14 @@ class TestCompareRecords:
         assert shift.baseline["median"] == 10.0
         assert shift.shift is ShiftClass.STABLE
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, window):
+        """``baselines[-0:]`` is every baseline and ``[-(-1):]`` all but
+        the oldest: neither is a window of the size asked for."""
+        baselines = [_record({"g": {"x_s": 10.0}}) for _ in range(3)]
+        with pytest.raises(ValueError, match=f"window must be at least 1, got {window}"):
+            compare_records(_record({"g": {"x_s": 10.0}}), baselines, window=window)
+
     def test_new_and_missing_keys_are_reported_not_fatal(self):
         baselines = [_record({"g": {"x_s": 1.0, "gone_s": 2.0}})]
         candidate = _record({"g": {"x_s": 1.0, "fresh_s": 3.0}})

@@ -74,6 +74,46 @@ class TestCheckCommand:
                   "--origin", "39.9", "116.4", "--bbox", "0", "0", "1", "1"]
         assert check_docs.check_command(tokens, spec) == []
 
+    @pytest.mark.parametrize(
+        "selection, name",
+        [
+            ([], "index_backend"),
+            (["--model", "purel"], "levels"),
+            (["--method", "w4m"], "radius"),
+            (["--method=rsc"], "k"),
+        ],
+    )
+    def test_unknown_param_name_reported(self, check_docs, selection, name):
+        spec = check_docs.build_spec()
+        for command in ("anonymize", "publish"):
+            tokens = ["repro", command, "-i", "a.csv", *selection,
+                      "--param", f"{name}=1"]
+            problems = check_docs.check_command(tokens, spec)
+            assert len(problems) == 1
+            assert f"has no parameter {name!r}" in problems[0]
+            equals_form = [*tokens[:-2], f"--param={name}=1"]
+            assert check_docs.check_command(equals_form, spec) == problems
+
+    def test_declared_param_names_pass(self, check_docs):
+        spec = check_docs.build_spec()
+        for tokens in (
+            ["repro", "anonymize", "--param", "candidate_source=wave"],
+            ["repro", "anonymize", "--model", "pureg", "--param",
+             "trajectory_selection=bbox"],
+            ["repro", "publish", "--method", "rsc", "--param", "radius=500"],
+            # --method wins over --model.
+            ["repro", "anonymize", "--model", "gl", "--method", "w4m",
+             "--param", "k=10"],
+        ):
+            assert check_docs.check_command(tokens, spec) == [], tokens
+
+    def test_unknown_method_reported_for_params(self, check_docs):
+        spec = check_docs.build_spec()
+        problems = check_docs.check_command(
+            ["repro", "anonymize", "--method", "nope", "--param", "k=1"], spec
+        )
+        assert any("unknown method 'nope'" in p for p in problems)
+
     def test_equals_form_consumes_no_extra_token(self, check_docs):
         spec = check_docs.build_spec()
         tokens = ["repro", "experiment", "--preset=smoke", "fig4"]

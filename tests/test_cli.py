@@ -64,20 +64,23 @@ class TestAnonymize:
         captured = capsys.readouterr().out
         assert "budget" in captured
 
-    def test_custom_backend(self, fleet_csv, tmp_path):
-        out = tmp_path / "out.csv"
-        code = main(
-            [
-                "anonymize",
-                "-i", str(fleet_csv),
-                "-o", str(out),
-                "--model", "purel",
-                "--signature-size", "3",
-                "--index", "uniform",
-                "--seed", "2",
-            ]
-        )
-        assert code == 0
+    def test_index_settings_are_refused(self, fleet_csv, tmp_path, capsys):
+        """The global stage always searches the paper's hierarchical
+        grid: no flag or parameter picks another index or shape."""
+        for command in ("anonymize", "publish"):
+            with pytest.raises(SystemExit) as exited:
+                main([command, "--help"])
+            assert exited.value.code == 0
+            assert "--index" not in capsys.readouterr().out
+            argv = [command, "-i", str(fleet_csv), "-o", str(tmp_path / "x.csv")]
+            with pytest.raises(SystemExit) as exited:
+                main([*argv, "--index", "linear"])
+            assert exited.value.code == 2
+            capsys.readouterr()
+            for name in ("index_backend", "levels", "granularity"):
+                assert main([*argv, "--param", f"{name}=1"]) == 2
+                err = capsys.readouterr().err
+                assert f"unexpected keyword argument '{name}'" in err
 
 
 class TestMethodsCommand:
@@ -213,6 +216,51 @@ class TestErrorBoundary:
         assert err.startswith(f"repro {argv[0]}: ")
         assert "missing.csv" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, parameter",
+        [
+            ("--hotspots", "0", "n_hotspots"),
+            ("--rows", "0", "rows"),
+            ("--cols", "-1", "cols"),
+            ("--points", "0", "points_per_trajectory"),
+            ("--objects", "-1", "n_objects"),
+        ],
+    )
+    def test_bad_fleet_shape_is_a_clean_error(
+        self, tmp_path, capsys, flag, value, parameter
+    ):
+        out = tmp_path / "fleet.csv"
+        code = main(
+            ["generate", "--objects", "4", "--points", "20", flag, value,
+             "-o", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"repro generate: {parameter} must be at least ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_zero_klt_categories_is_a_clean_error(self, fleet_csv, tmp_path, capsys):
+        code = main(
+            ["anonymize", "-i", str(fleet_csv), "-o", str(tmp_path / "x.csv"),
+             "--method", "klt", "--param", "n_categories=0"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro anonymize: n_categories must be at least 1")
+        assert "Traceback" not in err
+
+    def test_unknown_search_strategy_is_refused(self, fleet_csv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["anonymize", "-i", str(fleet_csv), "-o", str(out),
+             "--param", "search_strategy=foo"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro anonymize: unknown search strategy 'foo'")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "ledger",

@@ -1,23 +1,32 @@
-"""The global stage's index settings are speed knobs: same bytes.
+"""The global stage's index never changes output: same bytes.
 
-Every index backend answers kNN in the one ``(distance, sid)`` order
-under the one distance kernel, and the local stage always edits over a
-flat per-trajectory store, so ``repro anonymize`` must write the same
-bytes whichever shared index the global stage is given. Driven through
-``repro.cli.main`` in-process on small seeded fleets, the way a user
-would compare two runs with ``cmp``.
+Every index answers kNN in the one ``(distance, sid)`` order under the
+one distance kernel, and the local stage always edits over a flat
+per-trajectory store, so ``repro anonymize`` must write the same bytes
+whichever shared index the global stage searches. The default (the
+paper's hierarchical grid at 10 levels) is compared with the
+brute-force :class:`~repro.index.linear.LinearSegmentIndex` and a
+coarse 3-level grid, substituted through
+:class:`~repro.core.modification.InterTrajectoryModifier`'s
+``index_factory`` seam. Driven through ``repro.cli.main`` in-process
+on small seeded fleets, the way a user would compare two runs with
+``cmp``.
 """
+
+import functools
 
 import pytest
 
 from repro.cli import main
+from repro.core import pipeline
+from repro.core.modification import InterTrajectoryModifier
+from repro.index.hierarchical import HierarchicalGridIndex
+from repro.index.linear import LinearSegmentIndex
 
-VARIANTS = (
-    ["--param", "index_backend=linear"],
-    ["--param", "index_backend=rtree"],
-    ["--param", "index_backend=uniform"],
-    ["--param", "levels=3"],
-)
+VARIANTS = {
+    "linear": lambda extent: LinearSegmentIndex(),
+    "levels=3": lambda extent: HierarchicalGridIndex(extent, levels=3),
+}
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["fleet1", "fleet2"])
@@ -31,15 +40,31 @@ def fleet_csv(request, tmp_path_factory):
 
 
 @pytest.mark.parametrize("model", ["gl", "pureg", "purel"])
-def test_index_settings_do_not_change_output_bytes(fleet_csv, model, tmp_path):
-    def anonymize(name, extra):
+def test_index_settings_do_not_change_output_bytes(
+    fleet_csv, model, tmp_path, monkeypatch
+):
+    def anonymize(name):
         out = tmp_path / f"{name}.csv"
         assert main([
             "anonymize", "-i", str(fleet_csv), "-o", str(out),
-            "--model", model, "--seed", "5", *extra,
+            "--model", model, "--seed", "5",
         ]) == 0
         return out.read_bytes()
 
-    default = anonymize("default", [])
-    for i, extra in enumerate(VARIANTS):
-        assert anonymize(f"variant{i}", extra) == default, extra
+    default = anonymize("default")
+    for name, factory in VARIANTS.items():
+        built = []
+
+        def counted(extent, factory=factory, built=built):
+            built.append(extent)
+            return factory(extent)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                pipeline,
+                "InterTrajectoryModifier",
+                functools.partial(InterTrajectoryModifier, counted),
+            )
+            assert anonymize(name) == default, name
+        # PureL has no global stage, so it never builds the shared index.
+        assert len(built) == (model != "purel"), name

@@ -299,7 +299,9 @@ class TestBatchAnonymizer:
     def test_config_roundtrip(self):
         from repro.core.pipeline import FrequencyAnonymizer
 
-        original = GL(epsilon=2.0, signature_size=4, levels=8, seed=5)
+        original = GL(
+            epsilon=2.0, signature_size=4, search_strategy="top_down", seed=5
+        )
         rebuilt = FrequencyAnonymizer(**original.config())
         assert rebuilt.epsilon == pytest.approx(original.epsilon)
         assert rebuilt.config() == original.config()

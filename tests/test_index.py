@@ -275,11 +275,10 @@ class TestOutOfBoundsSegments:
         assert [round(d, 6) for _, d in unif.knn(q, 3)] == want
 
     def test_iter_nearest_covers_overflow(self):
-        hier, unif, registry = self._build()
+        hier, _, registry = self._build()
         q = (671.0, 1125.0)
         want = [sid for sid, _ in linear_knn(registry, q, len(registry))]
         assert [sid for sid, _ in hier.iter_nearest(q)] == want
-        assert [sid for sid, _ in unif.iter_nearest(q)] == want
 
     def test_remove_clears_overflow(self):
         hier = HierarchicalGridIndex(BOX, levels=5)

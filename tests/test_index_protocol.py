@@ -1,7 +1,9 @@
-"""Protocol-compliance tests: every backend honours SegmentIndex.
+"""Protocol-compliance tests: the indexes the pipeline builds honour
+SegmentIndex.
 
-Parametrized over all four implementations so a new backend gets the
-full behavioural contract for free.
+The linear and hierarchical indexes get the full behavioural contract.
+The paper's uniform-grid baseline (a kNN search baseline only) keeps
+the part it implements: insert, remove, lookup and ``knn``.
 """
 
 import random
@@ -12,7 +14,6 @@ from repro.geo.geometry import BBox
 from repro.index import (
     HierarchicalGridIndex,
     LinearSegmentIndex,
-    RTreeIndex,
     SegmentIndex,
     UniformGridIndex,
 )
@@ -20,20 +21,24 @@ from repro.index.search import linear_knn
 
 BOX = BBox(0.0, 0.0, 1000.0, 1000.0)
 
-BACKENDS = {
+PROTOCOL_BACKENDS = {
     "linear": lambda: LinearSegmentIndex(),
-    "uniform-overlap": lambda: UniformGridIndex(BOX, granularity=32),
-    "uniform-midpoint": lambda: UniformGridIndex(
-        BOX, granularity=32, assignment="midpoint"
-    ),
     "hierarchical": lambda: HierarchicalGridIndex(BOX, levels=6),
-    "rtree": lambda: RTreeIndex(leaf_capacity=4),
+}
+BACKENDS = {
+    **PROTOCOL_BACKENDS,
+    "uniform-midpoint": lambda: UniformGridIndex(BOX, granularity=32),
 }
 
 
 @pytest.fixture(params=sorted(BACKENDS), ids=sorted(BACKENDS))
 def index(request):
     return BACKENDS[request.param]()
+
+
+@pytest.fixture(params=sorted(PROTOCOL_BACKENDS), ids=sorted(PROTOCOL_BACKENDS))
+def protocol_index(request):
+    return PROTOCOL_BACKENDS[request.param]()
 
 
 def fill(index, n=60, seed=5):
@@ -50,8 +55,8 @@ def fill(index, n=60, seed=5):
 
 
 class TestProtocolCompliance:
-    def test_satisfies_runtime_protocol(self, index):
-        assert isinstance(index, SegmentIndex)
+    def test_satisfies_runtime_protocol(self, protocol_index):
+        assert isinstance(protocol_index, SegmentIndex)
 
     def test_len_tracks_inserts_and_removes(self, index):
         assert len(index) == 0
@@ -121,6 +126,10 @@ class TestBatchedQueries:
     """knn_batch agrees with per-query knn on every backend (the wave
     planner's contract)."""
 
+    @pytest.fixture
+    def index(self, protocol_index):
+        return protocol_index
+
     def test_knn_batch_matches_knn(self, index):
         fill(index)
         queries = [(0.0, 0.0), (500.0, 500.0), (999.0, 999.0), (250.0, 750.0)]
@@ -142,9 +151,8 @@ class TestBatchedQueries:
 
 
 class TestBulkInsert:
-    def test_bulk_insert_matches_loop(self, index):
-        from repro.index.base import bulk_insert
-
+    def test_bulk_insert_matches_loop(self, protocol_index):
+        index = protocol_index
         rng = random.Random(3)
         pairs = []
         for _ in range(40):
@@ -152,7 +160,7 @@ class TestBulkInsert:
             pairs.append(
                 ((x, y), (x + rng.uniform(-40, 40), y + rng.uniform(-40, 40)))
             )
-        sids = bulk_insert(index, pairs, owner="bulk")
+        sids = index.insert_many(pairs, owner="bulk")
         assert sids == sorted(sids)  # allocation order preserved
         for sid, (a, b) in zip(sids, pairs, strict=True):
             segment = index.segment(sid)

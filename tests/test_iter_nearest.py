@@ -1,8 +1,8 @@
 """Tests for the incremental nearest-segment iterators.
 
-Every backend's ``iter_nearest`` must enumerate the whole index in
-exactly the (distance, sid) order the one-shot ``knn`` uses — the
-inter-trajectory modifier's lazy consumption depends on it.
+The linear and hierarchical ``iter_nearest`` must enumerate the whole
+index in exactly the (distance, sid) order the one-shot ``knn`` uses —
+the inter-trajectory modifier's lazy consumption depends on it.
 """
 
 import itertools
@@ -11,24 +11,13 @@ import random
 import pytest
 
 from repro.geo.geometry import BBox
-from repro.index import (
-    HierarchicalGridIndex,
-    LinearSegmentIndex,
-    RTreeIndex,
-    UniformGridIndex,
-    linear_knn,
-)
+from repro.index import HierarchicalGridIndex, LinearSegmentIndex, linear_knn
 
 BOX = BBox(0.0, 0.0, 1000.0, 1000.0)
 
 BACKENDS = {
     "linear": lambda: LinearSegmentIndex(),
-    "uniform-overlap": lambda: UniformGridIndex(BOX, granularity=32),
-    "uniform-midpoint": lambda: UniformGridIndex(
-        BOX, granularity=32, assignment="midpoint"
-    ),
     "hierarchical": lambda: HierarchicalGridIndex(BOX, levels=6),
-    "rtree": lambda: RTreeIndex(leaf_capacity=4),
 }
 
 QUERIES = [(0.0, 0.0), (500.0, 500.0), (999.0, 999.0), (250.0, 750.0)]

@@ -12,13 +12,13 @@ from repro.core.global_mechanism import TFPerturbation
 from repro.core.local_mechanism import PFPerturbation
 from repro.core.modification import (
     InterTrajectoryModifier,
+    IntraTrajectoryModifier,
     index_extent,
-    make_index_factory,
     nearest_live_segment_of_owner,
     search_knn,
 )
-from repro.core.pipeline import FrequencyAnonymizer
 from repro.index.hierarchical import HierarchicalGridIndex
+from repro.index.linear import LinearSegmentIndex
 from repro.geo.geometry import BBox
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
@@ -40,46 +40,34 @@ def pf_perturbation(object_id, original, perturbed):
     )
 
 
-class TestMakeIndexFactory:
-    def test_backends(self):
-        box = BBox(0, 0, 100, 100)
-        for backend in ("linear", "uniform", "hierarchical"):
-            index = make_index_factory(backend)(box)
-            index.insert((0, 0), (1, 1))
-            assert len(index) == 1
+def hierarchical(levels):
+    """An ``index_factory`` building a ``levels``-level grid."""
+    return lambda extent: HierarchicalGridIndex(extent, levels=levels)
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            make_index_factory("kd-forest")
 
-    def test_rtree_backend(self):
-        index = make_index_factory("rtree")(BBox(0, 0, 100, 100))
-        index.insert((0, 0), (1, 1))
-        assert len(index) == 1
+#: The two indexes the global stage can search, by ``index_factory``.
+INDEX_FACTORIES = {
+    "linear": lambda extent: LinearSegmentIndex(),
+    "hierarchical": hierarchical(7),
+}
 
+
+class TestSearchKnn:
     def test_search_knn_dispatch(self):
         box = BBox(0, 0, 100, 100)
-        hier = make_index_factory("hierarchical", levels=4)(box)
+        hier = HierarchicalGridIndex(box, levels=4)
         hier.insert((0, 0), (10, 0))
         assert search_knn(hier, (5, 5), 1, "bottom_up_down")
-        linear = make_index_factory("linear")(box)
+        linear = LinearSegmentIndex()
         linear.insert((0, 0), (10, 0))
         assert search_knn(linear, (5, 5), 1, "bottom_up_down")
 
 
-@pytest.mark.parametrize("backend", ["linear", "uniform", "hierarchical"])
 class TestIntraTrajectoryModifier:
-    """The local stage of a pipeline configured with each index
-    backend: those settings pick the global stage's shared index only,
-    so every configuration's local modifier must behave the same."""
+    def make(self):
+        return IntraTrajectoryModifier()
 
-    def make(self, backend):
-        anonymizer = FrequencyAnonymizer(
-            index_backend=backend, levels=6, granularity=32
-        )
-        return anonymizer._intra
-
-    def test_satisfies_perturbed_pf(self, backend):
+    def test_satisfies_perturbed_pf(self):
         trajectory = traj(
             "a", [(0, 0), (10, 0), (0, 0), (20, 0), (0, 0), (30, 0), (40, 0)]
         )
@@ -88,33 +76,33 @@ class TestIntraTrajectoryModifier:
             original={(0.0, 0.0): 3, (10.0, 0.0): 1},
             perturbed={(0.0, 0.0): 1, (10.0, 0.0): 3},
         )
-        modified, report = self.make(backend).apply(trajectory, perturbation)
+        modified, report = self.make().apply(trajectory, perturbation)
         pf = modified.point_frequencies()
         assert pf[(0.0, 0.0)] == 1
         assert pf[(10.0, 0.0)] == 3
         assert report.deletions == 2
         assert report.insertions == 2
 
-    def test_untouched_locations_preserved(self, backend):
+    def test_untouched_locations_preserved(self):
         trajectory = traj("a", [(0, 0), (10, 0), (20, 0), (30, 0)])
         perturbation = pf_perturbation(
             "a", original={(0.0, 0.0): 1}, perturbed={(0.0, 0.0): 0}
         )
-        modified, _ = self.make(backend).apply(trajectory, perturbation)
+        modified, _ = self.make().apply(trajectory, perturbation)
         pf = modified.point_frequencies()
         for loc in [(10.0, 0.0), (20.0, 0.0), (30.0, 0.0)]:
             assert pf[loc] == 1
 
-    def test_no_change_for_identity_perturbation(self, backend):
+    def test_no_change_for_identity_perturbation(self):
         trajectory = traj("a", [(0, 0), (10, 0), (20, 0)])
         perturbation = pf_perturbation(
             "a", original={(0.0, 0.0): 1}, perturbed={(0.0, 0.0): 1}
         )
-        modified, report = self.make(backend).apply(trajectory, perturbation)
+        modified, report = self.make().apply(trajectory, perturbation)
         assert [p.coord for p in modified] == [p.coord for p in trajectory]
         assert report.utility_loss == 0.0
 
-    def test_insertions_choose_near_segments(self, backend):
+    def test_insertions_choose_near_segments(self):
         # Target location (5, 1) is 1m from segment <(0,0),(10,0)> but
         # far from the distant tail segments.
         trajectory = traj(
@@ -123,22 +111,22 @@ class TestIntraTrajectoryModifier:
         perturbation = pf_perturbation(
             "a", original={(5.0, 1.0): 1}, perturbed={(5.0, 1.0): 2}
         )
-        modified, report = self.make(backend).apply(trajectory, perturbation)
+        modified, report = self.make().apply(trajectory, perturbation)
         assert modified.point_frequencies()[(5.0, 1.0)] == 2
         assert report.utility_loss <= 2.0  # near-segment insertion
 
-    def test_empty_trajectory(self, backend):
+    def test_empty_trajectory(self):
         perturbation = pf_perturbation("a", original={}, perturbed={})
-        modified, report = self.make(backend).apply(Trajectory("a"), perturbation)
+        modified, report = self.make().apply(Trajectory("a"), perturbation)
         assert len(modified) == 0
         assert report.utility_loss == 0.0
 
-    def test_original_not_mutated(self, backend):
+    def test_original_not_mutated(self):
         trajectory = traj("a", [(0, 0), (10, 0), (0, 0)])
         perturbation = pf_perturbation(
             "a", original={(0.0, 0.0): 2}, perturbed={(0.0, 0.0): 0}
         )
-        self.make(backend).apply(trajectory, perturbation)
+        self.make().apply(trajectory, perturbation)
         assert len(trajectory) == 3
 
 
@@ -154,7 +142,7 @@ class TestInterTrajectoryModifier:
         )
 
     def make(self):
-        return InterTrajectoryModifier(make_index_factory("hierarchical", levels=6))
+        return InterTrajectoryModifier(hierarchical(6))
 
     def test_tf_increase_inserts_into_nearest_missing_trajectories(self):
         dataset = self.make_dataset()
@@ -288,9 +276,7 @@ class TestIndexExtent:
 
 class TestInterTrajectoryModifierEdgeCases:
     def make(self, **kwargs):
-        return InterTrajectoryModifier(
-            make_index_factory("hierarchical", levels=6), **kwargs
-        )
+        return InterTrajectoryModifier(hierarchical(6), **kwargs)
 
     def test_increase_with_fewer_eligible_owners_than_delta(self):
         """Δl = 4 but only two trajectories can accept the location."""
@@ -360,7 +346,18 @@ class TestInterTrajectoryModifierEdgeCases:
         with pytest.raises(ValueError):
             InterTrajectoryModifier(candidate_source="oracle")
 
-    @pytest.mark.parametrize("backend", ["linear", "uniform", "hierarchical"])
+    def test_rejects_unknown_strategy(self):
+        with pytest.raises(ValueError, match="search strategy 'foo'"):
+            InterTrajectoryModifier(strategy="foo")
+
+    def test_default_index_is_the_paper_grid(self):
+        """Without the test seam, the shared index is the paper's
+        hierarchical grid with a 512x512 finest level."""
+        index = InterTrajectoryModifier().index_factory(BBox(0, 0, 100, 100))
+        assert isinstance(index, HierarchicalGridIndex)
+        assert index.levels == 10
+
+    @pytest.mark.parametrize("backend", sorted(INDEX_FACTORIES))
     @pytest.mark.parametrize("seed", range(3))
     def test_index_and_bbox_selection_agree_on_fleet(self, seed, backend):
         """Same cost-minimal selection on generator-produced data.
@@ -384,7 +381,7 @@ class TestInterTrajectoryModifierEdgeCases:
         losses = {}
         for selection in ("index", "bbox"):
             modifier = InterTrajectoryModifier(
-                make_index_factory(backend, levels=7, granularity=32),
+                INDEX_FACTORIES[backend],
                 trajectory_selection=selection,
             )
             modified, report = modifier.apply(fleet.dataset, perturbation)
@@ -413,8 +410,7 @@ class TestBBoxPrunedSelection:
 
     def make(self, selection):
         return InterTrajectoryModifier(
-            make_index_factory("hierarchical", levels=7),
-            trajectory_selection=selection,
+            hierarchical(7), trajectory_selection=selection
         )
 
     def test_rejects_unknown_selection(self):

@@ -6,7 +6,6 @@ from repro.baselines.adatrace import AdaTrace
 from repro.baselines.dpt import DPT
 from repro.core.pipeline import GL, FrequencyAnonymizer, PureG, PureL
 from repro.datagen.generator import FleetConfig, generate_fleet
-from repro.trajectory.model import TrajectoryDataset
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +81,11 @@ class TestConfiguration:
     def test_pure_variants(self):
         assert PureG(epsilon=0.5).epsilon == pytest.approx(0.5)
         assert PureL(epsilon=0.5).epsilon == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("cls", [GL, PureG, PureL])
+    def test_rejects_unknown_search_strategy(self, cls):
+        with pytest.raises(ValueError, match="search strategy 'foo'"):
+            cls(search_strategy="foo")
 
 
 class TestAnonymization:
@@ -249,21 +253,6 @@ class TestAnonymization:
         result = anonymizer.anonymize(fleet.dataset)
         assert len(result) == len(fleet.dataset)
 
-    def test_works_with_all_backends(self, fleet):
-        small = TrajectoryDataset(
-            [t.copy() for t in list(fleet.dataset)[:5]]
-        )
-        for backend in ("linear", "uniform", "hierarchical"):
-            anonymizer = GL(
-                epsilon=1.0,
-                signature_size=2,
-                index_backend=backend,
-                granularity=64,
-                levels=7,
-                seed=12,
-            )
-            result = anonymizer.anonymize(small)
-            assert len(result) == 5
 
 
 def _publish_chunk_report(dataset):

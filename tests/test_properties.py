@@ -221,7 +221,7 @@ class TestSignatureWeightProperties:
 
 
 class TestBatchedKnnProperty:
-    """knn_batch must agree with per-query knn on every backend, for
+    """knn_batch must agree with per-query knn on both indexes, for
     arbitrary segment sets and query batches (integer endpoints make
     exact distance ties frequent)."""
 
@@ -241,20 +241,13 @@ class TestBatchedKnnProperty:
 
     @staticmethod
     def build_index(backend):
-        from repro.index.rtree import RTreeIndex
-        from repro.index.uniform import UniformGridIndex
-
         box = BBox(0.0, 0.0, 30.0, 30.0)
         return {
             "linear": lambda: LinearSegmentIndex(),
-            "uniform": lambda: UniformGridIndex(box, granularity=8),
             "hierarchical": lambda: HierarchicalGridIndex(box, levels=5),
-            "rtree": lambda: RTreeIndex(leaf_capacity=4),
         }[backend]()
 
-    @pytest.mark.parametrize(
-        "backend", ["linear", "uniform", "hierarchical", "rtree"]
-    )
+    @pytest.mark.parametrize("backend", ["linear", "hierarchical"])
     @settings(max_examples=25, deadline=None)
     @given(segments=segments_strategy, queries=queries_strategy, k=st.integers(1, 8))
     def test_knn_batch_agrees_with_knn(self, backend, segments, queries, k):

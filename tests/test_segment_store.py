@@ -8,10 +8,11 @@ Three properties carry the array-native kNN:
   agree exactly, whatever numpy does internally;
 * the store hands back exactly what went in (floats and owner) across
   capacity doublings, interleaved single and block allocation, and
-  removals, on all four index backends;
+  removals, on the linear and hierarchical indexes;
 * cell views gathered from the store never go stale: after any
   remove-and-reinsert sequence every search sees exactly the live
-  segments.
+  segments (``knn`` only on the uniform-grid baseline, which has no
+  other search).
 """
 
 import math
@@ -21,18 +22,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.modification import make_index_factory
 from repro.geo.geometry import BBox
 from repro.geo.vectorized import SegmentArray, segment_columns, segment_distances
-from repro.index.base import (
-    _INITIAL_CAPACITY,
-    IndexedSegment,
-    SegmentStore,
-    bulk_insert,
-)
+from repro.index.base import _INITIAL_CAPACITY, IndexedSegment, SegmentStore
+from repro.index.hierarchical import HierarchicalGridIndex
+from repro.index.linear import LinearSegmentIndex
+from repro.index.uniform import UniformGridIndex
 
 BOX = BBox(0.0, 0.0, 1000.0, 1000.0)
-BACKENDS = ("linear", "uniform", "hierarchical", "rtree")
+INDEXES = {
+    "linear": lambda: LinearSegmentIndex(),
+    "uniform": lambda: UniformGridIndex(BOX, granularity=16),
+    "hierarchical": lambda: HierarchicalGridIndex(BOX, levels=5),
+}
 
 big = st.floats(min_value=-1e7, max_value=1e7, allow_nan=False)
 point = st.tuples(big, big)
@@ -69,10 +71,6 @@ def kernel_case(draw):
     else:
         q = draw(point)
     return segments, q
-
-
-def build(backend):
-    return make_index_factory(backend, levels=5, granularity=16)(BOX)
 
 
 class TestColumnKernel:
@@ -131,12 +129,12 @@ class TestSegmentStore:
             with pytest.raises(KeyError):
                 store.release(bad)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ["linear", "hierarchical"])
     def test_growth_with_interleaved_edits(self, backend):
         """Grow far past the initial capacity through single inserts,
         block inserts and removals; every live row stays exact."""
         rng = random.Random(backend)
-        index = build(backend)
+        index = INDEXES[backend]()
         expected: dict[int, tuple] = {}
 
         def coord():
@@ -152,7 +150,7 @@ class TestSegmentStore:
                 pairs = [(coord(), coord()) for _ in range(rng.randint(1, 9))]
                 owner = None if step % 3 else "bulk"
                 for sid, (a, b) in zip(
-                    bulk_insert(index, pairs, owner=owner), pairs, strict=True
+                    index.insert_many(pairs, owner=owner), pairs, strict=True
                 ):
                     expected[sid] = (a, b, owner)
             elif expected:
@@ -180,7 +178,7 @@ class TestViewsNeverStale:
     """Remove-and-reinsert in the same cell, with views cached in
     between: searches must see exactly the live segments."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(INDEXES))
     @settings(max_examples=25, deadline=None)
     @given(ops=st.lists(operation, min_size=1, max_size=40), seed=st.integers(0, 99))
     def test_searches_match_live_segments(self, backend, ops, seed):
@@ -192,7 +190,7 @@ class TestViewsNeverStale:
              (cx + rng.uniform(0, 20), cy + rng.uniform(0, 20)))
             for cx, cy in [(100.0, 100.0), (700.0, 300.0)] * 10
         ]
-        index = build(backend)
+        index = INDEXES[backend]()
         live: dict[int, tuple] = {}
         queries = [(110.0, 110.0), (710.0, 310.0), (400.0, 200.0)]
         for kind, value in ops:
@@ -216,10 +214,13 @@ class TestViewsNeverStale:
         want = sorted(
             SegmentArray.from_pairs(list(live.values())).distances_to(q).tolist()
         )
-        frontier = list(index.iter_nearest(q))
-        assert sorted(sid for sid, _ in frontier) == sorted(live)
-        assert [d for _, d in frontier] == want
         k = max(1, len(live) // 2)
-        for hits in (index.knn(q, k), index.knn_batch([q], k)[0]):
+        searches = [index.knn(q, k)]
+        if not isinstance(index, UniformGridIndex):
+            frontier = list(index.iter_nearest(q))
+            assert sorted(sid for sid, _ in frontier) == sorted(live)
+            assert [d for _, d in frontier] == want
+            searches.append(index.knn_batch([q], k)[0])
+        for hits in searches:
             assert all(sid in live for sid, _ in hits)
             assert [d for _, d in hits] == want[:k]

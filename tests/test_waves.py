@@ -1,7 +1,8 @@
 """Wave-parallel global stage: planner/executor correctness.
 
-The load-bearing property: for any dataset, TF perturbation, and index
-backend, ``candidate_source="wave"`` must produce output **byte
+The load-bearing property: for any dataset, TF perturbation, and shared
+index (the hierarchical grid or the brute-force linear scan),
+``candidate_source="wave"`` must produce output **byte
 identical** to the serial per-location reference
 (``candidate_source="incremental"``) — point sequences, timestamps, and
 report tallies. Hypothesis drives datasets onto a small integer lattice
@@ -18,15 +19,18 @@ from hypothesis import strategies as st
 
 from repro.core.edits import EditableTrajectory
 from repro.core.global_mechanism import TFPerturbation
-from repro.core.modification import (
-    InterTrajectoryModifier,
-    index_extent,
-    make_index_factory,
-)
+from repro.core.modification import InterTrajectoryModifier, index_extent
 from repro.core.waves import WavePlanner, WaveStats, _CreatedGeometry
+from repro.index.hierarchical import HierarchicalGridIndex
+from repro.index.linear import LinearSegmentIndex
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
-BACKENDS = ("linear", "uniform", "hierarchical", "rtree")
+#: ``index_factory`` per shared index the global stage can search.
+FACTORIES = {
+    "linear": lambda extent: LinearSegmentIndex(),
+    "hierarchical": lambda extent: HierarchicalGridIndex(extent, levels=5),
+}
+BACKENDS = tuple(FACTORIES)
 
 
 def lattice_fleet(rng: random.Random, n_objects: int, n_points: int):
@@ -71,7 +75,7 @@ def snapshot(dataset) -> list:
 
 def apply_source(dataset, perturbation, backend, source, factory=None):
     modifier = InterTrajectoryModifier(
-        factory or make_index_factory(backend, levels=5, granularity=16),
+        factory or FACTORIES[backend],
         candidate_source=source,
     )
     copy = TrajectoryDataset([t.copy() for t in dataset])
@@ -90,7 +94,7 @@ def churned_factory(backend, dataset, seed):
     the index ends logically empty, so a stale view surfaces either
     here or as a changed selection in the stage.
     """
-    base = make_index_factory(backend, levels=5, granularity=16)
+    base = FACTORIES[backend]
     pairs = [(a.coord, b.coord) for t in dataset for _, a, b in t.segments()]
     locations = sorted({p.loc for t in dataset for p in t})
 
@@ -234,7 +238,7 @@ class TestWaveMachinery:
         # Drive the planner/executor manually with chunk_size=1.
         from repro.core import waves
 
-        factory = make_index_factory("hierarchical", levels=5)
+        factory = FACTORIES["hierarchical"]
         copy = TrajectoryDataset([t.copy() for t in dataset])
         shared = factory(index_extent(copy.bbox()))
         editables = {
@@ -272,7 +276,7 @@ class TestWaveMachinery:
         assert geometry.intrudes((100.0, 100.0), math.inf)
 
     def test_adjacent_locations(self):
-        index = make_index_factory("linear")(None)
+        index = LinearSegmentIndex()
         trajectory = Trajectory(
             "a",
             [

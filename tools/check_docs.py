@@ -6,6 +6,9 @@ whose first token (after an optional ``$``) is ``repro``, and validates
 each against the argparse tree built by ``repro.cli._build_parser()``:
 the subcommand must exist, every ``--flag`` must be declared by that
 subcommand, and positional values with declared choices must be valid.
+Every ``--param NAME=VALUE`` of ``repro anonymize|publish`` must name a
+parameter of the method the invocation selects (its ``--method``, else
+its ``--model``, else ``gl``), as the method registry declares it.
 Documentation can therefore never drift ahead of (or behind) the CLI —
 CI runs this as the ``docs`` section of the unified
 ``tools/check_static.py`` gate.
@@ -26,6 +29,9 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Subcommands whose ``--param`` names are checked against a method.
+METHOD_COMMANDS = ("anonymize", "publish")
 
 
 def _value_arity(action: argparse.Action) -> int:
@@ -112,24 +118,34 @@ def check_command(tokens: list[str], spec: dict[str, dict]) -> list[str]:
     problems = []
     positional_index = 0
     skip_values = 0
+    # Flag -> its values, for the flags that select a method's parameters.
+    values: dict[str, list[str]] = {"--method": [], "--model": [], "--param": []}
+    capture = None
     for token in tokens[2:]:
         if skip_values:
             skip_values -= 1
+            if capture is not None:
+                values[capture].append(token)
+                capture = None
             continue
         is_long = token.startswith("--")
         is_short = (
             token.startswith("-") and len(token) == 2 and not token[1].isdigit()
         )
         if is_long or is_short:
-            name = token.split("=", 1)[0]
+            name, has_value, value = token.partition("=")
             arity = entry["options"].get(name)
             if arity is None:
                 problems.append(
                     f"{subcommand}: unknown flag {name!r} (have: "
                     f"{', '.join(sorted(o for o in entry['options'] if o.startswith('--')))})"
                 )
-            elif "=" not in token:
+            elif has_value:
+                if name in values:
+                    values[name].append(value)
+            else:
                 skip_values = arity
+                capture = name if name in values else None
             continue
         if positional_index < len(entry["positional_choices"]):
             choices = entry["positional_choices"][positional_index]
@@ -139,7 +155,29 @@ def check_command(tokens: list[str], spec: dict[str, dict]) -> list[str]:
                     f"(choose from {', '.join(sorted(choices))})"
                 )
             positional_index += 1
+    if subcommand in METHOD_COMMANDS and values["--param"]:
+        kind = (values["--method"] or values["--model"] or ["gl"])[-1]
+        problems.extend(
+            f"{subcommand}: {problem}"
+            for problem in check_params(kind, values["--param"])
+        )
     return problems
+
+
+def check_params(kind: str, overrides: list[str]) -> list[str]:
+    """Problems with ``--param NAME=VALUE`` overrides for method ``kind``."""
+    from repro.api import method_info
+
+    try:
+        accepted = method_info(kind).signature.parameters
+    except ValueError as exc:
+        return [str(exc)]
+    return [
+        f"method {kind!r} has no parameter {name!r} (have: "
+        f"{', '.join(accepted)})"
+        for name in (override.partition("=")[0] for override in overrides)
+        if name not in accepted
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
