@@ -3,8 +3,7 @@
 1. Stage-2 compensation on/off — cardinality preservation vs pure
    signature dilution;
 2. GL budget split — 50/50 (the paper) vs skewed splits;
-3. trajectory selection — shared-index scan vs bounding-box pruning;
-4. shared index — the GL pipeline with the paper's hierarchical grid
+3. shared index — the GL pipeline with the paper's hierarchical grid
    against a brute-force linear scan in the global stage (the
    practical version of Figure 5's claim).
 """
@@ -103,24 +102,6 @@ def test_bench_budget_split(benchmark, config, fleet, split):
         epsilon_global=config.epsilon * split,
         epsilon_local=config.epsilon * (1.0 - split),
         signature_size=config.signature_size,
-        seed=config.seed,
-    )
-    result = benchmark.pedantic(
-        lambda: anonymizer.anonymize(fleet.dataset), rounds=2, iterations=1
-    )
-    assert len(result) == len(fleet.dataset)
-
-
-@pytest.mark.parametrize("selection", ("index", "bbox"))
-def test_bench_trajectory_selection(benchmark, config, fleet, selection):
-    """TF-increase trajectory selection: shared-index scan vs the
-    paper's future-work bounding-box pruning."""
-    from repro.core.pipeline import PureG
-
-    anonymizer = PureG(
-        epsilon=0.5,
-        signature_size=config.signature_size,
-        trajectory_selection=selection,
         seed=config.seed,
     )
     result = benchmark.pedantic(

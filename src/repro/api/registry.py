@@ -224,10 +224,7 @@ def _frequency(
     epsilon_global: float | None = 0.5,
     epsilon_local: float | None = 0.5,
     signature_size: int = 10,
-    search_strategy: str = "bottom_up_down",
-    trajectory_selection: str = "index",
     candidate_source: str = "incremental",
-    global_first: bool = True,
     seed: int | None = None,
 ):
     from repro.core.pipeline import FrequencyAnonymizer
@@ -236,10 +233,7 @@ def _frequency(
         epsilon_global=epsilon_global,
         epsilon_local=epsilon_local,
         signature_size=signature_size,
-        search_strategy=search_strategy,
-        trajectory_selection=trajectory_selection,
         candidate_source=candidate_source,
-        global_first=global_first,
         seed=seed,
     )
 
@@ -253,10 +247,7 @@ def _frequency(
 def _gl(
     epsilon: float = 1.0,
     signature_size: int = 10,
-    search_strategy: str = "bottom_up_down",
-    trajectory_selection: str = "index",
     candidate_source: str = "incremental",
-    global_first: bool = True,
     seed: int | None = None,
 ):
     from repro.core.pipeline import GL
@@ -264,10 +255,7 @@ def _gl(
     return GL(
         epsilon=epsilon,
         signature_size=signature_size,
-        search_strategy=search_strategy,
-        trajectory_selection=trajectory_selection,
         candidate_source=candidate_source,
-        global_first=global_first,
         seed=seed,
     )
 
@@ -280,8 +268,6 @@ def _gl(
 def _pureg(
     epsilon: float = 0.5,
     signature_size: int = 10,
-    search_strategy: str = "bottom_up_down",
-    trajectory_selection: str = "index",
     candidate_source: str = "incremental",
     seed: int | None = None,
 ):
@@ -290,8 +276,6 @@ def _pureg(
     return PureG(
         epsilon=epsilon,
         signature_size=signature_size,
-        search_strategy=search_strategy,
-        trajectory_selection=trajectory_selection,
         candidate_source=candidate_source,
         seed=seed,
     )
@@ -305,8 +289,6 @@ def _pureg(
 def _purel(
     epsilon: float = 0.5,
     signature_size: int = 10,
-    search_strategy: str = "bottom_up_down",
-    trajectory_selection: str = "index",
     candidate_source: str = "incremental",
     seed: int | None = None,
 ):
@@ -315,8 +297,6 @@ def _purel(
     return PureL(
         epsilon=epsilon,
         signature_size=signature_size,
-        search_strategy=search_strategy,
-        trajectory_selection=trajectory_selection,
         candidate_source=candidate_source,
         seed=seed,
     )

@@ -86,13 +86,12 @@ def run(
     engine: str = "serial",
     workers: int | None = None,
     executor: str = "process",
-    shards_per_worker: int = 4,
 ) -> RunResult:
     """Anonymize ``data`` as ``spec`` describes; return a :class:`RunResult`.
 
     ``engine="batch"`` routes frequency-family methods through
-    :class:`repro.engine.BatchAnonymizer` (``workers`` / ``executor`` /
-    ``shards_per_worker`` configure the local-stage pool) with output
+    :class:`repro.engine.BatchAnonymizer` (``workers`` / ``executor``
+    configure the local-stage pool) with output
     byte-identical to the serial path for the same seed; other
     families run the method as-is and reject the batch engine
     explicitly.
@@ -114,12 +113,7 @@ def run(
         # needed when a batch run is actually requested.
         from repro.engine.batch import BatchAnonymizer
 
-        front = BatchAnonymizer(
-            anonymizer,
-            workers=workers,
-            executor=executor,
-            shards_per_worker=shards_per_worker,
-        )
+        front = BatchAnonymizer(anonymizer, workers=workers, executor=executor)
         with front:
             started = time.perf_counter()
             dataset, report = front.anonymize_with_report(data)
@@ -177,7 +171,6 @@ def publish(
     engine: str = "serial",
     workers: int | None = None,
     executor: str = "process",
-    shards_per_worker: int = 4,
     publish_workers: int | None = 1,
     publish_executor: str = "process",
     spill_dir: str | os.PathLike | None = None,
@@ -236,12 +229,7 @@ def publish(
         apportionment=apportionment,
     )
     if engine == "batch":
-        front = BatchAnonymizer(
-            anonymizer,
-            workers=workers,
-            executor=executor,
-            shards_per_worker=shards_per_worker,
-        )
+        front = BatchAnonymizer(anonymizer, workers=workers, executor=executor)
         with front:
             return StreamPublisher(front, **publisher_knobs).publish(
                 chunks, sink=sink, byte_sink=byte_sink

@@ -42,7 +42,6 @@ import tarfile
 from repro.api import MethodSpec, method_info, method_names, run
 from repro.attacks.linkage import SIGNATURE_KINDS, LinkageAttack
 from repro.datagen.generator import FleetConfig, generate_fleet
-from repro.index.hierarchical import STRATEGIES
 from repro.metrics.privacy import mutual_information
 from repro.metrics.utility import (
     diameter_error,
@@ -81,15 +80,6 @@ def _add_method_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--signature-size", type=int, default=10)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="bottom_up_down",
-        help="kNN strategy of the hierarchical index; only the opt-in "
-        "wave global stage (--param candidate_source=wave) reads it, "
-        "because the default loop's frontier search takes none; the "
-        "output bytes do not change",
-    )
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -534,7 +524,6 @@ def _build_spec(args: argparse.Namespace) -> MethodSpec:
         "epsilon": args.epsilon,
         "signature_size": args.signature_size,
         "seed": args.seed,
-        "search_strategy": args.strategy,
     }
     params = {name: value for name, value in flags.items() if name in accepted}
     for override in args.param or ():

@@ -84,7 +84,6 @@ class EditableTrajectory:
         self._nodes_by_loc: dict[LocationKey, set[_Node]] = {}
         self._node_by_sid: dict[int, _Node] = {}
         self.total_utility_loss = 0.0
-        self._bbox_cache: tuple | None = None
         starts: list[_Node] = []
         previous: _Node | None = None
         for point in trajectory:
@@ -115,7 +114,6 @@ class EditableTrajectory:
     def _register_node(self, node: _Node) -> None:
         self._nodes_by_loc.setdefault(node.loc, set()).add(node)
         self._size += 1
-        self._bbox_cache = None
 
     def _unregister_node(self, node: _Node) -> None:
         bucket = self._nodes_by_loc.get(node.loc)
@@ -124,7 +122,6 @@ class EditableTrajectory:
             if not bucket:
                 del self._nodes_by_loc[node.loc]
         self._size -= 1
-        self._bbox_cache = None
 
     def _index_segment(self, start: _Node) -> None:
         assert start.next is not None
@@ -156,52 +153,6 @@ class EditableTrajectory:
 
     def node_for_segment(self, sid: int) -> bool:
         return sid in self._node_by_sid
-
-    def bbox(self):
-        """Current bounding box (cached; invalidated by edits).
-
-        Returns None for an empty trajectory. Used by the paper's
-        future-work optimisation: pruning unpromising trajectories by
-        their bounding box during inter-trajectory modification.
-        """
-        if self._size == 0:
-            return None
-        if self._bbox_cache is None:
-            from repro.geo.geometry import BBox
-
-            coords = []
-            node = self._head
-            while node is not None:
-                coords.append(node.point.coord)
-                node = node.next
-            self._bbox_cache = BBox.from_points(coords)
-        return self._bbox_cache
-
-    def min_possible_insertion_cost(self, loc: LocationKey) -> float:
-        """Lower bound on the insertion loss of ``loc`` (Theorem 4 style).
-
-        The distance from ``loc`` to the trajectory's bounding box
-        lower-bounds its distance to every segment, so a trajectory can
-        be pruned when this bound exceeds the current K-th best cost.
-        """
-        box = self.bbox()
-        if box is None:
-            return float("inf")
-        return box.min_distance(loc)
-
-    def nearest_own_segment(self, loc: LocationKey) -> tuple[int | None, float]:
-        """This trajectory's nearest segment to ``loc`` (exact scan)."""
-        best_sid = None
-        best = float("inf")
-        for sid, node in self._node_by_sid.items():
-            assert node.next is not None
-            d = point_segment_distance(
-                loc, node.point.coord, node.next.point.coord
-            )
-            if d < best:
-                best = d
-                best_sid = sid
-        return best_sid, best
 
     # -- insertion (OP_i) ----------------------------------------------------------
 

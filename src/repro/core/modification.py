@@ -30,9 +30,9 @@ from typing import Callable, Sequence
 from repro.core.edits import EditableTrajectory
 from repro.core.global_mechanism import TFPerturbation
 from repro.core.local_mechanism import PFPerturbation
-from repro.geo.geometry import BBox, Coord
+from repro.geo.geometry import BBox
 from repro.index.base import SegmentIndex
-from repro.index.hierarchical import STRATEGIES, HierarchicalGridIndex
+from repro.index.hierarchical import HierarchicalGridIndex
 from repro.index.linear import LinearSegmentIndex
 from repro.trajectory.model import LocationKey, Trajectory, TrajectoryDataset
 
@@ -64,24 +64,6 @@ def _paper_index(extent: BBox) -> HierarchicalGridIndex:
     """The global stage's shared index: the paper's hierarchical grid
     with a finest level of 512x512 cells."""
     return HierarchicalGridIndex(extent, levels=10)
-
-
-def search_knn(
-    index: SegmentIndex, q: Coord, k: int, strategy: str
-) -> list[tuple[int, float]]:
-    """Dispatch kNN to the index, passing the strategy where supported."""
-    if isinstance(index, HierarchicalGridIndex):
-        return index.knn(q, k, strategy=strategy)
-    return index.knn(q, k)
-
-
-def search_knn_batch(
-    index: SegmentIndex, qs: Sequence[Coord], k: int, strategy: str
-) -> list[list[tuple[int, float]]]:
-    """Dispatch a batched kNN, passing the strategy where supported."""
-    if isinstance(index, HierarchicalGridIndex):
-        return index.knn_batch(qs, k, strategy=strategy)
-    return index.knn_batch(qs, k)
 
 
 @dataclass(slots=True)
@@ -280,20 +262,10 @@ def nearest_live_segment_of_owner(
 class InterTrajectoryModifier:
     """Realises a perturbed global TF distribution on the whole dataset.
 
-    ``trajectory_selection`` picks how the Δl nearest trajectories are
-    found for TF increases (Definition 8):
-
-    * ``"index"`` — scan the shared segment index outward from the
-      location and keep the first Δl distinct eligible owners (the
-      paper's published approach);
-    * ``"bbox"`` — the paper's future-work optimisation: rank
-      trajectories by the lower bound MINdist(loc, bbox(τ)) and
-      evaluate exact nearest-segment costs in bound order, stopping
-      once the next bound exceeds the current Δl-th best cost. Both
-      produce cost-equivalent selections.
-
-    ``candidate_source`` controls how candidates are obtained for the
-    ``"index"`` selection:
+    The Δl nearest trajectories of a TF increase (Definition 8) are
+    found by scanning the shared segment index outward from the
+    location and keeping the first Δl distinct eligible owners.
+    ``candidate_source`` controls how those candidates are obtained:
 
     * ``"incremental"`` (default) — the per-location loop: pull
       candidates lazily from the index's resumable ``iter_nearest``
@@ -307,36 +279,22 @@ class InterTrajectoryModifier:
       fleet size; kept as the independent reference the identity
       tests compare the loop against.
 
-    ``strategy`` is the hierarchical grid's kNN strategy (one of
-    :data:`~repro.index.hierarchical.STRATEGIES`); only the wave
-    planner reads it. The shared index is always the paper's
-    hierarchical grid; ``index_factory`` exists so tests can substitute
-    another index over the same extent (e.g. the brute-force
+    The shared index is always the paper's hierarchical grid;
+    ``index_factory`` exists so tests can substitute another index over
+    the same extent (e.g. the brute-force
     :class:`~repro.index.linear.LinearSegmentIndex`) and compare bytes.
     """
 
     def __init__(
         self,
         index_factory: IndexFactory | None = None,
-        strategy: str = "bottom_up_down",
-        trajectory_selection: str = "index",
         candidate_source: str = "incremental",
     ) -> None:
-        if trajectory_selection not in ("index", "bbox"):
-            raise ValueError(
-                f"unknown trajectory selection {trajectory_selection!r}"
-            )
         if candidate_source not in ("incremental", "wave"):
             raise ValueError(
                 f"unknown candidate source {candidate_source!r}"
             )
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown search strategy {strategy!r}; choose from {STRATEGIES}"
-            )
         self.index_factory = index_factory or _paper_index
-        self.strategy = strategy
-        self.trajectory_selection = trajectory_selection
         self.candidate_source = candidate_source
         #: Diagnostics of the most recent wave-planned run (None for
         #: the serial loop), akin to an index's ``last_stats``.
@@ -355,13 +313,7 @@ class InterTrajectoryModifier:
             for trajectory in dataset
         }
 
-        # ``candidate_source`` governs the "index" selection only; the
-        # bbox selection examines every trajectory, so waving it would
-        # degenerate to the serial loop — it keeps the reference path.
-        if (
-            self.candidate_source == "wave"
-            and self.trajectory_selection == "index"
-        ):
+        if self.candidate_source == "wave":
             self._apply_waves(shared_index, editables, perturbation, report)
         else:
             self._apply_serial(shared_index, editables, perturbation, report)
@@ -396,12 +348,6 @@ class InterTrajectoryModifier:
 
         # TF increases: insert the location once into each of the Δl
         # nearest trajectories that do not already pass through it.
-        if self.trajectory_selection == "bbox":
-            for loc, delta in sorted(perturbation.increases()):
-                report.merge(
-                    self._insert_with_bbox_pruning(editables, loc, delta)
-                )
-            return
         containing = containing_map(editables)
         for loc, delta in sorted(perturbation.increases()):
             report.merge(
@@ -424,7 +370,7 @@ class InterTrajectoryModifier:
         """Drive the planner/executor pair over the TF schedule."""
         from repro.core.waves import WaveExecutor, WavePlanner
 
-        planner = WavePlanner(shared_index, editables, strategy=self.strategy)
+        planner = WavePlanner(shared_index, editables)
         executor = WaveExecutor(shared_index, editables)
         for kind, pending in perturbation.schedule():
             while pending:
@@ -464,46 +410,3 @@ class InterTrajectoryModifier:
         return apply_increase_selection(
             shared_index, editables, loc, delta, list(chosen.items())
         )
-
-    def _insert_with_bbox_pruning(
-        self,
-        editables: dict[str, EditableTrajectory],
-        loc: LocationKey,
-        delta: int,
-    ) -> ModificationReport:
-        """TF increase via bounding-box pruning (paper's future work).
-
-        Trajectories are visited in ascending MINdist(loc, bbox) order;
-        exact nearest-segment costs are only computed until the next
-        bound cannot beat the current Δl-th best cost (the Theorem 4
-        argument lifted from cells to trajectories).
-        """
-        report = ModificationReport()
-        candidates = sorted(
-            (
-                (editable.min_possible_insertion_cost(loc), object_id)
-                for object_id, editable in editables.items()
-                if not editable.contains(loc)
-            ),
-        )
-        if not candidates:
-            report.unrealised += delta
-            return report
-
-        best: list[tuple[float, str, int]] = []  # (exact cost, owner, sid)
-        for bound, object_id in candidates:
-            if len(best) >= delta and bound > best[-1][0]:
-                break  # no remaining trajectory can beat the worst kept
-            sid, cost = editables[object_id].nearest_own_segment(loc)
-            if sid is None:
-                continue
-            best.append((cost, object_id, sid))
-            best.sort()
-            del best[delta:]
-
-        for _, owner, sid in best:
-            outcome = editables[owner].insert_into_segment(loc, sid)
-            report.utility_loss += outcome.utility_loss
-            report.insertions += 1
-        report.unrealised += delta - len(best)
-        return report

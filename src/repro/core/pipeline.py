@@ -57,12 +57,14 @@ def local_stream_seed(base_seed: int, object_id: str) -> int:
     return derive_seed(base_seed, "local", object_id)
 
 
-def check_epsilon(name: str, value: float) -> None:
+def check_epsilon(name: str, value: float, shares: int = 1) -> None:
     """Reject a privacy budget no Laplace mechanism can honour.
 
     ``name`` is the parameter as the caller spelled it, so :class:`GL`,
     :class:`PureG` and :class:`PureL` report their own ``epsilon``, not
-    the per-stage share they derive from it.
+    the per-stage share they derive from it. ``shares`` is how many
+    even parts the caller splits ``value`` into (two for :class:`GL`);
+    each part's Laplace scale, ``shares / value``, must be finite.
     """
     if math.isnan(value) or value < 0:
         raise ValueError(
@@ -72,6 +74,13 @@ def check_epsilon(name: str, value: float) -> None:
         raise ValueError(
             f"{name}=0 is a zero privacy budget, which a Laplace "
             f"mechanism cannot honour"
+        )
+    if math.isinf(value):
+        raise ValueError(f"{name} must be a finite privacy budget, got {value:g}")
+    if math.isinf(shares / value):
+        raise ValueError(
+            f"{name}={value:g} is too small: its Laplace scale "
+            f"{shares}/{name} overflows to infinity"
         )
 
 
@@ -179,22 +188,12 @@ class FrequencyAnonymizer:
     signature_size:
         ``m`` — how many signature locations are extracted per
         trajectory. The local mechanism perturbs ``2m`` locations.
-    search_strategy:
-        The global stage's hierarchical grid kNN strategy, one of
-        :data:`repro.index.hierarchical.STRATEGIES`; any other name is
-        refused. Only ``candidate_source="wave"`` reads it: the
-        default loop searches with ``iter_nearest``, which takes no
-        strategy (fig5's kNN panel passes its strategies to ``knn``
-        directly). Never changes output bytes.
     candidate_source:
         How the global stage finds candidate trajectories:
         ``"incremental"`` (default — the per-location lazy frontier) or
         ``"wave"`` (the planner/executor path, byte-identical to the
         serial loop and slower; opt-in). See
         :class:`~repro.core.modification.InterTrajectoryModifier`.
-    global_first:
-        GL composition order. The paper notes the ordering is
-        exchangeable; the default applies global then local.
     seed:
         RNG seed for reproducible noise; ``None`` draws fresh entropy.
         Repeated :meth:`anonymize` calls on one seeded instance draw
@@ -209,10 +208,7 @@ class FrequencyAnonymizer:
         epsilon_global: float | None = 0.5,
         epsilon_local: float | None = 0.5,
         signature_size: int = 10,
-        search_strategy: str = "bottom_up_down",
-        trajectory_selection: str = "index",
         candidate_source: str = "incremental",
-        global_first: bool = True,
         seed: int | None = None,
     ) -> None:
         for name, value in (
@@ -233,18 +229,11 @@ class FrequencyAnonymizer:
         self.epsilon_global = 0.0 if epsilon_global is None else float(epsilon_global)
         self.epsilon_local = 0.0 if epsilon_local is None else float(epsilon_local)
         self.signature_size = signature_size
-        self.search_strategy = search_strategy
-        self.trajectory_selection = trajectory_selection
         self.candidate_source = candidate_source
-        self.global_first = global_first
         self.seed = seed
         self.extractor = SignatureExtractor(m=signature_size)
         self._intra = IntraTrajectoryModifier()
-        self._inter = InterTrajectoryModifier(
-            strategy=search_strategy,
-            trajectory_selection=trajectory_selection,
-            candidate_source=candidate_source,
-        )
+        self._inter = InterTrajectoryModifier(candidate_source=candidate_source)
         # Disabled means None (the constructor rejects explicit zeros
         # above), so the stage toggles key off the original arguments,
         # never off the float's truthiness.
@@ -275,10 +264,7 @@ class FrequencyAnonymizer:
             "epsilon_global": None if self._global is None else self.epsilon_global,
             "epsilon_local": None if self._local is None else self.epsilon_local,
             "signature_size": self.signature_size,
-            "search_strategy": self.search_strategy,
-            "trajectory_selection": self.trajectory_selection,
             "candidate_source": self.candidate_source,
-            "global_first": self.global_first,
             "seed": self.seed,
         }
 
@@ -381,27 +367,17 @@ class FrequencyAnonymizer:
             spec=self.spec(),
         )
 
-        stages = ["global", "local"] if self.global_first else ["local", "global"]
+        # Global before local: StreamPublisher draws its shared TF over
+        # the raw stream, which is what this stage would perturb.
         current = dataset
-        for stage in stages:
-            if stage == "global" and (
-                self._global is not None or tf_target is not None
-            ):
-                current = self._run_global(
-                    current,
-                    base_seed,
-                    report,
-                    tf_target=tf_target,
-                    scope=scope,
-                )
-            elif stage == "local" and self._local is not None:
-                current = self._run_local(
-                    current,
-                    base_seed,
-                    report,
-                    local_runner,
-                    scope=scope,
-                )
+        if self._global is not None or tf_target is not None:
+            current = self._run_global(
+                current, base_seed, report, tf_target=tf_target, scope=scope
+            )
+        if self._local is not None:
+            current = self._run_local(
+                current, base_seed, report, local_runner, scope=scope
+            )
         return current, report
 
     def _run_global(
@@ -498,7 +474,7 @@ class GL(FrequencyAnonymizer):
     """The full model: global + local, ε split evenly (paper default)."""
 
     def __init__(self, epsilon: float = 1.0, **kwargs) -> None:
-        check_epsilon("epsilon", epsilon)
+        check_epsilon("epsilon", epsilon, shares=2)
         super().__init__(
             epsilon_global=epsilon / 2.0, epsilon_local=epsilon / 2.0, **kwargs
         )

@@ -57,7 +57,7 @@ implementations order equal distances by ascending sid.
 The simulations inside one planning round run against one static
 snapshot, so one batched vectorised kNN pass (``knn_batch`` — per-cell
 ``SegmentArray`` batches built once per chunk) answers almost every
-selection; a tie-boundary case rescans with ``search_knn`` at four
+selection; a tie-boundary case rescans with ``knn`` at four
 times the ``k``, until the answer is prefix-exact or ``k`` covers the
 whole index. Planning runs in-process, on the thread that drives the
 stage.
@@ -138,7 +138,7 @@ class WaveStats:
     #: Cached speculative simulations invalidated by executed waves.
     discarded: int = 0
     #: Rescans of batched-kNN simulations that hit a tie/window
-    #: boundary: each re-runs ``search_knn`` with ``k`` quadrupled.
+    #: boundary: each re-runs ``knn`` with ``k`` quadrupled.
     fallbacks: int = 0
 
     @property
@@ -220,9 +220,6 @@ class WavePlanner:
     ----------
     shared_index, editables:
         The live global-stage state (never mutated by the planner).
-    strategy:
-        Hierarchical-grid search strategy for the batched kNN
-        simulations (matches the modifier's configured strategy).
     chunk_size:
         How many pending locations are simulated speculatively per
         admission round. Larger chunks amortise the batched index
@@ -235,14 +232,12 @@ class WavePlanner:
         self,
         shared_index: "SegmentIndex",
         editables: dict[str, "EditableTrajectory"],
-        strategy: str = "bottom_up_down",
         chunk_size: int = 32,
     ) -> None:
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
         self.shared_index = shared_index
         self.editables = editables
-        self.strategy = strategy
         self.chunk_size = chunk_size
         self.stats = WaveStats()
         #: Simulations not admitted into the wave they were computed
@@ -343,8 +338,6 @@ class WavePlanner:
         self.stats.simulations += len(chunk)
         if kind == "decrease":
             return [self._simulate_decrease(op) for op in chunk]
-        from repro.core.modification import search_knn_batch
-
         # One batched vectorised kNN pass answers (almost) every
         # simulation in the chunk: the chunk shares one static
         # snapshot, so per-cell segment batches are built once and the
@@ -352,9 +345,7 @@ class WavePlanner:
         # whose answer cannot be proven prefix-exact from the k hits
         # rescan with a larger k inside :meth:`_simulate_increase`.
         k = max(16, 4 * max(delta for _, delta in chunk))
-        hit_lists = search_knn_batch(
-            self.shared_index, [loc for loc, _ in chunk], k, self.strategy
-        )
+        hit_lists = self.shared_index.knn_batch([loc for loc, _ in chunk], k)
         return [
             self._simulate_increase(op, hits, k)
             for op, hits in zip(chunk, hit_lists, strict=True)
@@ -405,7 +396,7 @@ class WavePlanner:
         scanned-prefix evidence, and the stopping radius are provably
         identical to the serial reference. Only the rare boundary
         cases (stop at the k-th distance, or more than k hits needed)
-        rescan, with ``search_knn`` at four times the ``k``.
+        rescan, with ``knn`` at four times the ``k``.
         """
         loc, delta = op
         # Owners already passing through the location are ineligible;
@@ -432,11 +423,9 @@ class WavePlanner:
             # window too small: rescan wider. The rescan terminates —
             # once k covers the whole index the scan is exhaustive and
             # always prefix-exact.
-            from repro.core.modification import search_knn
-
             self.stats.fallbacks += 1
             k *= 4
-            hits = search_knn(self.shared_index, loc, k, self.strategy)
+            hits = self.shared_index.knn(loc, k)
 
     def _select_from_hits(
         self,

@@ -49,6 +49,12 @@ if TYPE_CHECKING:  # engine sits below repro.api; runtime imports are lazy
 #: "When the local stage forks" in docs/architecture.md).
 MIN_POINTS_PER_WORKER = 4000
 
+#: A sharded local stage splits the dataset into ``workers *
+#: SHARDS_PER_WORKER`` contiguous slices: a few per worker smooths out
+#: uneven trajectory lengths without drowning the pool in pickling
+#: overhead. Output bytes do not depend on it.
+SHARDS_PER_WORKER = 4
+
 
 @dataclass(frozen=True, slots=True)
 class _LocalShard:
@@ -131,10 +137,6 @@ class BatchAnonymizer:
     executor:
         ``"process"`` (default), ``"thread"``, or ``"serial"`` — see
         :mod:`repro.engine.pool`.
-    shards_per_worker:
-        Shards are contiguous dataset slices; a few shards per worker
-        smooths out uneven trajectory lengths without drowning the pool
-        in pickling overhead.
 
     :meth:`close` (or leaving the engine's ``with`` block) is terminal:
     a closed engine raises ``RuntimeError`` on further use (long-lived
@@ -147,18 +149,14 @@ class BatchAnonymizer:
         anonymizer: FrequencyAnonymizer,
         workers: int | None = None,
         executor: str = "process",
-        shards_per_worker: int = 4,
     ) -> None:
         if executor not in EXECUTOR_KINDS:
             raise ValueError(
                 f"unknown executor {executor!r}; choose from {EXECUTOR_KINDS}"
             )
-        if shards_per_worker < 1:
-            raise ValueError("shards_per_worker must be at least 1")
         self.anonymizer = anonymizer
         self.workers = resolve_workers(workers)
         self.executor = executor
-        self.shards_per_worker = shards_per_worker
         self._closed = False
 
     # -- lifecycle --------------------------------------------------------------
@@ -257,43 +255,6 @@ class BatchAnonymizer:
             executor=self.executor,
         )
 
-    def publish(
-        self,
-        chunks,
-        sink=None,
-        *,
-        byte_sink=None,
-        publish_workers: int | None = 1,
-        publish_executor: str = "process",
-        spill_dir=None,
-        window: int | None = None,
-        apportionment: str = "balanced",
-    ):
-        """Publish a chunked stream as **one** ε-DP release.
-
-        Convenience front for
-        :class:`~repro.engine.publish.StreamPublisher` wrapping this
-        engine: the in-process realisation path reuses this engine's
-        local-stage sharding, while ``publish_workers > 1``
-        fans spilled chunks over a separate pass-2 pool (chunks are
-        then realised by worker-side rebuilt pipelines; output stays
-        byte-identical either way). See ``StreamPublisher`` for the
-        knobs; returns the merged
-        :class:`~repro.engine.publish.PublishReport`.
-        """
-        self._ensure_open()
-        from repro.engine.publish import StreamPublisher  # lazy: cycle
-
-        with StreamPublisher(
-            self,
-            workers=publish_workers,
-            executor=publish_executor,
-            spill_dir=spill_dir,
-            window=window,
-            apportionment=apportionment,
-        ) as publisher:
-            return publisher.publish(chunks, sink=sink, byte_sink=byte_sink)
-
     def anonymize_many(
         self, datasets: Iterable[TrajectoryDataset]
     ) -> list[tuple[TrajectoryDataset, AnonymizationReport]]:
@@ -319,7 +280,7 @@ class BatchAnonymizer:
     ) -> list[LocalResult]:
         trajectories = list(dataset)
         shard_count = max(
-            1, min(len(trajectories), self.workers * self.shards_per_worker)
+            1, min(len(trajectories), self.workers * SHARDS_PER_WORKER)
         )
         if (
             shard_count == 1

@@ -18,10 +18,10 @@ protocol that publishes one consistent ε-DP release of the entire
   invocation.
 * **Pass 2 — realise.**  Apportion each location's shared TF delta
   across the chunks (balanced by default — see :meth:`chunk_targets`),
-  replay each chunk from its spill, and anonymize it via the existing
-  wave pipeline with its apportioned target injected (``tf_target``) —
-  pure modification, no fresh TF draw.  The local PF stage runs per
-  chunk as usual.
+  replay each chunk from its spill, and realise its apportioned target
+  (``tf_target``) through the pipeline's global stage — pure
+  modification, no fresh TF draw.  The local PF stage runs per chunk
+  as usual.
 
 The two passes are **pipelined**: pass-2 jobs dispatch through
 :func:`~repro.engine.pool.parallel_map_stream`, so with
@@ -414,16 +414,6 @@ class StreamPublisher:
             )
         if window is not None and window < 1:
             raise ValueError(f"window must be at least 1, got {window}")
-        if self.anonymizer._global is not None and not self.anonymizer.global_first:
-            # The shared TF is estimated over the *raw* stream; with
-            # local-first ordering the pipeline would perturb the TF of
-            # the locally-modified data instead, so the two would
-            # silently diverge (and single-chunk byte-identity fail).
-            raise ValueError(
-                "StreamPublisher requires global_first=True when the "
-                "global mechanism is enabled: the shared TF estimate is "
-                "drawn over the raw stream"
-            )
         self.workers = resolve_workers(workers)
         self.executor = executor
         self.spill_dir = spill_dir

@@ -15,9 +15,9 @@ strategy (the paper reports global at 90 %+ of total time).
 Global-stage panel — the two candidate sources of the
 inter-trajectory modification (``incremental`` — the serial loop over
 the lazy frontier, ``wave`` — the wave-planned planner/executor path),
-crossed with the three hierarchical search strategies, all timed on
-real PureG runs. The two sources are byte-identical, so the comparison
-isolates pure search/scheduling cost.
+one row each, timed on real PureG runs. The two sources are
+byte-identical, so the comparison isolates pure search/scheduling
+cost.
 
 Invoke with::
 
@@ -61,8 +61,8 @@ SMOKE_SIZES = (10, 20)
 #: Candidate sources of the global stage, the default first.
 CANDIDATE_SOURCES = ("incremental", "wave")
 
-#: Hierarchical strategies crossed with the candidate sources in the
-#: global-stage panel, keyed by the paper's labels.
+#: The hierarchical grid's search strategies of the left panel, keyed
+#: by the paper's labels.
 HIERARCHICAL_STRATEGIES = (
     ("HGt", "top_down"),
     ("HGb", "bottom_up"),
@@ -150,11 +150,7 @@ def search_timings(
         timings["UG"].append(time_batch(lambda q: uniform.knn(q, k)))
         work["UG"].append(-1)  # UG does not track per-query counters
 
-        for label, strategy in (
-            ("HGt", "top_down"),
-            ("HGb", "bottom_up"),
-            ("HG+", "bottom_up_down"),
-        ):
+        for label, strategy in HIERARCHICAL_STRATEGIES:
             checked = 0
 
             def probe(q, _strategy=strategy):
@@ -202,34 +198,19 @@ def modification_timings(
 def global_stage_timings(
     config: ExperimentConfig, sizes: tuple[int, ...]
 ) -> dict[str, list[float]]:
-    """Global-stage panel: candidate source x search strategy.
+    """Global-stage panel: one row per candidate source.
 
-    Rows are ``"<source>/<strategy>"`` (e.g. ``"wave/HG+"``); each cell
-    is the wall-clock of a full PureG run. For the same seed, wave and
-    incremental rows are byte-identical, keeping the comparison honest
-    across every strategy at once.
+    Each cell is the wall-clock of a full PureG run. For the same seed,
+    the wave and incremental rows are byte-identical, keeping the
+    comparison honest.
     """
     half = config.model_params(config.epsilon / 2)
-    timings: dict[str, list[float]] = {
-        f"{source}/{label}": []
-        for source in CANDIDATE_SOURCES
-        for label, _ in HIERARCHICAL_STRATEGIES
-    }
+    timings: dict[str, list[float]] = {source: [] for source in CANDIDATE_SOURCES}
     for size in sizes:
         dataset = _dataset_for_size(config, size)
         for source in CANDIDATE_SOURCES:
-            for label, strategy in HIERARCHICAL_STRATEGIES:
-                spec = MethodSpec(
-                    "pureg",
-                    {
-                        **half,
-                        "search_strategy": strategy,
-                        "candidate_source": source,
-                    },
-                )
-                timings[f"{source}/{label}"].append(
-                    run_spec(spec, dataset).seconds
-                )
+            spec = MethodSpec("pureg", {**half, "candidate_source": source})
+            timings[source].append(run_spec(spec, dataset).seconds)
     return timings
 
 
@@ -286,16 +267,14 @@ def format_timings(
     )
     if "global" in results:
         lines.append("")
-        lines.append(
-            "[global stage (s): candidate source x strategy vs dataset size]"
-        )
+        lines.append("[global stage (s): candidate source vs dataset size]")
         lines.append(
             f"{'source':<16s}" + "".join(f"{s:>10d}" for s in sizes)
         )
         for name, values in results["global"].items():
             lines.append(f"{name:<16s}" + "".join(f"{v:10.4f}" for v in values))
-        reference = results["global"].get("incremental/HG+")
-        waved = results["global"].get("wave/HG+")
+        reference = results["global"].get("incremental")
+        waved = results["global"].get("wave")
         if reference and waved:
             speedups = [
                 r / w if w > 0 else float("inf")

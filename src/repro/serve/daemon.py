@@ -39,6 +39,7 @@ from pathlib import Path
 from urllib.parse import urlparse
 
 from repro.data.registry import DatasetRegistry
+from repro.engine.pool import resolve_workers
 from repro.serve.budget import (
     AccountError,
     BudgetExceededError,
@@ -92,7 +93,6 @@ class ServeConfig:
     #: Batch-engine knobs applied to every warm frequency engine.
     engine_workers: int | None = None
     engine_executor: str = "process"
-    shards_per_worker: int = 4
     #: Pass-2 fan-out for streaming-publish jobs (``0`` = per core;
     #: ``1`` realises spilled chunks in-process). Spills stage under
     #: the spool, one directory per job, cleaned with the publish.
@@ -100,6 +100,15 @@ class ServeConfig:
     #: ``(tenant, budget)`` pairs declared at boot.
     tenants: tuple = field(default_factory=tuple)
     registry_root: str | Path | None = None
+
+    def __post_init__(self) -> None:
+        # Every job resolves these pool sizes again; refusing a bad one
+        # here fails the boot instead of every job the daemon accepts.
+        for name in ("engine_workers", "publish_workers"):
+            try:
+                resolve_workers(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
 
 
 class Daemon:
@@ -116,7 +125,6 @@ class Daemon:
         self.engines = EngineCache(
             workers=self.config.engine_workers,
             executor=self.config.engine_executor,
-            shards_per_worker=self.config.shards_per_worker,
         )
         registry = None
         if self.config.registry_root is not None:

@@ -33,7 +33,7 @@ __all__ = ["EngineCache"]
 class EngineCache:
     """``spec.digest -> anonymizer`` map with a close lifecycle.
 
-    Parameters mirror the batch engine's sharding knobs; they apply to
+    Parameters mirror the batch engine's pool knobs; they apply to
     every frequency-family engine the cache builds. An entry keeps the
     built engine, not worker processes.
     """
@@ -42,11 +42,9 @@ class EngineCache:
         self,
         workers: int | None = None,
         executor: str = "process",
-        shards_per_worker: int = 4,
     ) -> None:
         self.workers = workers
         self.executor = executor
-        self.shards_per_worker = shards_per_worker
         self._engines: dict[str, object] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -67,10 +65,7 @@ class EngineCache:
                 anonymizer = build(spec)
                 if isinstance(anonymizer, FrequencyAnonymizer):
                     engine = BatchAnonymizer(
-                        anonymizer,
-                        workers=self.workers,
-                        executor=self.executor,
-                        shards_per_worker=self.shards_per_worker,
+                        anonymizer, workers=self.workers, executor=self.executor
                     )
                 else:
                     engine = anonymizer

@@ -29,7 +29,7 @@ class TestSnapshot:
 
     def test_surface_covers_public_modules(self, check_api):
         surface = check_api.build_surface()
-        assert set(surface) == set(check_api.PUBLIC_MODULES)
+        assert set(surface) == {*check_api.PUBLIC_MODULES, check_api.METHODS_SECTION}
         assert "MethodSpec" in surface["repro.api"]
         assert "BatchAnonymizer" in surface["repro.engine"]
         assert "DatasetRegistry" in surface["repro.data"]
@@ -57,6 +57,34 @@ class TestDiff:
         actual["repro.api"]["run"] = "function(everything_changed)"
         problems = check_api.diff_surfaces(expected, actual)
         assert any("repro.api.run" in p for p in problems)
+
+    def test_method_signature_change_detected(self, check_api):
+        """A built-in method's --param contract is snapshotted too, so
+        dropping or adding a parameter is reported."""
+        actual = check_api.build_surface()
+        expected = copy.deepcopy(actual)
+        assert "candidate_source" in actual["methods"]["gl"]
+        actual["methods"]["gl"] = "function(epsilon: 'float' = 1.0)"
+        problems = check_api.diff_surfaces(expected, actual)
+        assert problems == [
+            f"methods.gl: {expected['methods']['gl']!r} -> "
+            f"\"function(epsilon: 'float' = 1.0)\""
+        ]
+
+    def test_plugin_methods_stay_out_of_the_snapshot(self, check_api, monkeypatch):
+        from repro.api import registry
+
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "plugged",
+            registry.MethodInfo(
+                kind="plugged", factory=lambda k=1: None, summary="",
+                family="plugin", source="plugin:pkg:factory",
+            ),
+        )
+        assert "plugged" in registry.method_names()
+        assert "plugged" not in check_api.build_methods()
+        assert "gl" in check_api.build_methods()
 
     def test_undeclared_addition_detected(self, check_api):
         actual = check_api.build_surface()

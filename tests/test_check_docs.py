@@ -99,7 +99,7 @@ class TestCheckCommand:
         for tokens in (
             ["repro", "anonymize", "--param", "candidate_source=wave"],
             ["repro", "anonymize", "--model", "pureg", "--param",
-             "trajectory_selection=bbox"],
+             "signature_size=4"],
             ["repro", "publish", "--method", "rsc", "--param", "radius=500"],
             # --method wins over --model.
             ["repro", "anonymize", "--model", "gl", "--method", "w4m",

@@ -259,8 +259,76 @@ class TestErrorBoundary:
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("repro anonymize: unknown search strategy 'foo'")
+        assert err.startswith("repro anonymize: invalid parameters for method 'gl'")
+        assert "'search_strategy'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["anonymize", "publish"])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "search_strategy=top_down",
+            "trajectory_selection=index",
+            "global_first=true",
+        ],
+    )
+    def test_retired_setting_is_refused(
+        self, fleet_csv, tmp_path, capsys, command, setting
+    ):
+        out = tmp_path / "x.csv"
+        code = main(
+            [command, "-i", str(fleet_csv), "-o", str(out), "--param", setting]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"repro {command}: invalid parameters for method 'gl'")
+        assert repr(setting.partition("=")[0]) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["anonymize", "publish"])
+    def test_retired_strategy_flag_is_refused(
+        self, fleet_csv, tmp_path, capsys, command
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "-i", str(fleet_csv), "-o", str(tmp_path / "x.csv"),
+                  "--strategy", "top_down"])
+        err = capsys.readouterr().err
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --strategy top_down" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["anonymize", "publish"])
+    @pytest.mark.parametrize("model", ["gl", "pureg"])
+    @pytest.mark.parametrize("epsilon", ["inf", "1e-320"])
+    def test_epsilon_without_finite_laplace_scale_is_refused(
+        self, fleet_csv, tmp_path, capsys, command, model, epsilon
+    ):
+        out = tmp_path / "x.csv"
+        code = main(
+            [command, "-i", str(fleet_csv), "-o", str(out), "--model", model,
+             "--epsilon", epsilon, "--seed", "1"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"repro {command}: epsilon")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--workers", "--publish-workers"])
+    def test_negative_serve_pool_is_refused_at_boot(
+        self, tmp_path, capsys, flag
+    ):
+        code = main(
+            ["serve", "--budget-root", str(tmp_path / "budgets"),
+             "--spool", str(tmp_path / "spool"), "--port", "0", flag, "-1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "serving on" not in captured.out
+        assert captured.err.startswith("repro serve: ")
+        assert "must be non-negative, got -1" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "ledger",

@@ -244,15 +244,15 @@ class TestBatchAnonymizer:
         )
         assert coords_of(engine.anonymize(fleet.dataset)) == coords_of(serial)
 
-    def test_shard_count_independent(self, fleet, always_shard):
+    def test_shard_count_independent(self, fleet, always_shard, monkeypatch):
         """Output must not depend on how the dataset is sliced."""
         results = []
-        for shards_per_worker in (1, 2, 7):
+        for shards in (1, 2, 7):
+            monkeypatch.setattr(batch_module, "SHARDS_PER_WORKER", shards)
             engine = BatchAnonymizer(
                 PureL(epsilon=0.5, signature_size=3, seed=24),
                 workers=2,
                 executor="thread",
-                shards_per_worker=shards_per_worker,
             )
             results.append(coords_of(engine.anonymize(fleet.dataset)))
         assert results[0] == results[1] == results[2]
@@ -285,8 +285,6 @@ class TestBatchAnonymizer:
     def test_rejects_bad_configuration(self, fleet):
         with pytest.raises(ValueError):
             BatchAnonymizer(GL(epsilon=1.0, seed=0), executor="gpu")
-        with pytest.raises(ValueError):
-            BatchAnonymizer(GL(epsilon=1.0, seed=0), shards_per_worker=0)
 
     def test_no_runner_state_left_on_wrapped_anonymizer(self, fleet):
         """The sharding hook travels as a per-call argument, never as
@@ -300,7 +298,7 @@ class TestBatchAnonymizer:
         from repro.core.pipeline import FrequencyAnonymizer
 
         original = GL(
-            epsilon=2.0, signature_size=4, search_strategy="top_down", seed=5
+            epsilon=2.0, signature_size=4, candidate_source="wave", seed=5
         )
         rebuilt = FrequencyAnonymizer(**original.config())
         assert rebuilt.epsilon == pytest.approx(original.epsilon)

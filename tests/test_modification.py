@@ -15,10 +15,8 @@ from repro.core.modification import (
     IntraTrajectoryModifier,
     index_extent,
     nearest_live_segment_of_owner,
-    search_knn,
 )
 from repro.index.hierarchical import HierarchicalGridIndex
-from repro.index.linear import LinearSegmentIndex
 from repro.geo.geometry import BBox
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
@@ -43,24 +41,6 @@ def pf_perturbation(object_id, original, perturbed):
 def hierarchical(levels):
     """An ``index_factory`` building a ``levels``-level grid."""
     return lambda extent: HierarchicalGridIndex(extent, levels=levels)
-
-
-#: The two indexes the global stage can search, by ``index_factory``.
-INDEX_FACTORIES = {
-    "linear": lambda extent: LinearSegmentIndex(),
-    "hierarchical": hierarchical(7),
-}
-
-
-class TestSearchKnn:
-    def test_search_knn_dispatch(self):
-        box = BBox(0, 0, 100, 100)
-        hier = HierarchicalGridIndex(box, levels=4)
-        hier.insert((0, 0), (10, 0))
-        assert search_knn(hier, (5, 5), 1, "bottom_up_down")
-        linear = LinearSegmentIndex()
-        linear.insert((0, 0), (10, 0))
-        assert search_knn(linear, (5, 5), 1, "bottom_up_down")
 
 
 class TestIntraTrajectoryModifier:
@@ -347,7 +327,8 @@ class TestInterTrajectoryModifierEdgeCases:
             InterTrajectoryModifier(candidate_source="oracle")
 
     def test_rejects_unknown_strategy(self):
-        with pytest.raises(ValueError, match="search strategy 'foo'"):
+        """The modifier takes no search strategy any more."""
+        with pytest.raises(TypeError, match="'strategy'"):
             InterTrajectoryModifier(strategy="foo")
 
     def test_default_index_is_the_paper_grid(self):
@@ -357,91 +338,11 @@ class TestInterTrajectoryModifierEdgeCases:
         assert isinstance(index, HierarchicalGridIndex)
         assert index.levels == 10
 
-    @pytest.mark.parametrize("backend", sorted(INDEX_FACTORIES))
-    @pytest.mark.parametrize("seed", range(3))
-    def test_index_and_bbox_selection_agree_on_fleet(self, seed, backend):
-        """Same cost-minimal selection on generator-produced data.
-
-        The bbox selection never reads the shared index, so it is an
-        independent reference for the index-driven loop on every
-        backend that realises the TF target.
-        """
-        from repro.datagen.generator import FleetConfig, generate_fleet
-
-        fleet = generate_fleet(
-            FleetConfig(
-                n_objects=10, points_per_trajectory=40, rows=8, cols=8,
-                seed=seed,
-            )
-        )
-        loc = (1.0, 1.0)
-        perturbation = TFPerturbation(
-            original={loc: 0}, perturbed={loc: 3}, epsilon=1.0
-        )
-        losses = {}
-        for selection in ("index", "bbox"):
-            modifier = InterTrajectoryModifier(
-                INDEX_FACTORIES[backend],
-                trajectory_selection=selection,
-            )
-            modified, report = modifier.apply(fleet.dataset, perturbation)
-            assert modified.trajectory_frequencies()[loc] == 3, selection
-            losses[selection] = report.utility_loss
-        assert losses["index"] == pytest.approx(losses["bbox"], rel=1e-6)
-
 
 class TestBBoxPrunedSelection:
-    """The paper's future-work optimisation must match the index path."""
-
-    def make_dataset(self, seed=0):
-        import random
-
-        rng = random.Random(seed)
-        trajectories = []
-        for i in range(12):
-            cx = rng.uniform(0, 5000)
-            cy = rng.uniform(0, 5000)
-            coords = [
-                (cx + rng.uniform(-400, 400), cy + rng.uniform(-400, 400))
-                for _ in range(8)
-            ]
-            trajectories.append(traj(f"t{i}", coords))
-        return TrajectoryDataset(trajectories)
-
-    def make(self, selection):
-        return InterTrajectoryModifier(
-            hierarchical(7), trajectory_selection=selection
-        )
+    """The bounding-box selection (the paper's future work) is retired:
+    TF increases always scan the shared index."""
 
     def test_rejects_unknown_selection(self):
-        with pytest.raises(ValueError):
-            InterTrajectoryModifier(trajectory_selection="oracle")
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_bbox_matches_index_selection_cost(self, seed):
-        """Both selection strategies realise the same minimum total
-        insertion cost (selected trajectories may differ on ties)."""
-        loc = (2500.0, 2500.0)
-        perturbation = TFPerturbation(
-            original={loc: 0}, perturbed={loc: 3}, epsilon=1.0
-        )
-        results = {}
-        for selection in ("index", "bbox"):
-            dataset = self.make_dataset(seed)
-            modified, report = self.make(selection).apply(dataset, perturbation)
-            tf = modified.trajectory_frequencies()
-            assert tf[loc] == 3, selection
-            results[selection] = report.utility_loss
-        assert results["bbox"] == pytest.approx(results["index"], rel=1e-6)
-
-    def test_bbox_decreases_work_for_clustered_data(self):
-        """With most trajectories far away, the pruning path evaluates
-        only a handful of exact nearest-segment scans."""
-        dataset = self.make_dataset(3)
-        loc = (0.0, 0.0)
-        perturbation = TFPerturbation(
-            original={loc: 0}, perturbed={loc: 2}, epsilon=1.0
-        )
-        modified, report = self.make("bbox").apply(dataset, perturbation)
-        assert modified.trajectory_frequencies()[loc] == 2
-        assert report.unrealised == 0
+        with pytest.raises(TypeError, match="'trajectory_selection'"):
+            InterTrajectoryModifier(trajectory_selection="bbox")

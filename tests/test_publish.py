@@ -171,17 +171,11 @@ class TestGuardsAndReports:
             StreamPublisher(object())
 
     def test_rejects_local_first_ordering(self):
-        """The shared TF is estimated over the raw stream; a
-        local-first pipeline would perturb post-modification TF and
-        silently diverge."""
-        with pytest.raises(ValueError, match="global_first"):
-            StreamPublisher(
-                GL(epsilon=1.0, signature_size=3, seed=9, global_first=False)
-            )
-        # Without a global mechanism the ordering is moot.
-        StreamPublisher(
-            PureL(epsilon=0.5, signature_size=3, seed=9, global_first=False)
-        )
+        """The shared TF is estimated over the raw stream, so the
+        pipeline must run its global stage first: no setting can build
+        a local-first pipeline for the publisher."""
+        with pytest.raises(TypeError, match="'global_first'"):
+            GL(epsilon=1.0, signature_size=3, seed=9, global_first=False)
 
     def test_repeated_publishes_draw_fresh_noise(self, fleet):
         publisher = StreamPublisher(GL(epsilon=1.0, signature_size=3, seed=9))

@@ -330,6 +330,29 @@ class TestJobLifecycle:
         )
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"search_strategy": "top_down"},
+            {"trajectory_selection": "index"},
+            {"global_first": True},
+        ],
+        ids=lambda setting: next(iter(setting)),
+    )
+    def test_retired_setting_refused_400_without_a_charge(
+        self, client, dataset_csv, setting
+    ):
+        spec = {"kind": "gl", "params": {**GL_SPEC["params"], **setting}}
+        status, body = client.post(
+            "/v1/jobs",
+            {"tenant": "acme", "dataset": str(dataset_csv), "spec": spec},
+        )
+        assert status == 400
+        assert body["error"] == "bad-request"
+        assert repr(next(iter(setting))) in body["detail"]
+        _, account = client.get("/v1/tenants/acme")
+        assert account["remaining"] == pytest.approx(8.0)
+
     def test_unknown_job_404(self, client):
         assert client.get("/v1/jobs/job-999999")[0] == 404
         assert client.get("/v1/jobs/job-999999/result")[0] == 404

@@ -161,6 +161,21 @@ class TestJobRunner:
             )
         assert store.account("acme").reserved == 0
 
+    @pytest.mark.parametrize("kind", ["gl", "pureg"])
+    @pytest.mark.parametrize("epsilon", [float("inf"), 1e-320])
+    def test_unhonourable_epsilon_refused_before_reserving(
+        self, runner, store, dataset_csv, kind, epsilon
+    ):
+        """An epsilon without a finite Laplace scale would reserve budget
+        and then fail the job; it is refused at submit instead."""
+        with pytest.raises(ValueError, match="^epsilon"):
+            runner.submit(
+                "acme", {"kind": kind, "params": {"epsilon": epsilon}},
+                str(dataset_csv),
+            )
+        assert runner.jobs() == []
+        assert store.account("acme").reserved == 0
+
     def test_missing_dataset_refused_before_reserving(self, runner, store):
         with pytest.raises(FileNotFoundError):
             runner.submit("acme", GL_SPEC, "/nowhere/fleet.csv")

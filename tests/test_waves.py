@@ -11,66 +11,27 @@ so exact distance ties (the classic wave-reordering hazard) are common.
 
 import math
 import random
-from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_cross_backend_bytes import (
+    FACTORIES,
+    churned_factory,
+    lattice_fleet,
+    random_perturbation,
+    report_key,
+    snapshot,
+)
 
 from repro.core.edits import EditableTrajectory
 from repro.core.global_mechanism import TFPerturbation
 from repro.core.modification import InterTrajectoryModifier, index_extent
 from repro.core.waves import WavePlanner, WaveStats, _CreatedGeometry
-from repro.index.hierarchical import HierarchicalGridIndex
 from repro.index.linear import LinearSegmentIndex
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
-#: ``index_factory`` per shared index the global stage can search.
-FACTORIES = {
-    "linear": lambda extent: LinearSegmentIndex(),
-    "hierarchical": lambda extent: HierarchicalGridIndex(extent, levels=5),
-}
 BACKENDS = tuple(FACTORIES)
-
-
-def lattice_fleet(rng: random.Random, n_objects: int, n_points: int):
-    """Trajectories on an integer lattice: distance ties abound."""
-    trajectories = []
-    for i in range(n_objects):
-        points = [
-            Point(float(rng.randrange(8)), float(rng.randrange(8)), float(t))
-            for t in range(rng.randint(2, n_points))
-        ]
-        trajectories.append(Trajectory(f"t{i}", points))
-    return TrajectoryDataset(trajectories)
-
-
-def random_perturbation(rng: random.Random, dataset) -> TFPerturbation:
-    """A TF perturbation over the dataset's own locations."""
-    tf = dataset.trajectory_frequencies()
-    original = {}
-    perturbed = {}
-    for loc in sorted(tf):
-        if rng.random() < 0.6:
-            original[loc] = tf[loc]
-            perturbed[loc] = max(0, tf[loc] + rng.randint(-3, 3))
-    if not original:
-        loc = sorted(tf)[0]
-        original[loc] = tf[loc]
-        perturbed[loc] = tf[loc] + 1
-    elif all(perturbed[loc] == original[loc] for loc in original):
-        # All drawn deltas cancelled to zero (hypothesis found this:
-        # seed 944); force one real change so the planner has work and
-        # the stats assertions below stay meaningful.
-        loc = sorted(original)[0]
-        perturbed[loc] = original[loc] + 1
-    return TFPerturbation(original=original, perturbed=perturbed, epsilon=1.0)
-
-
-def snapshot(dataset) -> list:
-    return [
-        (t.object_id, [(p.x, p.y, p.t) for p in t]) for t in dataset
-    ]
 
 
 def apply_source(dataset, perturbation, backend, source, factory=None):
@@ -81,57 +42,6 @@ def apply_source(dataset, perturbation, backend, source, factory=None):
     copy = TrajectoryDataset([t.copy() for t in dataset])
     out, report = modifier.apply(copy, perturbation)
     return modifier, out, report
-
-
-def churned_factory(backend, dataset, seed):
-    """An index factory whose indexes arrive pre-churned.
-
-    Before handing the index over it registers every dataset segment
-    under a foreign owner, removes a random half, reinserts the same
-    geometry (same cells, new sids), then removes everything, searching
-    around every location between the steps so views are cached. Every
-    search hit must be live (``owner_of`` raises on a dead sid), and
-    the index ends logically empty, so a stale view surfaces either
-    here or as a changed selection in the stage.
-    """
-    base = FACTORIES[backend]
-    pairs = [(a.coord, b.coord) for t in dataset for _, a, b in t.segments()]
-    locations = sorted({p.loc for t in dataset for p in t})
-
-    def search_everywhere(index):
-        for loc in locations:
-            hits = index.knn(loc, 3) + list(islice(index.iter_nearest(loc), 4))
-            for sid, _ in hits:
-                index.owner_of(sid)
-
-    def factory(bbox):
-        rng = random.Random(seed)
-        index = base(bbox)
-        live = {index.insert(a, b, owner="churn"): (a, b) for a, b in pairs}
-        search_everywhere(index)
-        removed = []
-        for sid in rng.sample(sorted(live), len(live) // 2):
-            removed.append(live.pop(sid))
-            index.remove(sid)
-        search_everywhere(index)
-        for a, b in removed:
-            live[index.insert(a, b, owner="churn")] = (a, b)
-        search_everywhere(index)
-        for sid in live:
-            index.remove(sid)
-        assert len(index) == 0
-        return index
-
-    return factory
-
-
-def report_key(report):
-    return (
-        report.utility_loss,
-        report.insertions,
-        report.deletions,
-        report.unrealised,
-    )
 
 
 class TestWaveByteIdentity:

@@ -5,10 +5,11 @@ Builds a description of every ``__all__`` export of the public
 packages (``repro.api``, ``repro.engine``, ``repro.data``, plus the
 top-level ``repro`` namespace) — functions and methods down to their
 full signatures, classes down to their public methods and properties —
-and compares it against the checked-in snapshot
-``tools/api_surface.json``. Any drift (a removed name, a changed
-signature, an undeclared addition) fails with a precise diff, so
-breaking the API is always a *reviewed* decision:
+plus the parameter signature of every built-in registry method (the
+names a ``--param`` or a served spec may use), and compares it against
+the checked-in snapshot ``tools/api_surface.json``. Any drift (a
+removed name, a changed signature, an undeclared addition) fails with
+a precise diff, so breaking the API is always a *reviewed* decision:
 
 Usage::
 
@@ -42,6 +43,11 @@ PUBLIC_MODULES = (
     "repro.bench",
     "repro.serve",
 )
+
+#: Snapshot section mapping each built-in method kind to its factory
+#: signature. Plugins are left out, so an installed one cannot change
+#: the snapshot.
+METHODS_SECTION = "methods"
 
 #: Memory addresses and other run-dependent repr noise to normalize.
 _ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
@@ -79,8 +85,21 @@ def _describe(obj) -> dict | str:
     return f"constant:{type(obj).__name__}"
 
 
+def build_methods() -> dict:
+    """``{kind: signature}`` for every built-in registry method."""
+    from repro.api.registry import method_info, method_names
+
+    methods = (method_info(kind) for kind in method_names())
+    return {
+        info.kind: f"function{_signature_of(info.factory)}"
+        for info in methods
+        if info.source == "builtin"
+    }
+
+
 def build_surface() -> dict:
-    """``{module: {export: description}}`` for the public modules."""
+    """``{module: {export: description}}`` for the public modules, plus
+    the :data:`METHODS_SECTION` of built-in method signatures."""
     surface: dict[str, dict] = {}
     for module_name in PUBLIC_MODULES:
         module = importlib.import_module(module_name)
@@ -96,7 +115,18 @@ def build_surface() -> dict:
                 )
             entry[name] = _describe(getattr(module, name))
         surface[module_name] = entry
+    surface[METHODS_SECTION] = build_methods()
     return surface
+
+
+def coverage(surface: dict) -> str:
+    """What ``surface`` covers, in one line."""
+    methods = len(surface[METHODS_SECTION])
+    exports = sum(len(entry) for entry in surface.values()) - methods
+    return (
+        f"{exports} public exports across {len(surface) - 1} modules, "
+        f"{methods} built-in method signatures"
+    )
 
 
 def diff_surfaces(expected: dict, actual: dict) -> list[str]:
@@ -168,10 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     expected = json.loads(SNAPSHOT.read_text())
     problems = diff_surfaces(expected, surface)
-    exports = sum(len(entry) for entry in surface.values())
-    print(
-        f"checked {exports} public exports across {len(surface)} modules"
-    )
+    print(f"checked {coverage(surface)}")
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)

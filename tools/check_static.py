@@ -116,10 +116,7 @@ def run_api() -> SectionResult:
 
     result = SectionResult("api")
     surface = check_api.build_surface()
-    exports = sum(len(entry) for entry in surface.values())
-    result.summary = (
-        f"{exports} public exports across {len(surface)} modules"
-    )
+    result.summary = check_api.coverage(surface)
     if not check_api.SNAPSHOT.is_file():
         result.problems.append(
             f"{check_api.SNAPSHOT}: missing — run "
