@@ -50,7 +50,7 @@ def tf_perturbation(engine_fleet):
         engine_fleet.dataset
     )
     # the raw draw *is* the workload under measurement; no release here
-    return GlobalTFMechanism(0.5).perturb(  # repro: noqa[DP001]
+    return GlobalTFMechanism(0.5).perturb(
         signature_index.tf, len(engine_fleet.dataset), random.Random(1)
     )
 

@@ -1,53 +1,31 @@
-"""Project-specific static analysis: privacy, determinism, concurrency.
+"""Project-specific static analysis: determinism and lock order.
 
-The repo's load-bearing runtime invariants — every noise draw is
-recorded in the composition ledger, every stage is byte-deterministic
-under a seed, shared engine state is only mutated under locks, budgets
-and resources follow their stateful protocols — are enforced here
-*statically*, as lint rules with stable codes, so violations fail CI
-before any hypothesis test has to catch them:
+Lint rules with stable codes for the bug classes that the behavioural
+tests do not see: seeded output that changes between processes, and a
+lock-order deadlock. Each rule is kept because a mutation audit showed
+it flags a real, visible bug that tier-1 misses (``docs/analysis.md``,
+"Mutation audit"):
 
-========= =====================================================
-DP001     noise drawn outside sanctioned mechanism modules by a
-          scope that never records to the composition ledger
-DET001    global-state RNG call (``random.*`` / legacy
-          ``np.random.*``) instead of a threaded seeded generator
-DET002    wall-clock reads and direct set iteration on committed
-          output paths
-RACE001   unlocked ``self.*``/global writes reachable from
-          thread-pool entry points (call-graph approximation)
-EPS001    epsilon compared with ``== 0``/truthiness instead of
-          ``is None``
-EPS002    epsilon share split via ``split_*``/``apportion``/
-          arithmetic that is dropped, or an undivided source
-          spent again after splitting (flow-sensitive)
-LIFE001   resource with a terminal ``close()`` that misses
-          ``close()``/``__exit__`` on some path — exception
-          paths included — or is used after close
-LEDGER001 ``reserve`` not settled by exactly one
-          ``commit``/``release`` on every path out of a function
-RACE002   two locks acquired in opposite orders on different
-          paths (through the call graph) — potential deadlock
-========= =====================================================
+======= =====================================================
+DET002  wall-clock reads and direct set iteration on committed
+        output paths
+RACE002 two locks acquired in opposite orders on different
+        paths (through the call graph) — potential deadlock
+======= =====================================================
 
-The syntactic rules are single-pass AST pattern checks; the
-flow-sensitive ones (EPS002/LIFE001/LEDGER001/RACE002) run a worklist
-dataflow over per-function CFGs (:mod:`repro.analysis.cfg`,
-:mod:`repro.analysis.dataflow`) with interprocedural summaries from
+DET002 is a single-pass AST pattern check; RACE002 follows
+``name()``/``self.method()`` calls through the lock summaries of
 :mod:`repro.analysis.callgraph`.
 
-Run via ``repro check`` (or ``tools/check_static.py`` in CI); add
-``--format sarif`` for a SARIF 2.1.0 log. Suppress a finding inline
-with ``# repro: noqa[CODE]`` — stale suppressions are reported as
-warnings — or grandfather it with a justified entry in
+Run via ``repro check`` (or ``tools/check_static.py`` in CI). Suppress
+a finding inline with ``# repro: noqa[CODE]`` — stale suppressions are
+reported as warnings — or grandfather it with a justified entry in
 ``tools/analysis_baseline.json``. The rule catalogue with examples
 lives in ``docs/analysis.md``.
 """
 
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.callgraph import FuncKey, FunctionTable, Summaries
-from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.dataflow import Solution, Transfer, fixpoint
 from repro.analysis.findings import Finding
 from repro.analysis.rules import Rule, all_rules, rule, rules_for
 from repro.analysis.runner import (
@@ -65,21 +43,16 @@ __all__ = [
     "AnalysisReport",
     "Baseline",
     "BaselineEntry",
-    "CFG",
     "Finding",
     "FuncKey",
     "FunctionTable",
     "Rule",
-    "Solution",
     "Summaries",
-    "Transfer",
     "UnusedNoqa",
     "all_rules",
     "analyze_paths",
     "analyze_project",
     "analyze_source",
-    "build_cfg",
-    "fixpoint",
     "load_project",
     "rule",
     "rules_for",

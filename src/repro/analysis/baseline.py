@@ -14,9 +14,9 @@ The committed file is ``tools/analysis_baseline.json``::
       "version": 1,
       "entries": [
         {
-          "code": "DET001",
+          "code": "DET002",
           "path": "src/repro/core/pipeline.py",
-          "snippet": "return random.getrandbits(64)",
+          "snippet": "for name in set(names):",
           "reason": "why this is acceptable",
           "count": 1
         }

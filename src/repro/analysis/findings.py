@@ -18,7 +18,7 @@ from dataclasses import dataclass
 class Finding:
     """One rule violation at one source location."""
 
-    #: Stable rule code (``"DP001"``, ``"RACE001"``, ...).
+    #: Stable rule code (``"DET002"``, ``"RACE002"``).
     code: str
     #: Path of the offending file, as reported (normally relative to
     #: the analysis root, POSIX separators).

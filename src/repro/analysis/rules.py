@@ -1,6 +1,6 @@
 """Rule base class and the registry of stable rule codes.
 
-A rule is a named check with a stable code (``DP001`` etc.), a short
+A rule is a named check with a stable code (``DET002`` etc.), a short
 summary, a rationale tied to one of the repo's runtime invariants, and
 a ``check(project)`` that yields :class:`~repro.analysis.findings.Finding`
 objects. Rules register themselves via the :func:`rule` decorator at
@@ -22,9 +22,9 @@ from .visitor import Project
 class Rule:
     """One static check with a stable code."""
 
-    #: Stable identifier, never reused (``DP001``).
+    #: Stable identifier, never reused (``DET002``).
     code: str = ""
-    #: Short human name (``unledgered noise``).
+    #: Short human name (``nondeterminism source``).
     name: str = ""
     #: One-line description of what fires.
     summary: str = ""
@@ -68,7 +68,7 @@ def rule(cls: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> list[Rule]:
     """Fresh instances of every registered rule, sorted by code."""
-    from . import builtin, callgraph  # noqa: F401  (registration side effect)
+    from . import builtin  # noqa: F401  (registration side effect)
 
     return [_REGISTRY[code]() for code in sorted(_REGISTRY)]
 
@@ -90,6 +90,6 @@ def rules_for(codes: Iterable[str] | None) -> list[Rule]:
 
 
 def iter_codes() -> Iterator[str]:
-    from . import builtin, callgraph  # noqa: F401
+    from . import builtin  # noqa: F401
 
     yield from sorted(_REGISTRY)

@@ -18,11 +18,6 @@ from .findings import Finding
 from .rules import Rule, iter_codes, rules_for
 from .visitor import ALL_CODES, ModuleInfo, Project, module_name_for
 
-#: JSON-schema-store URI for SARIF 2.1.0 (what GitHub code scanning
-#: validates uploads against).
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
-
-
 class AnalysisError(Exception):
     """The analyzer itself failed (unreadable file, syntax error) —
     distinct from "findings exist"; maps to exit code 2."""
@@ -87,63 +82,6 @@ class AnalysisReport:
             "stale_baseline": [e.to_dict() for e in self.stale_baseline],
             "unused_noqa": [u.to_dict() for u in self.unused_noqa],
             "clean": self.clean,
-        }
-
-    def to_sarif(self) -> dict:
-        """The report as a SARIF 2.1.0 log (one run), ready for GitHub
-        code-scanning upload. Only counted findings become results;
-        suppressed/baselined ones are omitted."""
-        from .rules import all_rules
-
-        ran = set(self.codes)
-        driver_rules = [
-            {
-                "id": rule.code,
-                "name": type(rule).__name__,
-                "shortDescription": {"text": rule.summary},
-                "fullDescription": {"text": rule.rationale},
-                "help": {"text": rule.example},
-            }
-            for rule in all_rules()
-            if rule.code in ran
-        ]
-        results = []
-        for finding in self.findings:
-            region: dict = {
-                "startLine": finding.line,
-                "startColumn": finding.col + 1,
-            }
-            if finding.snippet:
-                region["snippet"] = {"text": finding.snippet}
-            results.append(
-                {
-                    "ruleId": finding.code,
-                    "level": "error",
-                    "message": {"text": finding.message},
-                    "locations": [
-                        {
-                            "physicalLocation": {
-                                "artifactLocation": {"uri": finding.path},
-                                "region": region,
-                            }
-                        }
-                    ],
-                }
-            )
-        return {
-            "$schema": SARIF_SCHEMA,
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": "repro-check",
-                            "rules": driver_rules,
-                        }
-                    },
-                    "results": results,
-                }
-            ],
         }
 
     def render_human(self) -> str:

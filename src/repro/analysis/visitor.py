@@ -1,12 +1,12 @@
 """Shared per-module AST facts every rule builds on.
 
 :class:`ModuleInfo` parses one source file once and precomputes the
-things all five rules need: the import/alias map (so ``np.random`` and
+things every rule needs: the import/alias map (so ``np.random`` and
 ``numpy.random`` resolve identically), the ``# repro: noqa[CODE]``
 suppression table, and a :meth:`qualified` resolver that turns a
 ``Name``/``Attribute`` chain into a dotted path through that map.
 :class:`Project` is just the collection of modules under analysis —
-rules that need cross-module facts (the RACE001 call graph) walk it.
+rules that need cross-module facts (the RACE002 call graph) walk it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: ``# repro: noqa`` or ``# repro: noqa[DP001, DET001]``. Matched only
+#: ``# repro: noqa`` or ``# repro: noqa[DET002, RACE002]``. Matched only
 #: against COMMENT tokens, anchored at the ``#`` — mentions of the
 #: syntax inside docstrings or prose comments never register.
 _NOQA = re.compile(

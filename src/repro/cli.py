@@ -318,10 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--format",
-        choices=("human", "json", "sarif"),
+        choices=("human", "json"),
         default="human",
-        help="report format (json emits the machine-readable schema; "
-        "sarif emits a SARIF 2.1.0 log for code-scanning upload)",
+        help="report format (json emits the machine-readable schema)",
     )
     check.add_argument(
         "--baseline",
@@ -823,8 +822,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 2
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
-    elif args.format == "sarif":
-        print(json.dumps(report.to_sarif(), indent=2))
     else:
         print(report.render_human())
     return report.exit_code()

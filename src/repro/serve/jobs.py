@@ -28,9 +28,10 @@ assume two requests are intentional replays.
 
 Thread-safety: job state transitions and the id counter are guarded
 by the runner lock; the worker callable (``_execute``) reaches shared
-state only through that lock or the budget store's per-account locks
-(``repro check``'s RACE001 traces reachability from the
-``parallel_map_stream`` entry point below).
+state only through that lock or the budget store's per-account locks.
+A worker takes the runner lock while it holds a job's lock (the
+abandon check), so nothing may take a job's lock under the runner
+lock; ``repro check``'s RACE002 flags a nested ``with`` that does.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ __all__ = ["JOB_STATES", "Job", "JobRunner"]
 
 #: Every state a job can be observed in, in lifecycle order.
 JOB_STATES = ("queued", "running", "done", "failed")
+
+_SHUTTING_DOWN = "the job runner is shutting down; not accepting jobs"
 
 
 @dataclass
@@ -174,14 +177,13 @@ class JobRunner:
         structured refusal), :class:`~repro.serve.budget.UnknownTenantError`,
         or ``ValueError``/``KeyError``/``FileNotFoundError`` for a bad
         spec, dataset reference, or publish option — all *before*
-        anything is queued.
+        anything is queued. Raises ``RuntimeError`` once the runner is
+        closing; a reservation made before the close is released.
         """
         spec = as_spec(spec)
         with self._lock:
             if self._closed:
-                raise RuntimeError(
-                    "the job runner is shutting down; not accepting jobs"
-                )
+                raise RuntimeError(_SHUTTING_DOWN)
             self._sequence += 1
             job_id = f"job-{self._sequence:06d}"
         # Build once to validate the spec and learn its epsilon; the
@@ -220,10 +222,21 @@ class JobRunner:
         )
         if eps_total > 0.0:
             self.store.reserve(tenant, job.id, eps_total)
+        # Re-check and enqueue under one lock: close() sets _closed
+        # under it before queueing _DONE, so an admitted job always
+        # lands ahead of the sentinel. A job that lost the race to
+        # close() gets its reservation back (outside the lock: the
+        # release fsyncs) instead of waiting forever behind _DONE.
         with self._lock:
-            self._jobs[job.id] = job
-        self._queue.put(job)
-        return job
+            if not self._closed:
+                self._jobs[job.id] = job
+                self._queue.put(job)
+                return job
+        if eps_total > 0.0:
+            self.store.release(
+                tenant, job.id, reason="daemon shut down during admission"
+            )
+        raise RuntimeError(_SHUTTING_DOWN)
 
     def get(self, job_id: str) -> Job | None:
         with self._lock:

@@ -66,71 +66,6 @@ class TestInjectedViolation:
         assert "[ FAIL] analysis:" in out
         assert "static gate failed: analysis" in out
 
-    def test_unledgered_draw_fails_gate(
-        self, check_static, monkeypatch, tmp_path, capsys
-    ):
-        self.inject(
-            check_static, monkeypatch, tmp_path,
-            """
-            class LeakyStage:
-                def apply(self, count, rng):
-                    return self.mechanism.perturb_count(count, rng)
-            """,
-        )
-        self.assert_fails_with(check_static, capsys, "DP001")
-
-    def test_dropped_epsilon_share_fails_gate(
-        self, check_static, monkeypatch, tmp_path, capsys
-    ):
-        self.inject(
-            check_static, monkeypatch, tmp_path,
-            """
-            def allocate(epsilon, mechanism):
-                eps_general = epsilon * 0.5
-                eps_tail = epsilon * 0.5
-                return mechanism.run(eps_tail)
-            """,
-        )
-        self.assert_fails_with(check_static, capsys, "EPS002")
-
-    def test_unclosed_store_on_exception_path_fails_gate(
-        self, check_static, monkeypatch, tmp_path, capsys
-    ):
-        self.inject(
-            check_static, monkeypatch, tmp_path,
-            """
-            class SpillStore:
-                def append(self, row):
-                    pass
-
-                def close(self):
-                    pass
-
-
-            def spill_all(rows):
-                store = SpillStore()
-                for row in rows:
-                    store.append(row)
-                store.close()
-                return len(rows)
-            """,
-        )
-        self.assert_fails_with(check_static, capsys, "LIFE001")
-
-    def test_unreleased_reservation_fails_gate(
-        self, check_static, monkeypatch, tmp_path, capsys
-    ):
-        self.inject(
-            check_static, monkeypatch, tmp_path,
-            """
-            def spend(store, tenant, job, eps, work):
-                rid = store.reserve(tenant, job, eps)
-                work(rid)
-                store.commit(tenant, rid)
-            """,
-        )
-        self.assert_fails_with(check_static, capsys, "LEDGER001")
-
     def test_inverted_lock_pair_fails_gate(
         self, check_static, monkeypatch, tmp_path, capsys
     ):

@@ -64,30 +64,6 @@ def wait_done(runner, job, timeout=30.0):
     raise AssertionError(f"job {job.id} still {job.to_dict()['state']}")
 
 
-class TestRace001Visibility:
-    def test_runner_worker_is_a_discovered_pool_entry_point(self):
-        """`repro check` must police the daemon's worker callable: the
-        `parallel_map_stream(self._execute, ...)` submission in
-        `JobRunner._run_pump` has to register `_execute` as a RACE001
-        entry point, so any future unlocked shared write inside the
-        job-execution path is flagged rather than silently racy."""
-        from pathlib import Path
-
-        import repro.serve.jobs as jobs_module
-        from repro.analysis.callgraph import (
-            UnlockedSharedWrite,
-            _FunctionTable,
-        )
-        from repro.analysis.runner import load_project
-
-        project = load_project([Path(jobs_module.__file__)])
-        rule = UnlockedSharedWrite()
-        entries = rule._entry_points(project, _FunctionTable(project))
-        assert "repro.serve.jobs.JobRunner._execute" in {
-            key.label() for key in entries
-        }
-
-
 class TestEngineCache:
     def test_same_spec_reuses_the_warm_engine(self, engines):
         spec = MethodSpec("gl", {"epsilon": 1.0, "seed": 7})
@@ -265,10 +241,12 @@ class TestJobRunner:
         self, store, engines, tmp_path, dataset_csv, monkeypatch
     ):
         gate = threading.Event()
+        entered = threading.Event()
         real_get = engines.get
 
         def gated(spec):
             engine = real_get(spec)
+            entered.set()
             gate.wait(30)
             return engine
 
@@ -276,10 +254,18 @@ class TestJobRunner:
         runner = JobRunner(store, engines, tmp_path / "spool", workers=1)
         first = runner.submit("acme", GL_SPEC, str(dataset_csv))
         second = runner.submit("acme", GL_SPEC, str(dataset_csv))
+        # The first job is running (held at the gate) before the close
+        # starts, and the close has landed before the gate opens: the
+        # second job can only ever see a runner that is abandoning.
+        assert entered.wait(30)
         closer = threading.Thread(
             target=runner.close, kwargs={"drain": False}
         )
         closer.start()
+        deadline = time.monotonic() + 30
+        while not runner._abandoning():
+            assert time.monotonic() < deadline, "runner never closed"
+            time.sleep(0.01)
         gate.set()
         closer.join(timeout=30)
         assert not closer.is_alive()
@@ -296,6 +282,27 @@ class TestJobRunner:
         runner.close()
         with pytest.raises(RuntimeError, match="shutting down"):
             runner.submit("acme", GL_SPEC, "whatever.csv")
+
+    def test_close_during_admission_releases_the_reservation(
+        self, store, engines, tmp_path, dataset_csv, monkeypatch
+    ):
+        """A close() that lands between a job's reservation and its
+        enqueue must not strand the job behind the shutdown sentinel:
+        it would stay queued forever and the next daemon's recover()
+        would charge it in full."""
+        runner = JobRunner(store, engines, tmp_path / "spool", workers=1)
+        real_reserve = store.reserve
+
+        def reserve_then_close(tenant, job, epsilon):
+            real_reserve(tenant, job, epsilon)
+            runner.close()
+
+        monkeypatch.setattr(store, "reserve", reserve_then_close)
+        with pytest.raises(RuntimeError, match="shutting down"):
+            runner.submit("acme", GL_SPEC, str(dataset_csv))
+        assert "job-000001" in store.account("acme").released
+        assert runner.jobs() == []
+        assert BudgetStore(store.root).recover() == {}
 
     def test_jobs_listing_is_ordered(self, runner, dataset_csv):
         submitted = [

@@ -4,10 +4,9 @@
 Runs four sections and renders them in one unified format:
 
 ``analysis``
-    The project's AST rules (``repro.analysis``: the syntactic codes
-    DP001/DET001/DET002/RACE001/EPS001 plus the flow-sensitive
-    EPS002/LIFE001/LEDGER001/RACE002) over ``src/repro``, ``tools``,
-    ``benchmarks``, and ``examples``, against the committed baseline
+    The project's AST rules (``repro.analysis``: DET002 and RACE002)
+    over ``src/repro``, ``tools``, ``benchmarks``, and ``examples``,
+    against the committed baseline
     ``tools/analysis_baseline.json``. Unused ``# repro: noqa``
     suppressions surface as warnings.
 ``api``
