@@ -72,6 +72,10 @@ _PLUGINS_LOADED = False
 #: batch-engine workers (``_anonymize_one`` rebuilds anonymizers from
 #: specs), so concurrent first lookups must not race the scan.
 _PLUGINS_LOCK = threading.Lock()
+#: The thread running the scan, while it runs: a lookup made from a
+#: plugin's own import sees the registry as it stands instead of
+#: waiting on the lock its own thread holds.
+_PLUGINS_SCANNER: int | None = None
 
 
 def register(
@@ -113,17 +117,24 @@ def register(
 
 
 def _load_plugins() -> None:
-    """Load ``repro.methods`` entry points, once, tolerating failures."""
-    global _PLUGINS_LOADED
-    if _PLUGINS_LOADED:
+    """Load ``repro.methods`` entry points, once, tolerating failures.
+
+    Other threads wait for a running scan to finish, so none misses a
+    plugin it is still loading. The scan is marked done even when it
+    fails: it is not worth re-running on every registry miss.
+    """
+    global _PLUGINS_LOADED, _PLUGINS_SCANNER
+    if _PLUGINS_LOADED or _PLUGINS_SCANNER == threading.get_ident():
         return
     with _PLUGINS_LOCK:
         if _PLUGINS_LOADED:
             return
-        # Mark first (as the unlocked version did): a failing scan is
-        # not worth re-running on every registry miss.
-        _PLUGINS_LOADED = True
-        _load_plugins_locked()
+        _PLUGINS_SCANNER = threading.get_ident()
+        try:
+            _load_plugins_locked()
+        finally:
+            _PLUGINS_LOADED = True
+            _PLUGINS_SCANNER = None
 
 
 def _load_plugins_locked() -> None:

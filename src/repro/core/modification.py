@@ -13,11 +13,12 @@ the noisy distributions while greedily minimising utility loss:
   K-nearest-trajectory searches (Definition 8), aggregated from a
   shared dataset-wide segment index.
 
-The shared index is the paper's hierarchical grid (Section IV-C) at its
-finest granularity of 512x512. Every index answers kNN in the same
-``(distance, sid)`` order, so a test can hand the global stage a
-brute-force :class:`~repro.index.linear.LinearSegmentIndex` instead
-and must get the same output.
+The shared index follows the fleet's size: below
+:data:`MIN_SEGMENTS_FOR_GRID` segments it is the flat
+:class:`~repro.index.linear.LinearSegmentIndex`, at or above it the
+paper's hierarchical grid (Section IV-C) at its finest granularity of
+512x512. Every index answers kNN in the same ``(distance, sid)`` order,
+so the choice never changes an output byte, only the time.
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ def index_extent(bbox: BBox) -> BBox:
     return bbox.expand(margin)
 
 
-def _paper_index(extent: BBox) -> HierarchicalGridIndex:
-    """The global stage's shared index: the paper's hierarchical grid
-    with a finest level of 512x512 cells."""
-    return HierarchicalGridIndex(extent, levels=10)
+#: Segments from which the global stage searches the paper's grid.
+#: Below it, one numpy pass over every segment costs less than the
+#: grid's per-segment bookkeeping. The crossover was measured on a
+#: 2-core host (docs/architecture.md, "Which shared index"); a module
+#: constant, not an option, like ``MIN_POINTS_PER_WORKER``.
+MIN_SEGMENTS_FOR_GRID = 35_000
 
 
 @dataclass(slots=True)
@@ -279,10 +282,13 @@ class InterTrajectoryModifier:
       fleet size; kept as the independent reference the identity
       tests compare the loop against.
 
-    The shared index is always the paper's hierarchical grid;
-    ``index_factory`` exists so tests can substitute another index over
-    the same extent (e.g. the brute-force
-    :class:`~repro.index.linear.LinearSegmentIndex`) and compare bytes.
+    The shared index is chosen by :meth:`shared_index`: the flat
+    :class:`~repro.index.linear.LinearSegmentIndex` below
+    :data:`MIN_SEGMENTS_FOR_GRID` segments, the paper's hierarchical
+    grid at or above it, and always the grid for ``"wave"``, whose
+    planner's per-candidate ``knn`` calls are slow on a full scan.
+    ``index_factory`` exists so tests can substitute any index over the
+    same extent and compare bytes; when given, it always wins.
     """
 
     def __init__(
@@ -294,7 +300,7 @@ class InterTrajectoryModifier:
             raise ValueError(
                 f"unknown candidate source {candidate_source!r}"
             )
-        self.index_factory = index_factory or _paper_index
+        self.index_factory = index_factory
         self.candidate_source = candidate_source
         #: Diagnostics of the most recent wave-planned run (None for
         #: the serial loop), akin to an index's ``last_stats``.
@@ -307,7 +313,7 @@ class InterTrajectoryModifier:
         report = ModificationReport()
         if len(dataset) == 0:
             return dataset.copy(), report
-        shared_index = self.index_factory(index_extent(dataset.bbox()))
+        shared_index = self.shared_index(dataset)
         editables = {
             trajectory.object_id: EditableTrajectory(trajectory, shared_index)
             for trajectory in dataset
@@ -322,6 +328,17 @@ class InterTrajectoryModifier:
             editables[trajectory.object_id].to_trajectory() for trajectory in dataset
         )
         return modified, report
+
+    def shared_index(self, dataset: TrajectoryDataset) -> SegmentIndex:
+        """A fresh, empty shared index for ``dataset``'s global stage."""
+        extent = index_extent(dataset.bbox())
+        if self.index_factory is not None:
+            return self.index_factory(extent)
+        segments = dataset.total_points() - len(dataset)
+        if self.candidate_source == "wave" or segments >= MIN_SEGMENTS_FOR_GRID:
+            # The paper's grid at its finest granularity of 512x512.
+            return HierarchicalGridIndex(extent, levels=10)
+        return LinearSegmentIndex()
 
     def _apply_serial(
         self,

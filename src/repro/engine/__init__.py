@@ -24,9 +24,11 @@ Two pieces built for the "as fast as the hardware allows" roadmap:
   end-to-end ε.
 
 The global stage is not sharded: it runs in-process, as the serial
-per-location loop over the hierarchical grid's incremental
-``iter_nearest`` kNN frontier (see ``repro.index``), or as the opt-in
-wave planner (:mod:`repro.core.waves`), which is byte-identical to it.
+per-location loop over the shared index's incremental ``iter_nearest``
+kNN frontier, or as the opt-in wave planner (:mod:`repro.core.waves`),
+which is byte-identical to it. The shared index is a flat scan below
+:data:`~repro.core.modification.MIN_SEGMENTS_FOR_GRID` segments and the
+paper's hierarchical grid at or above it (see ``repro.index``).
 """
 
 from repro.engine.batch import BatchAnonymizer

@@ -16,9 +16,10 @@ Segments are inserted and removed by id, and ``knn(q, k)`` returns the
 to the query point, ties broken by sid. The linear and hierarchical
 indexes implement the whole :class:`~repro.index.base.SegmentIndex`
 protocol the modification stages search (bulk inserts, incremental
-``iter_nearest``, batched ``knn_batch``); the global stage always
-builds the hierarchical grid, the local stage a linear store per
-trajectory.
+``iter_nearest``, batched ``knn_batch``). The local stage gives each
+trajectory a linear store. The global stage shares one linear store
+below :data:`~repro.core.modification.MIN_SEGMENTS_FOR_GRID` segments
+and the hierarchical grid at or above it.
 """
 
 from repro.index.base import IndexedSegment, SegmentIndex

@@ -8,7 +8,11 @@ from typing import Iterator, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.geo.geometry import Coord
-from repro.geo.vectorized import SegmentArray, segment_columns
+from repro.geo.vectorized import (
+    SegmentArray,
+    segment_columns,
+    segment_distances,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,6 +199,17 @@ class SegmentStore:
     def live_sids(self) -> np.ndarray:
         """Every live sid, ascending."""
         return np.flatnonzero(self._alive[: len(self._owners)])
+
+    def distances_to(self, q: Coord) -> np.ndarray:
+        """The kernel distance from ``q`` to every allocated row,
+        indexed by sid, with released rows at +inf: one kernel pass
+        over the block in place, no gather."""
+        used = len(self._owners)
+        raw = segment_distances(
+            float(q[0]), float(q[1]), *self._block[: self._SAFE + 1, :used]
+        )
+        raw[~self._alive[:used]] = np.inf
+        return raw
 
     def gather(self, sids) -> SegmentArray:
         """The kernel columns of ``sids`` (live, in the given order) as

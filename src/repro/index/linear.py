@@ -3,10 +3,12 @@
 Implements the same protocol as the grid indexes but answers kNN by a
 full scan, so the modification machinery can run against it unchanged
 for the efficiency comparison (Figure 5). Incremental iteration runs
-one vectorised distance pass over a gather of every live segment and
-sorts it a block at a time, so a consumer that stops after a few hits
-never sorts the rest. That makes it the cheapest structure for small
-segment sets: the local stage gives every trajectory one.
+one vectorised distance pass over every store row in place, with no
+gather, and sorts it a block at a time, so a consumer that stops after
+a few hits never sorts the rest. That makes it the cheapest structure
+for small segment sets: the local stage gives every trajectory one,
+and the global stage shares one below
+:data:`~repro.core.modification.MIN_SEGMENTS_FOR_GRID` segments.
 """
 
 from __future__ import annotations
@@ -64,24 +66,27 @@ class LinearSegmentIndex:
     def iter_nearest(self, q: Coord) -> Iterator[tuple[int, float]]:
         """All segments in ascending (distance, sid) order, lazily.
 
-        Snapshots the live sids on first pull and measures them all in
-        one vectorised pass, then sorts the distances one block at a
-        time (:func:`~repro.geo.vectorized.sorted_block`): pulling the
-        first few hits costs one partition, not a full sort.
+        On first pull, measures every store row in one kernel pass over
+        the block in place (:meth:`SegmentStore.distances_to`, released
+        rows at +inf), then sorts the distances one block at a time
+        (:func:`~repro.geo.vectorized.sorted_block`): pulling the first
+        few hits costs one partition, not a full sort. Rows are sids,
+        so the stable sort is already in (distance, sid) order; the
+        released rows sort last and are never reached, because the
+        cursor stops after the live count taken on first pull.
         """
-        sids = self.store.live_sids()
-        if len(sids) == 0:
+        live = len(self.store)
+        if live == 0:
             return
-        raw = self.store.gather(sids).distances_to(q)
-        sids = sids.tolist()
+        raw = self.store.distances_to(q)
         yielded = 0
         block = sorted_block(raw)
         while True:
+            block = block[: live - yielded]
             distances = raw[block].tolist()
-            for row, dist in zip(block.tolist(), distances, strict=True):
-                yield sids[row], dist
+            yield from zip(block.tolist(), distances, strict=True)
             yielded += len(block)
-            if yielded == len(sids):
+            if yielded == live:
                 return
             # Blocks include their ties, so the rest is everything
             # strictly beyond the last distance yielded.

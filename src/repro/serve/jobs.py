@@ -384,10 +384,22 @@ class JobRunner:
         that sees ``failed`` also sees the budget restored, as one that
         sees ``done`` sees the charge committed. The error and the
         state appear together, and the job is failed even if the
-        release raises."""
+        release raises.
+
+        A release that cannot be written (an ``OSError`` from the
+        account append, such as a full disk) is not raised: the job
+        fails with both messages, and the pump goes on to later jobs.
+        The reservation stays held, since the store drops it only
+        after a durable append, so the next boot's ``recover()``
+        commits it in full: the conservative side."""
         try:
             if job.eps_total > 0.0:
                 self.store.release(job.tenant, job.id, reason=error)
+        except OSError as exc:
+            error = (
+                f"{error}; releasing its reservation failed, so it stays "
+                f"held: {type(exc).__name__}: {exc}"
+            )
         finally:
             with job._lock:
                 job.error = error

@@ -14,9 +14,12 @@ The load-bearing guarantees:
   engine can never clobber each other's reports.
 """
 
+import importlib.metadata
 import pickle
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -243,6 +246,93 @@ class TestRegistry:
     def test_entry_point_discovery_tolerates_absence(self, monkeypatch):
         monkeypatch.setattr(registry_module, "_PLUGINS_LOADED", False)
         assert "gl" in method_names()  # discovery ran without error
+        assert registry_module._PLUGINS_LOADED
+
+
+class _FakeEntryPoint:
+    """A ``repro.methods`` entry point whose ``load`` runs ``loader``."""
+
+    def __init__(self, name, loader):
+        self.name = name
+        self.value = f"fakeplugins:{name}"
+        self._loader = loader
+
+    def load(self):
+        return self._loader()
+
+
+def _install_plugins(monkeypatch, *entry_points):
+    """A registry that has not scanned yet, over ``entry_points``."""
+    monkeypatch.setattr(registry_module, "_PLUGINS_LOADED", False)
+    monkeypatch.setattr(
+        registry_module, "_REGISTRY", dict(registry_module._REGISTRY)
+    )
+
+    def fake_entry_points(group=None, **_):
+        return list(entry_points) if group == "repro.methods" else []
+
+    monkeypatch.setattr(importlib.metadata, "entry_points", fake_entry_points)
+
+
+def slowplug():
+    """A plugin method that takes a while to import."""
+    return GL(epsilon=1.0, seed=1)
+
+
+class TestPluginScan:
+    def test_lookups_wait_for_a_running_scan(self, monkeypatch):
+        """A lookup made while another thread's first scan is still
+        loading a plugin waits for the scan, and finds the plugin."""
+        loading = threading.Event()
+
+        def load():
+            loading.set()
+            time.sleep(0.5)
+            return slowplug
+
+        _install_plugins(monkeypatch, _FakeEntryPoint("slowplug", load))
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first = pool.submit(method_info, "slowplug")
+            assert loading.wait(30)
+            second = pool.submit(method_info, "slowplug")
+            infos = [first.result(timeout=30), second.result(timeout=30)]
+        assert [info.kind for info in infos] == ["slowplug", "slowplug"]
+        assert infos[0].factory is slowplug
+        assert registry_module._PLUGINS_LOADED
+
+    def test_plugin_import_may_look_up_the_registry(self, monkeypatch):
+        """A plugin whose import lists the registry, on the scanning
+        thread, sees the methods registered so far instead of waiting
+        on the scan's own lock."""
+        seen = []
+
+        def load():
+            seen.append(method_names())
+            return slowplug
+
+        _install_plugins(monkeypatch, _FakeEntryPoint("selfaware", load))
+        names = []
+        scanner = threading.Thread(
+            target=lambda: names.append(method_names()), daemon=True
+        )
+        scanner.start()
+        scanner.join(timeout=30)
+        assert not scanner.is_alive()
+        assert "gl" in seen[0] and "selfaware" not in seen[0]
+        assert "selfaware" in names[0]
+
+    def test_a_failing_scan_runs_once(self, monkeypatch):
+        calls = []
+
+        def load():
+            calls.append(1)
+            raise ImportError("broken plugin")
+
+        _install_plugins(monkeypatch, _FakeEntryPoint("broken", load))
+        with pytest.warns(RuntimeWarning, match="broken plugin"):
+            assert "broken" not in method_names()
+        assert "broken" not in method_names()
+        assert calls == [1]
         assert registry_module._PLUGINS_LOADED
 
 

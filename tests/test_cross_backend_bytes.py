@@ -3,14 +3,16 @@
 Every index answers kNN in the one ``(distance, sid)`` order under the
 one distance kernel, and the local stage always edits over a flat
 per-trajectory store, so ``repro anonymize`` must write the same bytes
-whichever shared index the global stage searches. The default (the
-paper's hierarchical grid at 10 levels) is compared with the
-brute-force :class:`~repro.index.linear.LinearSegmentIndex` and a
-coarse 3-level grid, substituted through
+whichever shared index the global stage searches. The default, which
+the segment-count rule picks (the flat scan for these small fleets),
+is compared with the brute-force
+:class:`~repro.index.linear.LinearSegmentIndex` and a coarse 3-level
+grid, substituted through
 :class:`~repro.core.modification.InterTrajectoryModifier`'s
-``index_factory`` seam. Driven through ``repro.cli.main`` in-process
-on small seeded fleets, the way a user would compare two runs with
-``cmp``.
+``index_factory`` seam, and with the paper's 10-level grid, forced by
+setting ``MIN_SEGMENTS_FOR_GRID`` to 0, on both engines. Driven
+through ``repro.cli.main`` in-process on small seeded fleets, the way
+a user would compare two runs with ``cmp``.
 
 Below the CLI, the global stage's loop is compared directly over the
 brute-force scan and a 5-level grid on integer lattices, where exact
@@ -27,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import pipeline
+from repro.core import modification, pipeline
 from repro.core.global_mechanism import TFPerturbation
 from repro.core.modification import InterTrajectoryModifier
 from repro.index.hierarchical import HierarchicalGridIndex
@@ -176,6 +178,46 @@ def test_index_settings_do_not_change_output_bytes(
             assert anonymize(name) == default, name
         # PureL has no global stage, so it never builds the shared index.
         assert len(built) == (model != "purel"), name
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [["--engine", "serial"], ["--engine", "batch", "--workers", "2"]],
+    ids=["serial", "batch2"],
+)
+@pytest.mark.parametrize("model", ["gl", "pureg", "purel"])
+def test_index_rule_does_not_change_output_bytes(
+    fleet_csv, model, engine, tmp_path, monkeypatch
+):
+    """The flat scan the shipped ``MIN_SEGMENTS_FOR_GRID`` picks for
+    these fleets and the paper's grid it picks at 0 write the same
+    bytes."""
+    built = []
+    real = InterTrajectoryModifier.shared_index
+
+    def spy(self, dataset):
+        index = real(self, dataset)
+        built.append(type(index))
+        return index
+
+    monkeypatch.setattr(InterTrajectoryModifier, "shared_index", spy)
+
+    def anonymize(name):
+        out = tmp_path / f"{name}.csv"
+        assert main([
+            "anonymize", "-i", str(fleet_csv), "-o", str(out),
+            "--model", model, "--seed", "5", *engine,
+        ]) == 0
+        return out.read_bytes()
+
+    shipped = anonymize("shipped")
+    monkeypatch.setattr(modification, "MIN_SEGMENTS_FOR_GRID", 0)
+    assert anonymize("grid") == shipped
+    # PureL has no global stage, so it never builds the shared index.
+    assert built == (
+        [] if model == "purel"
+        else [LinearSegmentIndex, HierarchicalGridIndex]
+    )
 
 
 @settings(

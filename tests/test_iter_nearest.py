@@ -88,3 +88,30 @@ class TestIterNearest:
         first = next(iter(index.iter_nearest((500.0, 500.0))))
         assert first is not None
         assert index.last_stats.segments_checked < 200
+
+    def test_churn_with_more_released_rows_than_live_ones(self, index):
+        """Released rows outnumber live ones, and some live rows repeat
+        a released geometry: the scan still equals the brute-force
+        (distance, sid) sort of the live segments, with exactly
+        ``len(index)`` yields (the flat scan measures released rows
+        too and must stop before any of them)."""
+        rng = random.Random(19)
+        segments = {s.sid: s for s in fill(index, n=90, seed=19)}
+        for sid in rng.sample(sorted(segments), 60):
+            index.remove(sid)
+            segments.pop(sid)
+        for old in rng.sample(sorted(segments.values(), key=lambda s: s.sid), 8):
+            sid = index.insert(old.a, old.b, owner=old.owner)
+            segments[sid] = index.segment(sid)
+        for sid in rng.sample(sorted(segments), 10):
+            index.remove(sid)
+            segments.pop(sid)
+        live = sorted(segments.values(), key=lambda s: s.sid)
+        assert len(index) == len(live) == 28
+        for q in QUERIES + [(-5000.0, 3000.0)]:
+            got = list(index.iter_nearest(q))
+            want = linear_knn(live, q, len(live))
+            assert len(got) == len(index)
+            assert [sid for sid, _ in got] == [sid for sid, _ in want], q
+            for (_, d1), (_, d2) in zip(got, want, strict=True):
+                assert d1 == pytest.approx(d2, abs=1e-9)

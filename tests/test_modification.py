@@ -10,13 +10,16 @@ import pytest
 from repro.core.edits import EditableTrajectory
 from repro.core.global_mechanism import TFPerturbation
 from repro.core.local_mechanism import PFPerturbation
+from repro.core import modification
 from repro.core.modification import (
     InterTrajectoryModifier,
     IntraTrajectoryModifier,
     index_extent,
     nearest_live_segment_of_owner,
 )
+from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.index.hierarchical import HierarchicalGridIndex
+from repro.index.linear import LinearSegmentIndex
 from repro.geo.geometry import BBox
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
@@ -331,12 +334,114 @@ class TestInterTrajectoryModifierEdgeCases:
         with pytest.raises(TypeError, match="'strategy'"):
             InterTrajectoryModifier(strategy="foo")
 
-    def test_default_index_is_the_paper_grid(self):
-        """Without the test seam, the shared index is the paper's
-        hierarchical grid with a 512x512 finest level."""
-        index = InterTrajectoryModifier().index_factory(BBox(0, 0, 100, 100))
+    def test_default_index_is_the_paper_grid(self, monkeypatch):
+        """Without the test seam, a fleet of at least
+        ``MIN_SEGMENTS_FOR_GRID`` segments (here exactly that many) is
+        searched through the paper's hierarchical grid with a 512x512
+        finest level."""
+        monkeypatch.setattr(modification, "MIN_SEGMENTS_FOR_GRID", 1)
+        dataset = TrajectoryDataset([traj("a", [(0, 0), (100, 100)])])
+        index = InterTrajectoryModifier().shared_index(dataset)
         assert isinstance(index, HierarchicalGridIndex)
         assert index.levels == 10
+        assert index.bbox == index_extent(dataset.bbox())
+
+
+class TestSharedIndexRule:
+    """The global stage picks its shared index from the fleet's segment
+    count: the flat scan below ``MIN_SEGMENTS_FOR_GRID``, the paper's
+    10-level grid at or above it (``test_default_index_is_the_paper_grid``
+    above). The wave planner always gets the grid, and a passed
+    ``index_factory`` always wins."""
+
+    @pytest.fixture(scope="class")
+    def fleet(self):
+        return generate_fleet(
+            FleetConfig(
+                n_objects=6, points_per_trajectory=20, rows=6, cols=6, seed=3
+            )
+        ).dataset
+
+    @staticmethod
+    def segments(dataset):
+        return dataset.total_points() - len(dataset)
+
+    def index_for(self, fleet, monkeypatch, threshold, **kwargs):
+        monkeypatch.setattr(modification, "MIN_SEGMENTS_FOR_GRID", threshold)
+        return InterTrajectoryModifier(**kwargs).shared_index(fleet)
+
+    def test_flat_scan_below_the_constant(self, fleet, monkeypatch):
+        index = self.index_for(fleet, monkeypatch, self.segments(fleet) + 1)
+        assert isinstance(index, LinearSegmentIndex)
+        assert len(index) == 0
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["at", "below"])
+    def test_wave_always_gets_the_grid(self, fleet, monkeypatch, offset):
+        index = self.index_for(
+            fleet,
+            monkeypatch,
+            self.segments(fleet) + offset,
+            candidate_source="wave",
+        )
+        assert isinstance(index, HierarchicalGridIndex)
+        assert index.levels == 10
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["at", "below"])
+    @pytest.mark.parametrize("source", ["incremental", "wave"])
+    def test_passed_factory_wins(self, fleet, monkeypatch, offset, source):
+        grid = self.index_for(
+            fleet,
+            monkeypatch,
+            self.segments(fleet) + offset,
+            index_factory=hierarchical(3),
+            candidate_source=source,
+        )
+        assert isinstance(grid, HierarchicalGridIndex)
+        assert grid.levels == 3
+        flat = InterTrajectoryModifier(
+            lambda extent: LinearSegmentIndex(), candidate_source=source
+        ).shared_index(fleet)
+        assert isinstance(flat, LinearSegmentIndex)
+
+    def test_apply_searches_the_chosen_index(self, fleet, monkeypatch):
+        """``apply`` runs the stage over the index the rule picks, and
+        both sides of the constant give the same trajectories and
+        report."""
+        tf = fleet.trajectory_frequencies()
+        locations = sorted(tf)
+        perturbed = {loc: tf[loc] + 2 for loc in locations[:6]}
+        perturbed.update({loc: tf[loc] - 1 for loc in locations[6:12]})
+        perturbation = TFPerturbation(
+            original={loc: tf[loc] for loc in perturbed},
+            perturbed=perturbed,
+            epsilon=1.0,
+        )
+        built = []
+        real = InterTrajectoryModifier.shared_index
+
+        def spy(self, dataset):
+            built.append(real(self, dataset))
+            return built[-1]
+
+        monkeypatch.setattr(InterTrajectoryModifier, "shared_index", spy)
+        outcomes = []
+        for threshold in (self.segments(fleet) + 1, self.segments(fleet)):
+            monkeypatch.setattr(
+                modification, "MIN_SEGMENTS_FOR_GRID", threshold
+            )
+            out, report = InterTrajectoryModifier().apply(fleet, perturbation)
+            outcomes.append(
+                (
+                    [[(p.x, p.y, p.t) for p in t] for t in out],
+                    (report.utility_loss, report.insertions, report.deletions),
+                )
+            )
+        assert [type(index) for index in built] == [
+            LinearSegmentIndex,
+            HierarchicalGridIndex,
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1][1] > 0 and outcomes[0][1][2] > 0
 
 
 class TestBBoxPrunedSelection:

@@ -1,6 +1,7 @@
 """Integration tests for the PureG / PureL / GL anonymizers."""
 
 import math
+import threading
 
 import pytest
 
@@ -303,3 +304,27 @@ def test_budget_ledger_is_the_accounting_view(fleet, make_report, plain):
         )
     else:
         assert [draw.scope for draw in report.accounting.draws] == ["chunk:0"]
+
+
+def test_reserve_call_index_hands_out_each_index_once(preempt_often):
+    """8 threads x 2,000 claims, each thread giving up the interpreter
+    lock before every line of the claim, get exactly ``range(16000)``:
+    no index is handed out twice and none is skipped."""
+    anonymizer = GL(epsilon=1.0, seed=5)
+    barrier = threading.Barrier(8)
+    claimed = [[] for _ in range(8)]
+
+    def claim(out):
+        barrier.wait(timeout=30)
+        for _ in range(2000):
+            out.append(anonymizer.reserve_call_index())
+
+    preempt_often("reserve_call_index")
+    threads = [threading.Thread(target=claim, args=(out,)) for out in claimed]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert sorted(i for out in claimed for i in out) == list(range(16000))
+    assert anonymizer.reserve_call_index() == 16000

@@ -91,7 +91,8 @@ class TestColumnKernel:
     def test_store_gather_equals_fresh_array(self, case):
         """A gathered view (derived columns computed at allocation,
         scalar or block, across a capacity doubling) is the same kernel
-        input as a fresh array."""
+        input as a fresh array, and so is the block measured in place,
+        where released rows read +inf."""
         segments, q = case
         rows = segments * (_INITIAL_CAPACITY // len(segments) + 1)
         store = SegmentStore()
@@ -107,6 +108,12 @@ class TestColumnKernel:
                 )
         want = [reference_distance(q, *s) for s in rows]
         assert store.gather(range(len(rows))).distances_to(q).tolist() == want
+        assert store.distances_to(q).tolist() == want
+        for sid in range(0, len(rows), 3):
+            store.release(sid)
+        assert store.distances_to(q).tolist() == [
+            math.inf if sid % 3 == 0 else d for sid, d in enumerate(want)
+        ]
 
 
 class TestSegmentStore:

@@ -9,6 +9,7 @@ from repro.api.spec import MethodSpec
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.engine.batch import BatchAnonymizer
 from repro.serve.budget import (
+    AccountError,
     BudgetExceededError,
     BudgetStore,
     UnknownTenantError,
@@ -208,7 +209,7 @@ class TestJobRunner:
         self, runner, store, monkeypatch
     ):
         def release(tenant, job_id, reason=""):
-            raise OSError("ledger unwritable")
+            raise AccountError("ledger unwritable")
 
         monkeypatch.setattr(store, "release", release)
         job = Job(
@@ -218,7 +219,7 @@ class TestJobRunner:
             dataset="fleet.csv",
             eps_total=1.0,
         )
-        with pytest.raises(OSError, match="ledger unwritable"):
+        with pytest.raises(AccountError, match="ledger unwritable"):
             runner._fail(job, "boom", seconds=0.5)
         snapshot = job.to_dict()
         assert (snapshot["state"], snapshot["error"], snapshot["seconds"]) == (
@@ -226,6 +227,44 @@ class TestJobRunner:
             "boom",
             0.5,
         )
+
+    def test_unwritable_release_keeps_the_pump_running(
+        self, store, engines, tmp_path, dataset_csv, monkeypatch
+    ):
+        """A release whose account append fails (ENOSPC) fails its job
+        with both messages and keeps the reservation held, and the next
+        job still runs: the error must not end the job pump."""
+        real_get = engines.get
+        calls = []
+
+        def explode_once(spec):
+            calls.append(spec)
+            if len(calls) == 1:
+                raise RuntimeError("engine exploded")
+            return real_get(spec)
+
+        def release(tenant, job_id, reason=""):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(engines, "get", explode_once)
+        monkeypatch.setattr(store, "release", release)
+        runner = JobRunner(store, engines, tmp_path / "spool", workers=1)
+        try:
+            failing = runner.submit("acme", GL_SPEC, str(dataset_csv))
+            assert wait_done(runner, failing) == "failed"
+            error = failing.to_dict()["error"]
+            assert "engine exploded" in error
+            assert "No space left on device" in error
+            following = runner.submit("acme", GL_SPEC, str(dataset_csv))
+            assert wait_done(runner, following) == "done"
+            assert runner._pump.is_alive()
+        finally:
+            runner.close()
+        account = store.account("acme")
+        assert account.pending == {failing.id: pytest.approx(1.0)}
+        assert following.id in account.committed
+        # The next boot charges the held reservation in full.
+        assert BudgetStore(store.root).recover() == {"acme": [failing.id]}
 
     def test_close_drains_in_flight_jobs(
         self, store, engines, tmp_path, dataset_csv
@@ -313,3 +352,75 @@ class TestJobRunner:
         ]
         assert runner.get(submitted[0].id) is submitted[0]
         assert runner.get("job-999999") is None
+
+
+class TestConcurrentCallers:
+    """Time-bounded stress tests of the runner's shared state: every
+    thread is joined with a timeout, so a deadlock fails the test at
+    that timeout instead of blocking it."""
+
+    def test_concurrent_submits_mint_distinct_ids(
+        self, runner, dataset_csv, preempt_often
+    ):
+        barrier = threading.Barrier(8)
+        jobs = []
+        errors = []
+
+        def submit():
+            barrier.wait(timeout=30)
+            try:
+                jobs.append(runner.submit("acme", GL_SPEC, str(dataset_csv)))
+            except Exception as exc:  # collected, asserted below
+                errors.append(exc)
+
+        preempt_often("submit")
+        threads = [threading.Thread(target=submit) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert sorted(job.id for job in jobs) == [
+            f"job-{n:06d}" for n in range(1, 9)
+        ]
+        assert [job.id for job in runner.jobs()] == sorted(
+            job.id for job in jobs
+        )
+
+    def test_listing_jobs_while_they_run_does_not_deadlock(
+        self, store, engines, tmp_path, dataset_csv, monkeypatch,
+        preempt_often,
+    ):
+        """A reader that lists the jobs and snapshots each one, as
+        ``GET /v1/jobs`` does, while workers move jobs through their
+        states under the job and runner locks. The jobs wait at a gate
+        until the reader runs; the reader stops once every job is done,
+        so a deadlock shows as a reader still alive at its timeout."""
+        gate = threading.Event()
+        real_get = engines.get
+
+        def gated(spec):
+            assert gate.wait(60)
+            return real_get(spec)
+
+        monkeypatch.setattr(engines, "get", gated)
+        preempt_often("jobs", "to_dict", "_execute", "_abandoning")
+        runner = JobRunner(store, engines, tmp_path / "spool", workers=2)
+        jobs = [
+            runner.submit("acme", GL_SPEC, str(dataset_csv)) for _ in range(8)
+        ]
+
+        def lister():
+            while True:
+                listed = [job.to_dict()["state"] for job in runner.jobs()]
+                if listed == ["done"] * len(jobs):
+                    return
+
+        reader = threading.Thread(target=lister, daemon=True)
+        reader.start()
+        gate.set()
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        runner.close()
+        assert [job.to_dict()["state"] for job in jobs] == ["done"] * 8
