@@ -201,7 +201,7 @@ def test_bench_publish_shared_tf_parallel(
 
     ``workers=0`` resolves to the host's core count; on a single-core
     host that falls back to the serial pipelined path, so the recorded
-    time reflects the spill + balanced-apportionment pipeline itself
+    time reflects the spill + apportionment pipeline itself
     rather than pool overhead that cannot pay for itself there. The
     output is byte-identical to the serial publisher either way.
     """

@@ -56,7 +56,6 @@ def daemon(tmp_path_factory):
         # Budget for the warm-up plus every timed request, with slack.
         tenants=(("bench", (REQUESTS + 2) * 0.5),),
         engine_workers=1,
-        engine_executor="thread",
         job_workers=1,
     )
     with Daemon(config) as daemon:

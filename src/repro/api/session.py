@@ -24,7 +24,7 @@ from repro.core.pipeline import AnonymizationReport, FrequencyAnonymizer
 from repro.trajectory.model import TrajectoryDataset
 
 #: Engine choices of :func:`run`. ``"batch"`` shards the local stage
-#: of frequency-family methods across a worker pool, byte-identical
+#: of frequency-family methods across a process pool, byte-identical
 #: to ``"serial"`` for the same seed.
 ENGINE_KINDS = ("serial", "batch")
 
@@ -85,16 +85,14 @@ def run(
     *,
     engine: str = "serial",
     workers: int | None = None,
-    executor: str = "process",
 ) -> RunResult:
     """Anonymize ``data`` as ``spec`` describes; return a :class:`RunResult`.
 
     ``engine="batch"`` routes frequency-family methods through
-    :class:`repro.engine.BatchAnonymizer` (``workers`` / ``executor``
-    configure the local-stage pool) with output
-    byte-identical to the serial path for the same seed; other
-    families run the method as-is and reject the batch engine
-    explicitly.
+    :class:`repro.engine.BatchAnonymizer` (``workers`` sizes the
+    local-stage process pool) with output byte-identical to the serial
+    path for the same seed; other families run the method as-is and
+    reject the batch engine explicitly.
     """
     spec = as_spec(spec)
     if engine not in ENGINE_KINDS:
@@ -113,7 +111,7 @@ def run(
         # needed when a batch run is actually requested.
         from repro.engine.batch import BatchAnonymizer
 
-        front = BatchAnonymizer(anonymizer, workers=workers, executor=executor)
+        front = BatchAnonymizer(anonymizer, workers=workers)
         with front:
             started = time.perf_counter()
             dataset, report = front.anonymize_with_report(data)
@@ -170,12 +168,8 @@ def publish(
     split: float | None = None,
     engine: str = "serial",
     workers: int | None = None,
-    executor: str = "process",
     publish_workers: int | None = 1,
-    publish_executor: str = "process",
     spill_dir: str | os.PathLike | None = None,
-    window: int | None = None,
-    apportionment: str = "balanced",
     sink: Callable | None = None,
     byte_sink: Callable | None = None,
 ):
@@ -194,10 +188,10 @@ def publish(
 
     Two independent parallelism axes, both byte-identical to serial
     for the same seed: ``engine="batch"`` shards *within* each chunk's
-    local stage (``workers``/``executor``/…), while
+    local stage across ``workers`` processes, while
     ``publish_workers > 1`` (``0`` = per core) realises whole spilled
-    chunks concurrently across a ``publish_executor`` pool behind a
-    bounded in-flight ``window``.  ``sink(chunk, report)`` receives
+    chunks concurrently across a process pool behind a bounded
+    in-flight window.  ``sink(chunk, report)`` receives
     each anonymized chunk in stream order as soon as it is ready;
     ``byte_sink(rows, report)`` receives the same chunk's encoded CSV
     data rows (the fast path for file output).
@@ -221,19 +215,12 @@ def publish(
     from repro.engine.publish import StreamPublisher, chunk_source
 
     chunks = source if callable(source) else chunk_source(source, chunk_size)
-    publisher_knobs = dict(
-        workers=publish_workers,
-        executor=publish_executor,
-        spill_dir=spill_dir,
-        window=window,
-        apportionment=apportionment,
-    )
     if engine == "batch":
-        front = BatchAnonymizer(anonymizer, workers=workers, executor=executor)
+        front = BatchAnonymizer(anonymizer, workers=workers)
         with front:
-            return StreamPublisher(front, **publisher_knobs).publish(
-                chunks, sink=sink, byte_sink=byte_sink
-            )
-    return StreamPublisher(anonymizer, **publisher_knobs).publish(
-        chunks, sink=sink, byte_sink=byte_sink
-    )
+            return StreamPublisher(
+                front, workers=publish_workers, spill_dir=spill_dir
+            ).publish(chunks, sink=sink, byte_sink=byte_sink)
+    return StreamPublisher(
+        anonymizer, workers=publish_workers, spill_dir=spill_dir
+    ).publish(chunks, sink=sink, byte_sink=byte_sink)

@@ -96,13 +96,7 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=0,
         metavar="N",
-        help="pool size for --engine batch; 0 = one per CPU core",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("process", "thread", "serial"),
-        default="process",
-        help="worker pool kind for --engine batch",
+        help="process-pool size for --engine batch; 0 = one per CPU core",
     )
 
 
@@ -455,13 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="local-stage pool size per job; 0 = one per core; a job "
-        "under N x 4000 points runs its local stage in process",
-    )
-    serve.add_argument(
-        "--executor",
-        choices=("process", "thread", "serial"),
-        default="process",
-        help="batch-engine worker pool kind",
+        "under N x 9000 points runs its local stage in process",
     )
     serve.add_argument(
         "--publish-workers",
@@ -626,7 +614,6 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
             dataset,
             engine=args.engine,
             workers=args.workers,
-            executor=args.executor,
         )
     except TypeError as exc:
         # A --param value of the wrong type fails in the method.
@@ -683,7 +670,6 @@ def _cmd_publish(args: argparse.Namespace) -> int:
                 split=args.split,
                 engine=args.engine,
                 workers=args.workers,
-                executor=args.executor,
                 publish_workers=args.publish_workers,
                 spill_dir=args.spill_dir,
                 byte_sink=lambda rows, _report: handle.write(rows),
@@ -916,7 +902,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         spool=args.spool,
         job_workers=args.job_workers,
         engine_workers=args.workers,
-        engine_executor=args.executor,
         publish_workers=args.publish_workers,
         tenants=tenants,
         registry_root=args.registry,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 #: Scope of a draw over the whole dataset (the sequential default).
 WHOLE_DATASET = "dataset"
@@ -281,58 +281,3 @@ class CompositionLedger:
                 f"draws compose to {ledger.epsilon_total}"
             )
         return ledger
-
-
-def apportion(total: int, weights: Iterable[float], caps: Iterable[int]) -> list[int]:
-    """Split ``total`` units over bins proportionally to ``weights``,
-    never exceeding the per-bin ``caps``.
-
-    Deterministic largest-remainder rounding (ties to the lower index),
-    with capped overflow redistributed in index order.  The publisher
-    uses this to apportion one shared TF delta across chunks; it lives
-    here because the accounting invariant (per-chunk deltas sum exactly
-    to the shared delta) is what makes the ledger's story true.
-    Requires ``0 <= total <= sum(caps)``.
-    """
-    weights = [float(w) for w in weights]
-    caps = [int(c) for c in caps]
-    if len(weights) != len(caps):
-        raise ValueError("weights and caps must have equal length")
-    if any(w < 0 for w in weights) or any(c < 0 for c in caps):
-        raise ValueError("weights and caps must be non-negative")
-    if total < 0 or total > sum(caps):
-        raise ValueError(
-            f"cannot apportion {total} units into capacity {sum(caps)}"
-        )
-    n = len(weights)
-    shares = [0] * n
-    if total == 0 or n == 0:
-        return shares
-    weight_sum = sum(weights)
-    if weight_sum <= 0.0:
-        # Degenerate: no preference — fill in index order under caps.
-        remaining = total
-        for i in range(n):
-            take = min(caps[i], remaining)
-            shares[i] = take
-            remaining -= take
-        return shares
-    quotas = [total * w / weight_sum for w in weights]
-    shares = [min(int(math.floor(q)), caps[i]) for i, q in enumerate(quotas)]
-    remainder = total - sum(shares)
-    # Hand out the remainder by descending fractional part (stable on
-    # ties), skipping bins already at capacity; loop because capped
-    # bins can force several rounds.
-    order = sorted(range(n), key=lambda i: (-(quotas[i] - math.floor(quotas[i])), i))
-    while remainder > 0:
-        progressed = False
-        for i in order:
-            if remainder == 0:
-                break
-            if shares[i] < caps[i]:
-                shares[i] += 1
-                remainder -= 1
-                progressed = True
-        if not progressed:  # pragma: no cover — excluded by the guard above
-            raise ValueError("apportion ran out of capacity")
-    return shares

@@ -328,8 +328,8 @@ class FrequencyAnonymizer:
         """Produce D* and its :class:`AnonymizationReport` together.
 
         The input is never mutated and no result state is stored on
-        the instance, so concurrent calls (e.g. under the batch
-        engine's thread executor) can never observe each other's
+        the instance, so concurrent calls (e.g. the serving daemon's
+        jobs on one warm engine) can never observe each other's
         report — only the per-call stream counter is shared, and it is
         reserved atomically.
 

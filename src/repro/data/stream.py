@@ -32,6 +32,7 @@ from typing import Iterable, Iterator
 
 from repro.trajectory.io import (
     EARTH_RADIUS_M,
+    MAX_ABS_COORDINATE,
     read_object_file,
     stream_csv_rows,
 )
@@ -78,7 +79,10 @@ def stream_tdrive_records(source: str | Path) -> Iterator[RawRecord]:
 
     Lines are ``taxi_id,datetime,longitude,latitude`` with no header.
     Malformed lines raise :class:`ValueError` naming the file and line
-    number. Directories are read file by file in name order.
+    number, and so do a timestamp that is not finite or exceeds
+    :data:`~repro.trajectory.io.MAX_ABS_COORDINATE` and a latitude or
+    longitude that is not finite or lies outside ±90 or ±180 degrees.
+    Directories are read file by file in name order.
     """
     for path in _tdrive_files(Path(source)):
         with path.open(newline="") as handle:
@@ -95,7 +99,7 @@ def stream_tdrive_records(source: str | Path) -> Iterator[RawRecord]:
                     )
                 object_id, stamp, lon, lat = row
                 try:
-                    yield RawRecord(
+                    record = RawRecord(
                         object_id, parse_timestamp(stamp), float(lat), float(lon)
                     )
                 except ValueError:
@@ -103,6 +107,18 @@ def stream_tdrive_records(source: str | Path) -> Iterator[RawRecord]:
                         f"{path}:{line}: malformed datetime/longitude/"
                         f"latitude in row {row!r}"
                     ) from None
+                # Chained comparisons are False for NaN and ±inf too.
+                if not (
+                    -MAX_ABS_COORDINATE <= record.t <= MAX_ABS_COORDINATE
+                    and -90.0 <= record.lat <= 90.0
+                    and -180.0 <= record.lon <= 180.0
+                ):
+                    raise ValueError(
+                        f"{path}:{line}: timestamp not finite or beyond "
+                        f"±{MAX_ABS_COORDINATE:g}, latitude outside ±90 or "
+                        f"longitude outside ±180 degrees in row {row!r}"
+                    )
+                yield record
 
 
 def scan_origin(source: str | Path) -> tuple[float, float]:

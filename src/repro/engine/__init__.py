@@ -1,18 +1,20 @@
 """Batch anonymization engine.
 
-Two pieces built for the "as fast as the hardware allows" roadmap:
+Three pieces built for the "as fast as the hardware allows" roadmap:
 
 * :class:`BatchAnonymizer` — shards the embarrassingly-parallel local
   PF stage of a :class:`~repro.core.pipeline.FrequencyAnonymizer`
-  across a worker pool (and fans whole-dataset sweeps with
+  across a process pool (and fans whole-dataset sweeps with
   ``anonymize_many``), byte-identical to the serial path for the same
   seed thanks to per-trajectory derived noise streams. Sweeps ship
   declarative :class:`~repro.api.spec.MethodSpec` payloads — not live
   objects — across process boundaries, and results travel with the
   return value (``anonymize_with_report`` / the ``(dataset, report)``
   pairs of ``anonymize_stream``), never through shared mutable state;
-* :func:`parallel_map` — the deterministic order-preserving pool
-  primitive the experiment drivers reuse for their sweeps;
+* :func:`parallel_map` / :func:`parallel_map_stream` — the
+  deterministic order-preserving pool primitives (process pools; the
+  stream also runs on threads for the serving daemon's job runner)
+  that the experiment drivers reuse for their sweeps;
 * :class:`StreamPublisher` (:mod:`repro.engine.publish`) — the
   pipelined two-pass whole-dataset publisher: pass 1 consumes the
   chunked stream exactly once, spilling parsed chunks to disk
@@ -39,7 +41,6 @@ from repro.engine.pool import (
     resolve_workers,
 )
 from repro.engine.publish import (
-    APPORTIONMENT_KINDS,
     PublishReport,
     SharedTFEstimate,
     StreamPublisher,
@@ -49,7 +50,6 @@ from repro.engine.publish import (
 from repro.engine.spill import SpillError, SpillStore
 
 __all__ = [
-    "APPORTIONMENT_KINDS",
     "BatchAnonymizer",
     "EXECUTOR_KINDS",
     "PublishReport",

@@ -31,12 +31,7 @@ from repro.core.pipeline import (
     local_stream_seed,
 )
 from repro.core.signature import SignatureIndex
-from repro.engine.pool import (
-    EXECUTOR_KINDS,
-    parallel_map,
-    parallel_map_stream,
-    resolve_workers,
-)
+from repro.engine.pool import parallel_map, parallel_map_stream, resolve_workers
 from repro.engine.spill import decode_chunk, encode_chunk
 from repro.trajectory.model import Trajectory, TrajectoryDataset
 
@@ -45,9 +40,11 @@ if TYPE_CHECKING:  # engine sits below repro.api; runtime imports are lazy
 
 #: The local stage forks its pool only for a dataset of at least
 #: ``workers * MIN_POINTS_PER_WORKER`` points; a smaller one runs in
-#: process, where it finishes before a pool would pay for itself (see
-#: "When the local stage forks" in docs/architecture.md).
-MIN_POINTS_PER_WORKER = 4000
+#: process, where it finishes before a pool would pay for itself. On a
+#: 2-core host the 2-worker pool's median wall-clock first won at about
+#: 19k points, so the bound is half of that, rounded down (see "When
+#: the local stage forks" in docs/architecture.md).
+MIN_POINTS_PER_WORKER = 9000
 
 #: A sharded local stage splits the dataset into ``workers *
 #: SHARDS_PER_WORKER`` contiguous slices: a few per worker smooths out
@@ -130,13 +127,10 @@ class BatchAnonymizer:
         The configured pipeline to accelerate. Its global stage runs
         unchanged in-process; its local stage is sharded.
     workers:
-        Pool size; ``0``/``None`` means one worker per CPU core,
-        ``1`` keeps everything serial (but still byte-identical). A
-        dataset under ``workers * MIN_POINTS_PER_WORKER`` points runs
+        Process-pool size; ``0``/``None`` means one worker per CPU
+        core, ``1`` keeps everything in process (and byte-identical).
+        A dataset under ``workers * MIN_POINTS_PER_WORKER`` points runs
         its local stage in process whatever the pool size.
-    executor:
-        ``"process"`` (default), ``"thread"``, or ``"serial"`` — see
-        :mod:`repro.engine.pool`.
 
     :meth:`close` (or leaving the engine's ``with`` block) is terminal:
     a closed engine raises ``RuntimeError`` on further use (long-lived
@@ -148,15 +142,9 @@ class BatchAnonymizer:
         self,
         anonymizer: FrequencyAnonymizer,
         workers: int | None = None,
-        executor: str = "process",
     ) -> None:
-        if executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor {executor!r}; choose from {EXECUTOR_KINDS}"
-            )
         self.anonymizer = anonymizer
         self.workers = resolve_workers(workers)
-        self.executor = executor
         self._closed = False
 
     # -- lifecycle --------------------------------------------------------------
@@ -223,8 +211,8 @@ class BatchAnonymizer:
         each dataset draws the same per-call noise stream the ``i``-th
         sequential ``anonymize`` call on the wrapped instance would.
 
-        The in-process path (``workers <= 1`` or ``executor="serial"``)
-        runs chunks through :meth:`anonymize_with_report` directly.
+        The in-process path (``workers <= 1``) runs chunks through
+        :meth:`anonymize_with_report` directly.
 
         A closed engine refuses eagerly, at the call — not on first
         iteration of the returned generator.
@@ -235,7 +223,7 @@ class BatchAnonymizer:
     def _anonymize_stream_inner(
         self, datasets: Iterable[TrajectoryDataset]
     ) -> Iterator[tuple[TrajectoryDataset, AnonymizationReport]]:
-        if self.workers <= 1 or self.executor == "serial":
+        if self.workers <= 1:
             for dataset in datasets:
                 yield self.anonymize_with_report(
                     dataset, call_index=self.anonymizer.reserve_call_index()
@@ -249,10 +237,7 @@ class BatchAnonymizer:
                 yield (spec, self.anonymizer.reserve_call_index(), dataset)
 
         yield from parallel_map_stream(
-            _anonymize_one,
-            payloads(),
-            workers=self.workers,
-            executor=self.executor,
+            _anonymize_one, payloads(), workers=self.workers
         )
 
     def anonymize_many(
@@ -294,9 +279,7 @@ class BatchAnonymizer:
             self._make_shard(chunk, signature_index, base_seed)
             for chunk in _chunks(trajectories, shard_count)
         ]
-        results = parallel_map(
-            _run_local_shard, shards, workers=self.workers, executor=self.executor
-        )
+        results = parallel_map(_run_local_shard, shards, workers=self.workers)
         # Contiguous shards concatenated in order == serial iteration
         # order, so reports merge identically too.
         return [

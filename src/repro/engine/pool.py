@@ -1,19 +1,21 @@
-"""Worker-pool plumbing shared by the batch engine and the experiment
-drivers.
+"""Worker-pool plumbing shared by the batch engine, the publisher, the
+experiment drivers and the serving daemon.
 
-One entry point, :func:`parallel_map`, with three executors:
+Two entry points, both order-preserving:
 
-* ``"serial"`` — plain in-process map (also used whenever ``workers <= 1``
-  or there is at most one item);
-* ``"thread"`` — ``ThreadPoolExecutor``; no speedup for pure-Python CPU
-  work but useful for determinism testing and IO-bound stages;
-* ``"process"`` — ``ProcessPoolExecutor``; true parallelism, requires
-  picklable functions and payloads (module-level workers + plain data).
+* :func:`parallel_map` maps over a ``ProcessPoolExecutor``: true
+  parallelism, which requires picklable functions and payloads
+  (module-level workers + plain data);
+* :func:`parallel_map_stream` is its lazy form, over a process pool or,
+  with ``executor="thread"``, a thread pool. The daemon's job runner
+  streams its jobs on threads, so they share one warm engine cache;
+  the engines' own process pools provide the CPU-level parallelism.
 
-Results always come back in input order, so a parallel run is a drop-in
-replacement for the serial loop. If the process pool cannot be created
-(sandboxes without fork, exhausted resources), the call degrades to the
-serial path rather than failing the run.
+Both map in process when ``workers <= 1``. Results always come back in
+input order, so a parallel run is a drop-in replacement for the serial
+loop. If a pool cannot be created (sandboxes without fork, exhausted
+resources), the call degrades to the serial path rather than failing
+the run.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-EXECUTOR_KINDS = ("serial", "thread", "process")
+#: Pool kinds of :func:`parallel_map_stream`.
+EXECUTOR_KINDS = ("thread", "process")
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -54,21 +57,16 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     workers: int = 1,
-    executor: str = "process",
 ) -> list[R]:
-    """``[fn(item) for item in items]``, possibly across a worker pool.
+    """``[fn(item) for item in items]``, possibly across a process pool.
 
-    Exceptions raised by ``fn`` propagate regardless of executor.
+    Exceptions raised by ``fn`` propagate from either path.
     """
-    if executor not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"unknown executor {executor!r}; choose from {EXECUTOR_KINDS}"
-        )
     batch: Sequence[T] = list(items)
     workers = resolve_workers(workers)
-    if workers <= 1 or len(batch) <= 1 or executor == "serial":
+    if workers <= 1 or len(batch) <= 1:
         return [fn(item) for item in batch]
-    pool = _make_executor(executor, min(workers, len(batch)))
+    pool = _make_executor("process", min(workers, len(batch)))
     if pool is None:
         return [fn(item) for item in batch]
     with pool:
@@ -80,43 +78,36 @@ def parallel_map_stream(
     items: Iterable[T],
     workers: int = 1,
     executor: str = "process",
-    prefetch: int = 2,
     window: int | None = None,
 ) -> Iterator[R]:
     """Lazy :func:`parallel_map`: results stream back in input order.
 
     At most ``window`` items are in flight (submitted but not yet
-    yielded) — ``workers * prefetch`` unless ``window`` overrides it —
+    yielded) — two per worker unless ``window`` overrides it —
     and the input iterable is pulled only as slots free up, so a lazy
     or unbounded input stream is consumed with bounded memory, unlike
     :func:`parallel_map` which materialises its input first. The
     explicit ``window`` is for callers whose in-flight bound is a
     memory budget in its own right (the publisher's spill window)
     rather than a pool-utilisation heuristic. The serial path
-    (``workers <= 1``, ``"serial"``, or an environment without pools)
-    degenerates to a plain lazy ``map``.
+    (``workers <= 1``, or an environment without pools) degenerates to
+    a plain lazy ``map``.
     """
     if executor not in EXECUTOR_KINDS:
         raise ValueError(
             f"unknown executor {executor!r}; choose from {EXECUTOR_KINDS}"
         )
-    if prefetch < 1:
-        raise ValueError(f"prefetch must be at least 1, got {prefetch}")
     if window is not None and window < 1:
         raise ValueError(f"window must be at least 1, got {window}")
     workers = resolve_workers(workers)
     iterator = iter(items)
-    pool = (
-        None
-        if workers <= 1 or executor == "serial"
-        else _make_executor(executor, workers)
-    )
+    pool = None if workers <= 1 else _make_executor(executor, workers)
     if pool is None:
         for item in iterator:
             yield fn(item)
         return
     if window is None:
-        window = workers * prefetch
+        window = 2 * workers
     pending: deque = deque()
     try:
         for item in iterator:

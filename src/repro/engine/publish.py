@@ -17,7 +17,7 @@ protocol that publishes one consistent ε-DP release of the entire
   with the global mechanism's ε_G — the only whole-dataset mechanism
   invocation.
 * **Pass 2 — realise.**  Apportion each location's shared TF delta
-  across the chunks (balanced by default — see :meth:`chunk_targets`),
+  across the chunks (see :meth:`StreamPublisher.chunk_targets`),
   replay each chunk from its spill, and realise its apportioned target
   (``tf_target``) through the pipeline's global stage — pure
   modification, no fresh TF draw.  The local PF stage runs per chunk
@@ -40,16 +40,16 @@ Accounting (:mod:`repro.core.accounting`): the shared TF draw is one
 *sequential* draw over the whole dataset; the per-chunk local PF draws
 cover **disjoint** trajectory sets and compose in *parallel*, so the
 end-to-end budget is ε_G + max(ε_L) = ε_G + ε_L — exactly the declared
-split, independent of the number of chunks or the executor that
+split, independent of the number of chunks or of the workers that
 realised them.  The merged :class:`PublishReport` carries the full
 :class:`CompositionLedger`.
 
 Determinism: the publisher reserves one call index and derives one
 ``base_seed`` shared by every chunk (per-trajectory local streams are
 keyed by object id, so chunks never collide).  Output order and bytes
-are identical across serial, thread, and process executors for the
-same seed, and a single-chunk publish is **byte-identical** to
-``anonymize`` on the same seeded configuration.
+are identical for every pass-2 worker count for the same seed, and a
+single-chunk publish is **byte-identical** to ``anonymize`` on the
+same seeded configuration.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from repro.core.accounting import WHOLE_DATASET, CompositionLedger, apportion
+from repro.core.accounting import WHOLE_DATASET, CompositionLedger
 from repro.core.global_mechanism import TFPerturbation
 from repro.core.modification import ModificationReport
 from repro.core.pipeline import (
@@ -71,11 +71,7 @@ from repro.core.pipeline import (
     derive_seed,
 )
 from repro.engine.batch import BatchAnonymizer
-from repro.engine.pool import (
-    EXECUTOR_KINDS,
-    parallel_map_stream,
-    resolve_workers,
-)
+from repro.engine.pool import parallel_map_stream, resolve_workers
 from repro.engine.spill import SpillStore, read_spill
 from repro.trajectory.io import write_csv_rows
 from repro.trajectory.model import LocationKey, TrajectoryDataset
@@ -103,9 +99,6 @@ ChunkSource = Callable[[], Iterable[TrajectoryDataset]]
 SHARED_TF_LABEL = "global TF randomization"
 #: Parallel group of the per-chunk local PF draws.
 LOCAL_GROUP = "local PF randomization"
-
-#: How :meth:`StreamPublisher.chunk_targets` splits shared TF deltas.
-APPORTIONMENT_KINDS = ("balanced", "proportional")
 
 
 def chunk_source(
@@ -259,11 +252,11 @@ def _package(
 def _realize_spilled_chunk(job: _ChunkJob) -> _ChunkOutcome:
     """Worker: replay one spilled chunk and realise its target.
 
-    Runs in a pool worker (its own process under the default
-    executor): rebuilds the pipeline from the job's constructor
-    kwargs, loads and validates the spill, and realises the injected
-    target with the shared ``base_seed`` — exactly the serial
-    publisher's per-chunk call, so the bytes cannot differ.
+    Runs in a pool worker process: rebuilds the pipeline from the
+    job's constructor kwargs, loads and validates the spill, and
+    realises the injected target with the shared ``base_seed`` —
+    exactly the serial publisher's per-chunk call, so the bytes cannot
+    differ.
     """
     chunk = read_spill(
         job.path, index=job.index, expected_trajectories=job.expected
@@ -361,25 +354,18 @@ class StreamPublisher:
         pass 1, ε_L the parallel per-chunk local randomization of
         pass 2.
     workers:
-        Pass-2 fan-out: how many spilled chunks to realise at once.
-        ``1`` (default) keeps realisation in-process; ``0``/``None``
-        means one worker per CPU core. Output bytes and order are
-        identical for every value.
-    executor:
-        ``"process"`` (default), ``"thread"``, or ``"serial"`` — the
-        pool kind behind ``workers`` (see :mod:`repro.engine.pool`).
+        Pass-2 fan-out: how many spilled chunks to realise at once,
+        each in its own worker process. ``1`` (default) keeps
+        realisation in-process; ``0``/``None`` means one worker per
+        CPU core. Output bytes and order are identical for every value.
     spill_dir:
         Where pass 1 stages parsed chunks. Default: a private tempdir,
         removed when the publish finishes (success or failure). An
         explicit directory (e.g. registry staging space) has its
         staged files cleaned the same way.
-    window:
-        In-flight bound for the pass-1/pass-2 pipeline — at most this
-        many chunks are spilled-but-unpublished at once, capping
-        memory and spill disk. Default ``max(4, 2 * workers)``.
-    apportionment:
-        ``"balanced"`` (default) or ``"proportional"`` — see
-        :meth:`chunk_targets`.
+
+    At most :attr:`window` = ``max(4, 2 * workers)`` chunks are
+    spilled-but-unpublished at once, which caps memory and spill disk.
     """
 
     def __init__(
@@ -387,10 +373,7 @@ class StreamPublisher:
         engine: BatchAnonymizer | FrequencyAnonymizer,
         *,
         workers: int | None = 1,
-        executor: str = "process",
         spill_dir=None,
-        window: int | None = None,
-        apportionment: str = "balanced",
     ) -> None:
         if isinstance(engine, BatchAnonymizer):
             self.engine = engine
@@ -403,24 +386,9 @@ class StreamPublisher:
                 f"StreamPublisher needs a FrequencyAnonymizer or "
                 f"BatchAnonymizer, got {type(engine).__name__}"
             )
-        if executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor {executor!r}; choose from {EXECUTOR_KINDS}"
-            )
-        if apportionment not in APPORTIONMENT_KINDS:
-            raise ValueError(
-                f"unknown apportionment {apportionment!r}; choose from "
-                f"{APPORTIONMENT_KINDS}"
-            )
-        if window is not None and window < 1:
-            raise ValueError(f"window must be at least 1, got {window}")
         self.workers = resolve_workers(workers)
-        self.executor = executor
         self.spill_dir = spill_dir
-        self.window = (
-            max(4, 2 * self.workers) if window is None else window
-        )
-        self.apportionment = apportionment
+        self.window = max(4, 2 * self.workers)
         self._closed = False
 
     # -- lifecycle --------------------------------------------------------------
@@ -491,30 +459,24 @@ class StreamPublisher:
         bounded by how many of the chunk's trajectories contain the
         location (you cannot delete what is not there), increases by
         how many do *not* (an insertion targets a trajectory without
-        the location). Two shapes satisfy that invariant:
+        the location). Each location's whole delta goes to as *few*
+        chunks as possible, preferring the chunk with the least delta
+        assigned so far, so chunks end up with near-equal total work
+        but far fewer *distinct* perturbed locations each, and pass 2's
+        global stage searches less.
 
-        * ``"balanced"`` (default): give each location's whole delta
-          to as *few* chunks as possible, preferring the chunk with
-          the least delta assigned so far. Chunks end up with
-          near-equal total work but far fewer *distinct* perturbed
-          locations each, so pass 2's global stage searches less.
-        * ``"proportional"``: spread each delta across all chunks
-          proportionally to capacity with largest-remainder rounding —
-          closest to "every chunk looks like a miniature of the
-          dataset".
+        Why not spread each delta across all chunks in proportion to
+        capacity instead: measured (GL, ε=1, m=10; three 120×200 fleets
+        × two noise seeds; chunks of 30, in-process; 2-core host), this
+        split ran pass 2's global stage in 0.50–0.68 s against
+        0.52–0.88 s for the proportional one (faster in 5 of 6 runs;
+        whole-publish medians 1.15 s against 1.42 s), which had the
+        lower modification utility loss in 6 of 6 (mean 1464 km
+        against 1547 km, all of the gap in the global stage's share:
+        341 km against 419 km). See "Apportionment" in
+        docs/architecture.md.
 
-        The trade-off, measured (GL, ε=1, m=10; three 120×200 fleets
-        × two noise seeds; chunks of 30, in-process; 2-core host):
-        balanced ran pass 2's global stage in 0.50–0.68 s against
-        0.52–0.88 s (faster in 5 of 6 runs; whole-publish medians
-        1.15 s against 1.42 s), while proportional had the lower
-        modification utility loss in 6 of 6 (mean 1464 km against
-        1547 km, all of the gap in the global stage's share: 341 km
-        against 419 km). Balanced is the default for speed;
-        proportional stays for utility.
-
-        A single chunk receives the shared perturbation verbatim under
-        either mode.
+        A single chunk receives the shared perturbation verbatim.
         """
         shared = estimate.perturbation
         if shared is None:
@@ -522,7 +484,6 @@ class StreamPublisher:
         k = estimate.chunk_count
         deltas: list[dict[LocationKey, int]] = [{} for _ in range(k)]
         load = [0] * k
-        balanced = self.apportionment == "balanced"
         for loc in sorted(shared.original):
             d = shared.perturbed[loc] - shared.original[loc]
             if d == 0:
@@ -532,10 +493,7 @@ class StreamPublisher:
                 caps = [estimate.chunk_sizes[i] - origs[i] for i in range(k)]
             else:
                 caps = origs
-            if balanced:
-                shares = self._balanced_shares(abs(d), caps, load)
-            else:
-                shares = apportion(abs(d), caps, caps)
+            shares = self._balanced_shares(abs(d), caps, load)
             for i, share in enumerate(shares):
                 if share:
                     deltas[i][loc] = share if d > 0 else -share
@@ -606,7 +564,7 @@ class StreamPublisher:
         needs_tf = anonymizer._global is not None
         call_index = anonymizer.reserve_call_index()
         base_seed = anonymizer.base_seed_for(call_index)
-        parallel = self.workers > 1 and self.executor != "serial"
+        parallel = self.workers > 1
         spec_params = anonymizer.config() if parallel else None
         want_dataset = sink is not None
         ledger = CompositionLedger()
@@ -669,11 +627,7 @@ class StreamPublisher:
             summaries: list[dict] = []
             trajectories = 0
             for outcome in parallel_map_stream(
-                runner,
-                jobs(),
-                workers=self.workers if parallel else 1,
-                executor=self.executor if parallel else "serial",
-                window=self.window,
+                runner, jobs(), workers=self.workers, window=self.window
             ):
                 report = outcome.report
                 chunk_mods = ModificationReport()

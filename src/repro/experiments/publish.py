@@ -52,10 +52,7 @@ def run(
         chunk_size = max(1, len(dataset) // 4)
 
     def fresh_engine() -> BatchAnonymizer:
-        return BatchAnonymizer(
-            GL(**config.model_params()), workers=workers,
-            executor="serial" if workers <= 1 else "process",
-        )
+        return BatchAnonymizer(GL(**config.model_params()), workers=workers)
 
     # Baseline: k independent releases, one per chunk (each draws its
     # own TF over its own candidate set — the pre-publisher stream).

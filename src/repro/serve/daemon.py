@@ -90,9 +90,8 @@ class ServeConfig:
     spool: str | Path = "serve-spool"
     #: Background job-runner pool width.
     job_workers: int = 2
-    #: Batch-engine knobs applied to every warm frequency engine.
+    #: Local-stage pool size of every warm frequency engine.
     engine_workers: int | None = None
-    engine_executor: str = "process"
     #: Pass-2 fan-out for streaming-publish jobs (``0`` = per core;
     #: ``1`` realises spilled chunks in-process). Spills stage under
     #: the spool, one directory per job, cleaned with the publish.
@@ -122,10 +121,7 @@ class Daemon:
         #: Reservations orphaned by a previous crash, settled (charged
         #: in full) before this daemon admits anything new.
         self.recovered = self.store.recover()
-        self.engines = EngineCache(
-            workers=self.config.engine_workers,
-            executor=self.config.engine_executor,
-        )
+        self.engines = EngineCache(workers=self.config.engine_workers)
         registry = None
         if self.config.registry_root is not None:
             registry = DatasetRegistry(self.config.registry_root)

@@ -6,8 +6,8 @@ that configuration through it, so a repeat submission skips building
 the anonymizer. What stays warm is the engine object, not a pool: a
 :class:`~repro.engine.BatchAnonymizer` holds no worker processes
 between jobs. A job whose local stage is big enough to shard gets a
-fresh pool from :func:`~repro.engine.pool.parallel_map`, and a small
-one runs its local stage in process (see
+fresh process pool from :func:`~repro.engine.pool.parallel_map`, and a
+small one runs its local stage in process (see
 ``repro.engine.batch.MIN_POINTS_PER_WORKER``). Concurrent calls on one
 engine are safe by design (reports travel with the return value,
 noise streams are reserved per call), so the cache needs no
@@ -33,18 +33,13 @@ __all__ = ["EngineCache"]
 class EngineCache:
     """``spec.digest -> anonymizer`` map with a close lifecycle.
 
-    Parameters mirror the batch engine's pool knobs; they apply to
-    every frequency-family engine the cache builds. An entry keeps the
-    built engine, not worker processes.
+    ``workers`` is the batch engine's pool size; it applies to every
+    frequency-family engine the cache builds. An entry keeps the built
+    engine, not worker processes.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        executor: str = "process",
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = workers
-        self.executor = executor
         self._engines: dict[str, object] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -64,9 +59,7 @@ class EngineCache:
             if engine is None:
                 anonymizer = build(spec)
                 if isinstance(anonymizer, FrequencyAnonymizer):
-                    engine = BatchAnonymizer(
-                        anonymizer, workers=self.workers, executor=self.executor
-                    )
+                    engine = BatchAnonymizer(anonymizer, workers=self.workers)
                 else:
                     engine = anonymizer
                 self._engines[key] = engine

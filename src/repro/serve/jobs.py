@@ -308,10 +308,6 @@ class JobRunner:
             result, report = engine.anonymize_with_report(
                 dataset, call_index=0
             )
-        elif isinstance(engine, FrequencyAnonymizer):
-            result, report = engine.anonymize_with_report(
-                dataset, call_index=0
-            )
         elif hasattr(engine, "anonymize_with_report"):
             result, report = engine.anonymize_with_report(dataset)
         else:

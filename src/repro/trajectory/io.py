@@ -20,6 +20,15 @@ from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 #: Mean Earth radius in metres, used by the lat/lon projection helpers.
 EARTH_RADIUS_M = 6_371_000.0
 
+#: Largest absolute ``t``, ``x`` or ``y`` the planar readers accept. The
+#: index and the modification stages square coordinate differences: two
+#: accepted points differ by at most 2·B per axis, so their squared
+#: distance is at most 8·B², which must stay finite in float64 (below
+#: 1.8e308). B = 1e150 puts that at 8e300, with headroom for sums of
+#: such terms. Timestamps get the same bound, so the midpoints of
+#: inserted points stay finite too.
+MAX_ABS_COORDINATE = 1e150
+
 
 CSV_HEADER = ["object_id", "t", "x", "y"]
 
@@ -53,6 +62,33 @@ def write_csv(dataset: TrajectoryDataset, path: str | Path) -> None:
         write_csv_rows(writer, dataset)
 
 
+def _planar_point(row: list[str], source: str | Path, line: int) -> Point:
+    """The point of a ``…,t,x,y`` row, refusing what the pipeline cannot
+    place: a non-numeric field, or one that is not finite or exceeds
+    :data:`MAX_ABS_COORDINATE`. The :class:`ValueError` names
+    ``source`` and ``line``."""
+    try:
+        t, x, y = float(row[1]), float(row[2]), float(row[3])
+    except ValueError:
+        raise ValueError(
+            f"{source}:{line}: non-numeric t/x/y field in row {row!r}"
+        ) from None
+    # A chained comparison is False for NaN and for ±inf, so one test
+    # per field refuses both.
+    bound = MAX_ABS_COORDINATE
+    if -bound <= t <= bound and -bound <= x <= bound and -bound <= y <= bound:
+        return Point(x, y, t)
+    name, text = next(
+        (name, text)
+        for name, text, value in zip("txy", row[1:], (t, x, y), strict=True)
+        if not -bound <= value <= bound
+    )
+    raise ValueError(
+        f"{source}:{line}: {name}={text!r} is not finite or exceeds "
+        f"±{bound:g} in row {row!r}"
+    )
+
+
 def stream_csv_rows(
     lines: Iterable[str], source: str = "<stream>"
 ) -> Iterator[Trajectory]:
@@ -63,9 +99,11 @@ def stream_csv_rows(
     large files (or unbounded line streams) can be consumed one object
     at a time. Rows must be grouped by object — as :func:`write_csv`
     produces — though the groups themselves may come in any order;
-    within a group points are re-sorted by timestamp. Malformed rows and
-    a group whose object id already appeared earlier raise
-    :class:`ValueError` naming ``source`` and the offending line number.
+    within a group points are re-sorted by timestamp. Malformed rows
+    (including a ``t``, ``x`` or ``y`` that is not finite or exceeds
+    :data:`MAX_ABS_COORDINATE`) and a group whose object id already
+    appeared earlier raise :class:`ValueError` naming ``source`` and
+    the offending line number.
     """
     reader = csv.reader(iter(lines))
     header = next(reader, None)
@@ -86,13 +124,8 @@ def stream_csv_rows(
                 f"{source}:{line}: expected 4 fields "
                 f"({','.join(CSV_HEADER)}), got {len(row)}: {row!r}"
             )
-        object_id, t, x, y = row
-        try:
-            point = Point(float(x), float(y), float(t))
-        except ValueError:
-            raise ValueError(
-                f"{source}:{line}: non-numeric t/x/y field in row {row!r}"
-            ) from None
+        object_id = row[0]
+        point = _planar_point(row, source, line)
         if object_id != current_id:
             if current_id is not None:
                 yield Trajectory(current_id, sorted(points, key=lambda p: p.t))
@@ -153,7 +186,8 @@ def read_object_file(path: str | Path) -> Trajectory:
     """Read one per-object ``<object_id>.txt`` file (planar rows).
 
     The object id is the file stem; points are re-sorted by timestamp.
-    Malformed rows raise :class:`ValueError` with file and line number.
+    Malformed rows, refused as :func:`stream_csv_rows` refuses them,
+    raise :class:`ValueError` with file and line number.
     """
     path = Path(path)
     points = []
@@ -167,8 +201,7 @@ def read_object_file(path: str | Path) -> Trajectory:
                     f"{path}:{reader.line_num}: expected 4 fields, "
                     f"got {len(row)}: {row!r}"
                 )
-            _, t, x, y = row
-            points.append(Point(float(x), float(y), float(t)))
+            points.append(_planar_point(row, path, reader.line_num))
     points.sort(key=lambda p: p.t)
     return Trajectory(path.stem, points)
 

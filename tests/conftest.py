@@ -3,6 +3,8 @@
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 
@@ -38,3 +40,26 @@ def preempt_often():
     finally:
         threading.settrace(previous_trace)
         sys.setswitchinterval(previous_interval)
+
+
+@pytest.fixture(scope="session")
+def processes_on_threads():
+    """A context-manager factory: inside it, the process pools of
+    ``repro.engine.pool`` run on threads.
+
+    For tests that must fan out without forking: the mapped function
+    is a lambda or closure that cannot be pickled, or a hypothesis
+    loop forks too often to run in tier-1's time. Session-scoped and
+    stateless, so a hypothesis test can enter it once per example.
+    """
+    return lambda: mock.patch(
+        "repro.engine.pool.ProcessPoolExecutor", ThreadPoolExecutor
+    )
+
+
+@pytest.fixture
+def thread_pool(processes_on_threads):
+    """Run the test with ``repro.engine.pool``'s process pools on
+    threads (see :func:`processes_on_threads`)."""
+    with processes_on_threads():
+        yield

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.accounting import (
-    CompositionLedger,
-    MechanismDraw,
-    apportion,
-)
+from repro.core.accounting import CompositionLedger, MechanismDraw
 
 
 class TestMechanismDraw:
@@ -193,29 +189,3 @@ class TestMalformedPayload:
         with pytest.raises(ValueError):
             CompositionLedger.from_dict(payload)
 
-
-class TestApportion:
-    def test_sums_exactly_and_respects_caps(self):
-        shares = apportion(7, [3, 3, 1], [3, 3, 1])
-        assert sum(shares) == 7
-        assert shares == [3, 3, 1]
-
-    def test_largest_remainder_is_deterministic(self):
-        assert apportion(5, [1, 1, 1], [5, 5, 5]) == apportion(
-            5, [1, 1, 1], [5, 5, 5]
-        )
-        assert sum(apportion(5, [1, 1, 1], [5, 5, 5])) == 5
-
-    def test_capped_overflow_redistributes(self):
-        shares = apportion(6, [10, 1, 1], [2, 4, 4])
-        assert sum(shares) == 6
-        assert all(s <= c for s, c in zip(shares, [2, 4, 4], strict=True))
-
-    def test_zero_weights_fill_in_order(self):
-        assert apportion(3, [0, 0], [2, 2]) == [2, 1]
-
-    def test_rejects_impossible_totals(self):
-        with pytest.raises(ValueError):
-            apportion(5, [1, 1], [2, 2])
-        with pytest.raises(ValueError):
-            apportion(-1, [1], [1])

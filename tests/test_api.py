@@ -32,6 +32,7 @@ from repro.api import (
     build,
     method_info,
     method_names,
+    publish,
     register,
     run,
 )
@@ -414,9 +415,7 @@ class TestRun:
         monkeypatch.setattr(batch_module, "MIN_POINTS_PER_WORKER", 0)
         legacy = GL(epsilon=1.0, signature_size=3, seed=21).anonymize(fleet.dataset)
         spec = MethodSpec("gl", {"epsilon": 1.0, "signature_size": 3, "seed": 21})
-        result = run(
-            spec, fleet.dataset, engine="batch", workers=3, executor="thread"
-        )
+        result = run(spec, fleet.dataset, engine="batch", workers=3)
         assert result.engine == "batch"
         assert coords_of(result.dataset) == coords_of(legacy)
 
@@ -453,6 +452,24 @@ class TestRun:
         with pytest.raises(ValueError, match="unknown engine"):
             run(MethodSpec("gl"), fleet.dataset, engine="gpu")
 
+    @pytest.mark.parametrize(
+        "call, keyword, value",
+        [
+            (run, "executor", "process"),
+            (publish, "executor", "process"),
+            (publish, "publish_executor", "process"),
+            (publish, "apportionment", "balanced"),
+            (publish, "window", 4),
+        ],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_retired_keyword_is_refused(self, fleet, call, keyword, value):
+        """Pool kinds, the apportionment policy and the publisher's
+        window are not settings: each retired keyword is refused by
+        name, even at its old default."""
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            call("gl", fleet.dataset, **{keyword: value})
+
     def test_report_records_spec_provenance(self, fleet):
         spec = MethodSpec("gl", {"epsilon": 1.0, "signature_size": 3, "seed": 2})
         result = run(spec, fleet.dataset)
@@ -466,7 +483,7 @@ class TestConcurrencySafety:
 
     def test_concurrent_runs_keep_their_own_reports(self, fleet):
         anonymizer = PureL(epsilon=0.5, signature_size=3, seed=31)
-        engine = BatchAnonymizer(anonymizer, workers=2, executor="serial")
+        engine = BatchAnonymizer(anonymizer, workers=1)
         datasets = [fleet.dataset.subset(4 + i) for i in range(6)]
 
         def job(dataset):

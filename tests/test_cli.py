@@ -1,13 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 
 import pytest
 
 from repro.cli import main
 from repro.core.accounting import CompositionLedger
 from repro.serve.budget import BudgetStore
-from repro.trajectory.io import read_csv
+from repro.trajectory.io import MAX_ABS_COORDINATE, read_csv, write_csv
+from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
 
 @pytest.fixture
@@ -145,7 +147,7 @@ class TestAnonymizeMethod:
             [
                 "anonymize", "-i", str(fleet_csv), "-o", str(out),
                 "--method", "gl", "--signature-size", "3", "--seed", "4",
-                "--engine", "batch", "--workers", "2", "--executor", "thread",
+                "--engine", "batch", "--workers", "2",
             ]
         )
         assert code == 0
@@ -298,6 +300,22 @@ class TestErrorBoundary:
         assert "unrecognized arguments: --strategy top_down" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["anonymize", "publish", "serve"])
+    def test_retired_executor_flag_is_refused(
+        self, fleet_csv, tmp_path, capsys, command
+    ):
+        """The batch engine always maps on processes; no flag picks
+        the pool kind."""
+        out = tmp_path / "x.csv"
+        io_args = [] if command == "serve" else ["-i", str(fleet_csv), "-o", str(out)]
+        with pytest.raises(SystemExit) as exited:
+            main([command, *io_args, "--executor", "process"])
+        err = capsys.readouterr().err
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --executor process" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["anonymize", "publish"])
     @pytest.mark.parametrize("model", ["gl", "pureg"])
     @pytest.mark.parametrize("epsilon", ["inf", "1e-320"])
@@ -400,6 +418,68 @@ class TestErrorBoundary:
         assert err.startswith("repro anonymize: epsilon=0 ")
         assert "None" not in err
         assert "epsilon_global" not in err
+
+
+class TestCoordinateBounds:
+    """Values whose squared differences could overflow float64 are
+    refused where the CSV enters, before any stage runs."""
+
+    @pytest.mark.parametrize("command", ["anonymize", "publish"])
+    @pytest.mark.parametrize("field", ["t", "x", "y"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e200"])
+    def test_unplaceable_value_is_refused_with_its_line(
+        self, fleet_csv, tmp_path, capsys, command, field, value
+    ):
+        lines = fleet_csv.read_text().splitlines()
+        object_id, *fields = lines[4].split(",")
+        fields["txy".index(field)] = value
+        lines[4] = ",".join([object_id, *fields])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        code = main([command, "-i", str(bad), "-o", str(out), "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            f"repro {command}: {bad}:5: {field}='{value}' is not finite or exceeds"
+        )
+        assert "Traceback" not in err
+        # No output, no staging file, no report.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv", "fleet.csv"]
+
+    @pytest.mark.parametrize("model", ["gl", "pureg", "purel"])
+    def test_fleet_at_the_bound_anonymizes(self, fleet_csv, tmp_path, model):
+        """The largest accepted magnitude, on both axes and both signs,
+        still gets through the global and local stages."""
+        fleet = read_csv(fleet_csv)
+        peak = max(
+            max(abs(p.x), abs(p.y)) for trajectory in fleet for p in trajectory
+        )
+
+        def stretch(v):
+            if abs(v) == peak:
+                return math.copysign(MAX_ABS_COORDINATE, v)
+            return v * (MAX_ABS_COORDINATE / peak)
+
+        scaled = TrajectoryDataset(
+            Trajectory(
+                trajectory.object_id,
+                [Point(stretch(p.x), -stretch(p.y), p.t) for p in trajectory],
+            )
+            for trajectory in fleet
+        )
+        edge = tmp_path / "edge.csv"
+        write_csv(scaled, edge)
+        assert max(
+            max(abs(p.x), abs(p.y)) for trajectory in read_csv(edge) for p in trajectory
+        ) == MAX_ABS_COORDINATE
+        out = tmp_path / "out.csv"
+        code = main(
+            ["anonymize", "-i", str(edge), "-o", str(out), "--model", model,
+             "--signature-size", "3", "--seed", "1"]
+        )
+        assert code == 0
+        assert len(read_csv(out)) == len(fleet)
 
 
 class TestAttackAndEvaluate:

@@ -219,7 +219,7 @@ class TestIngestThenAnonymize:
         common = ["--model", "gl", "--signature-size", "3", "--seed", "11"]
         assert main(
             ["anonymize", "-i", str(artifact), "-o", str(via_artifact),
-             "--engine", "batch", "--workers", "2", "--executor", "thread",
+             "--engine", "batch", "--workers", "2",
              *common]
         ) == 0
         assert main(
@@ -242,7 +242,6 @@ class TestIngestThenAnonymize:
         engine = BatchAnonymizer(
             GL(epsilon=1.0, signature_size=3, seed=5),
             workers=1,
-            executor="serial",
         )
         stream = engine.anonymize_stream(chunks())
         first, report = next(stream)
@@ -262,7 +261,6 @@ class TestIngestThenAnonymize:
         engine = BatchAnonymizer(
             GL(epsilon=1.0, signature_size=3, seed=5),
             workers=1,
-            executor="serial",
         )
         from_stream = engine.anonymize_many(
             dataset.copy() for _ in range(2)

@@ -15,8 +15,10 @@ from repro.data.stream import (
     unproject_point,
 )
 from repro.trajectory.io import (
+    MAX_ABS_COORDINATE,
     project_latlon,
     read_csv,
+    read_object_file,
     stream_csv,
     stream_csv_rows,
     write_csv,
@@ -92,6 +94,38 @@ class TestStreamCsvRows:
         lines = ["object_id,t,x,y\n", "a,nope,2.0,3.0\n"]
         with pytest.raises(ValueError, match=r"<stream>:2: non-numeric"):
             list(stream_csv_rows(lines))
+
+    @pytest.mark.parametrize("field", [0, 1, 2], ids=["t", "x", "y"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e200", "-1.1e150"])
+    def test_unplaceable_field_names_line(self, field, value):
+        """A field whose squared differences could overflow float64 is
+        refused where it enters, named with its line."""
+        fields = ["1.0", "2.0", "3.0"]
+        fields[field] = value
+        lines = ["object_id,t,x,y\n", "a,0.0,0.0,0.0\n", f"a,{','.join(fields)}\n"]
+        name = "txy"[field]
+        with pytest.raises(
+            ValueError, match=rf"<stream>:3: {name}='{value}' is not finite or exceeds"
+        ):
+            list(stream_csv_rows(lines))
+
+    def test_values_at_the_bound_are_accepted(self):
+        bound = f"{MAX_ABS_COORDINATE!r}"
+        lines = ["object_id,t,x,y\n", f"a,-{bound},{bound},-{bound}\n"]
+        [trajectory] = stream_csv_rows(lines)
+        point = trajectory[0]
+        assert (point.t, point.x, point.y) == (
+            -MAX_ABS_COORDINATE, MAX_ABS_COORDINATE, -MAX_ABS_COORDINATE
+        )
+
+    def test_object_file_refuses_the_same_values(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("a,0.0,1.0,1.0\na,1.0,nan,1.0\n")
+        with pytest.raises(ValueError, match=r"a\.txt:2: x='nan' is not finite"):
+            read_object_file(path)
+        path.write_text("a,0.0,1.0,nope\n")
+        with pytest.raises(ValueError, match=r"a\.txt:1: non-numeric"):
+            read_object_file(path)
 
     def test_non_contiguous_group_names_line(self):
         lines = [
@@ -173,6 +207,22 @@ class TestTdriveRecords:
         path = tmp_path / "taxi.txt"
         path.write_text("1,10.0,not-a-lon,39.9\n")
         with pytest.raises(ValueError, match=r"taxi\.txt:1: malformed"):
+            list(stream_tdrive_records(path))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "1,10.0,nan,39.9",
+            "1,10.0,116.5,inf",
+            "1,10.0,180.5,39.9",
+            "1,10.0,116.5,-90.1",
+            "1,inf,116.5,39.9",
+        ],
+    )
+    def test_out_of_range_record_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "taxi.txt"
+        path.write_text(f"1,0.0,116.5,39.9\n{row}\n")
+        with pytest.raises(ValueError, match=r"taxi\.txt:2: timestamp not finite"):
             list(stream_tdrive_records(path))
 
     def test_scan_origin_is_mean(self, tmp_path):

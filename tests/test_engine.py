@@ -14,6 +14,7 @@ from repro.core.pipeline import GL, PureL
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.engine import (
     BatchAnonymizer,
+    StreamPublisher,
     parallel_map,
     parallel_map_stream,
     resolve_workers,
@@ -44,13 +45,9 @@ class TestParallelMap:
     def test_serial_fallback_preserves_order(self):
         assert parallel_map(lambda x: x * 2, range(5), workers=1) == [0, 2, 4, 6, 8]
 
-    def test_thread_pool_preserves_order(self):
-        got = parallel_map(lambda x: x * x, range(20), workers=4, executor="thread")
+    def test_thread_pool_preserves_order(self, thread_pool):
+        got = parallel_map(lambda x: x * x, range(20), workers=4)
         assert got == [x * x for x in range(20)]
-
-    def test_rejects_unknown_executor(self):
-        with pytest.raises(ValueError):
-            parallel_map(lambda x: x, [1, 2], workers=2, executor="gpu")
 
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError):
@@ -60,12 +57,12 @@ class TestParallelMap:
         assert resolve_workers(0) >= 1
         assert resolve_workers(None) >= 1
 
-    def test_exceptions_propagate(self):
+    def test_exceptions_propagate(self, thread_pool):
         def boom(x):
             raise RuntimeError("job failed")
 
         with pytest.raises(RuntimeError):
-            parallel_map(boom, [1, 2, 3], workers=2, executor="thread")
+            parallel_map(boom, [1, 2, 3], workers=2)
 
 
 class TestParallelMapStream:
@@ -98,18 +95,19 @@ class TestParallelMapStream:
                 yield i
 
         stream = parallel_map_stream(
-            lambda x: x, source(), workers=2, executor="thread", prefetch=2
+            lambda x: x, source(), workers=2, executor="thread"
         )
         assert next(stream) == 0
-        # window = workers * prefetch = 4 items in flight, +1 for the
-        # element pulled after the first yield resumed the loop.
+        # The default window is two items in flight per worker, +1 for
+        # the element pulled after the first yield resumed the loop.
         assert len(pulled) <= 5
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            list(parallel_map_stream(lambda x: x, [1], executor="gpu"))
-        with pytest.raises(ValueError):
-            list(parallel_map_stream(lambda x: x, [1], prefetch=0))
+        # Threads and processes are the pool kinds; workers <= 1 is
+        # the in-process map, so "serial" is not a kind.
+        for executor in ("gpu", "serial"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                list(parallel_map_stream(lambda x: x, [1], executor=executor))
 
     def test_exceptions_propagate(self):
         def boom(x):
@@ -166,12 +164,16 @@ class TestLocalShardPayload:
         assert b"Point" not in pickle.dumps(payload)
         assert len(decode_chunk(payload)) == len(perturbations) == len(reports) == 3
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_sharded_results_equal_serial(self, fleet, executor, always_shard):
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_sharded_results_equal_serial(
+        self, fleet, pool, always_shard, request
+    ):
+        if pool == "thread":
+            request.getfixturevalue("thread_pool")
         anonymizer = GL(epsilon=1.0, signature_size=3, seed=27)
         signature_index = anonymizer.extractor.extract(fleet.dataset)
         serial = anonymizer._run_local_serial(fleet.dataset, signature_index, 9)
-        engine = BatchAnonymizer(anonymizer, workers=2, executor=executor)
+        engine = BatchAnonymizer(anonymizer, workers=2)
         sharded = engine._run_local_sharded(fleet.dataset, signature_index, 9)
         assert len(sharded) == len(serial)
         for (oid, pert, traj, report), (oid2, pert2, traj2, report2) in zip(
@@ -191,7 +193,7 @@ class TestPoolSizeRule:
         monkeypatch.setattr(batch_module, "parallel_map", map_fn)
         anonymizer = GL(epsilon=1.0, signature_size=3, seed=29)
         signature_index = anonymizer.extractor.extract(fleet.dataset)
-        engine = BatchAnonymizer(anonymizer, workers=2, executor="thread")
+        engine = BatchAnonymizer(anonymizer, workers=2)
         return engine._run_local_sharded(fleet.dataset, signature_index, 9)
 
     def test_below_the_bound_runs_in_process(self, fleet, monkeypatch):
@@ -217,11 +219,15 @@ class TestPoolSizeRule:
 
 
 class TestBatchAnonymizer:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_byte_identical_to_serial(self, fleet, executor, always_shard):
+    @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
+    def test_byte_identical_to_serial(self, fleet, pool, always_shard, request):
+        """In process (one worker), on the thread seam, and across real
+        worker processes."""
+        if pool == "thread":
+            request.getfixturevalue("thread_pool")
         serial = GL(epsilon=1.0, signature_size=3, seed=21).anonymize(fleet.dataset)
         anonymizer = GL(epsilon=1.0, signature_size=3, seed=21)
-        engine = BatchAnonymizer(anonymizer, workers=3, executor=executor)
+        engine = BatchAnonymizer(anonymizer, workers=1 if pool == "serial" else 3)
         batched = engine.anonymize(fleet.dataset)
         assert coords_of(batched) == coords_of(serial)
         # Timestamps too: truly byte-identical trajectories.
@@ -232,7 +238,7 @@ class TestBatchAnonymizer:
         reference = GL(epsilon=1.0, signature_size=3, seed=22)
         _, expected = reference.anonymize_with_report(fleet.dataset)
         anonymizer = GL(epsilon=1.0, signature_size=3, seed=22)
-        engine = BatchAnonymizer(anonymizer, workers=4, executor="thread")
+        engine = BatchAnonymizer(anonymizer, workers=4)
         _, report = engine.anonymize_with_report(fleet.dataset)
         assert report is not None
         assert report.to_dict() == expected.to_dict()
@@ -244,15 +250,15 @@ class TestBatchAnonymizer:
         )
         assert coords_of(engine.anonymize(fleet.dataset)) == coords_of(serial)
 
-    def test_shard_count_independent(self, fleet, always_shard, monkeypatch):
+    def test_shard_count_independent(
+        self, fleet, always_shard, monkeypatch, thread_pool
+    ):
         """Output must not depend on how the dataset is sliced."""
         results = []
         for shards in (1, 2, 7):
             monkeypatch.setattr(batch_module, "SHARDS_PER_WORKER", shards)
             engine = BatchAnonymizer(
-                PureL(epsilon=0.5, signature_size=3, seed=24),
-                workers=2,
-                executor="thread",
+                PureL(epsilon=0.5, signature_size=3, seed=24), workers=2
             )
             results.append(coords_of(engine.anonymize(fleet.dataset)))
         assert results[0] == results[1] == results[2]
@@ -265,7 +271,7 @@ class TestBatchAnonymizer:
         # Per-call streams: successive calls must differ.
         assert expected[0] != expected[1]
         engine = BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=3, seed=25), workers=2, executor="thread"
+            GL(epsilon=1.0, signature_size=3, seed=25), workers=2
         )
         outcomes = engine.anonymize_many([fleet.dataset] * 3)
         assert [coords_of(result) for result, _ in outcomes] == expected
@@ -276,21 +282,21 @@ class TestBatchAnonymizer:
     def test_anonymize_many_advances_call_counter(self, fleet):
         """A sweep then a direct call must keep drawing fresh streams."""
         engine = BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=3, seed=26), workers=2, executor="serial"
+            GL(epsilon=1.0, signature_size=3, seed=26), workers=1
         )
         swept = [coords_of(r) for r, _ in engine.anonymize_many([fleet.dataset] * 2)]
         after = coords_of(engine.anonymize(fleet.dataset))
         assert after not in swept
 
     def test_rejects_bad_configuration(self, fleet):
-        with pytest.raises(ValueError):
-            BatchAnonymizer(GL(epsilon=1.0, seed=0), executor="gpu")
+        with pytest.raises(ValueError, match="workers"):
+            BatchAnonymizer(GL(epsilon=1.0, seed=0), workers=-1)
 
     def test_no_runner_state_left_on_wrapped_anonymizer(self, fleet):
         """The sharding hook travels as a per-call argument, never as
         instance state (the old _local_runner mutation is gone)."""
         anonymizer = PureL(epsilon=0.5, signature_size=3, seed=27)
-        engine = BatchAnonymizer(anonymizer, workers=2, executor="thread")
+        engine = BatchAnonymizer(anonymizer, workers=2)
         engine.anonymize(fleet.dataset)
         assert not hasattr(anonymizer, "_local_runner")
 
@@ -339,14 +345,55 @@ class TestGlobalPoolLifecycle:
             with engine:
                 pass  # pragma: no cover — __enter__ must refuse
 
-    def test_pooled_output_identical_to_serial(self, fleet):
-        """A wave GL through a pooled engine equals the default GL run
-        in-process."""
+    def test_pooled_output_identical_to_serial(self, fleet, always_shard):
+        """A wave GL through a pooled engine (its local stage on real
+        worker processes) equals the default GL run in-process."""
         serial = GL(epsilon=1.0, signature_size=3, seed=31).anonymize(
             fleet.dataset
         )
-        with BatchAnonymizer(wave_gl(), workers=2, executor="thread") as engine:
+        with BatchAnonymizer(wave_gl(), workers=2) as engine:
             pooled = engine.anonymize(fleet.dataset)
         assert coords_of(pooled) == coords_of(serial)
         # The wave planner ran: engine -> pipeline -> modifier wiring.
         assert engine.anonymizer._inter.last_wave_stats.operations > 0
+
+
+
+class TestRetiredSettings:
+    """The engine layer has one pool kind per call site, one
+    apportionment policy and a derived publisher window: each retired
+    keyword is refused by name, even at its old default."""
+
+    @pytest.mark.parametrize(
+        "call, keyword, value",
+        [
+            pytest.param(
+                lambda **kw: BatchAnonymizer(GL(epsilon=1.0), **kw),
+                "executor", "process", id="BatchAnonymizer-executor",
+            ),
+            pytest.param(
+                lambda **kw: StreamPublisher(GL(epsilon=1.0), **kw),
+                "executor", "process", id="StreamPublisher-executor",
+            ),
+            pytest.param(
+                lambda **kw: StreamPublisher(GL(epsilon=1.0), **kw),
+                "apportionment", "balanced", id="StreamPublisher-apportionment",
+            ),
+            pytest.param(
+                lambda **kw: StreamPublisher(GL(epsilon=1.0), **kw),
+                "window", 4, id="StreamPublisher-window",
+            ),
+            pytest.param(
+                lambda **kw: parallel_map(int, [], **kw),
+                "executor", "process", id="parallel_map-executor",
+            ),
+            pytest.param(
+                # A generator function binds its arguments at the call.
+                lambda **kw: parallel_map_stream(int, [], **kw),
+                "prefetch", 2, id="parallel_map_stream-prefetch",
+            ),
+        ],
+    )
+    def test_retired_keyword_is_refused(self, call, keyword, value):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            call(**{keyword: value})

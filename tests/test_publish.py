@@ -63,7 +63,6 @@ class TestSingleChunkIdentity:
         with BatchAnonymizer(
             GL(epsilon=1.0, signature_size=3, seed=21, candidate_source="wave"),
             workers=3,
-            executor="thread",
         ) as engine:
             published, _ = StreamPublisher(engine).publish_collected(
                 source(fleet.dataset, 10_000)

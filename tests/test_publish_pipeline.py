@@ -10,9 +10,10 @@ The load-bearing guarantees on top of ``test_publish.py``:
 * spill directories are cleaned up on success, on failure, and on
   ``close()``;
 * parallel publish output — CSV bytes and ledger totals — is
-  byte-identical to the serial publisher across executors and chunk
-  counts (fixture + hypothesis), including single-chunk ==
-  ``anonymize``;
+  byte-identical to the serial publisher across worker counts, in-flight
+  windows and chunk counts (fixture + hypothesis, on the real process
+  pool and on the thread seam of ``tests/conftest.py``), including
+  single-chunk == ``anonymize``;
 * without a global mechanism, pass-2 realisation genuinely overlaps
   pass-1 parsing behind the bounded window.
 """
@@ -247,7 +248,7 @@ class TestPublisherSpillHygiene:
             publisher.publish(lambda: truncating())
 
 
-# -- byte-identity across executors --------------------------------------------
+# -- byte-identity across worker pools -----------------------------------------
 
 
 MAKERS = {
@@ -259,12 +260,14 @@ MAKERS = {
 class TestParallelByteIdentity:
     @pytest.mark.parametrize("maker", MAKERS.values(), ids=MAKERS.keys())
     @pytest.mark.parametrize("chunk_size", [2, 3, 4, 5, 100])
-    def test_thread_pool_matches_serial(self, fleet, maker, chunk_size):
+    def test_thread_pool_matches_serial(
+        self, fleet, maker, chunk_size, thread_pool
+    ):
         base, base_report = publish_bytes(
             StreamPublisher(maker()), source(fleet.dataset, chunk_size)
         )
         got, report = publish_bytes(
-            StreamPublisher(maker(), workers=3, executor="thread"),
+            StreamPublisher(maker(), workers=3),
             source(fleet.dataset, chunk_size),
         )
         assert got == base
@@ -280,7 +283,7 @@ class TestParallelByteIdentity:
             StreamPublisher(MAKERS["gl"]()), source(fleet.dataset, chunk_size)
         )
         got, report = publish_bytes(
-            StreamPublisher(MAKERS["gl"](), workers=2, executor="process"),
+            StreamPublisher(MAKERS["gl"](), workers=2),
             source(fleet.dataset, chunk_size),
         )
         assert got == base
@@ -289,20 +292,21 @@ class TestParallelByteIdentity:
     def test_single_chunk_matches_plain_anonymize(self, fleet):
         serial = MAKERS["gl"]().anonymize(fleet.dataset)
         got, report = publish_bytes(
-            StreamPublisher(MAKERS["gl"](), workers=2, executor="process"),
+            StreamPublisher(MAKERS["gl"](), workers=2),
             source(fleet.dataset, 10_000),
         )
         assert report.chunk_count == 1
         assert got == csv_chunk_bytes(serial)
 
-    def test_window_one_matches_serial(self, fleet):
+    def test_window_one_matches_serial(self, fleet, thread_pool):
+        """The derived in-flight window is a memory bound, not an input
+        to the bytes: shrinking it to one chunk changes nothing."""
         base, _ = publish_bytes(
             StreamPublisher(MAKERS["gl"]()), source(fleet.dataset, 3)
         )
-        got, _ = publish_bytes(
-            StreamPublisher(MAKERS["gl"](), workers=2, executor="thread", window=1),
-            source(fleet.dataset, 3),
-        )
+        publisher = StreamPublisher(MAKERS["gl"](), workers=2)
+        publisher.window = 1
+        got, _ = publish_bytes(publisher, source(fleet.dataset, 3))
         assert got == base
 
     @given(
@@ -313,65 +317,22 @@ class TestParallelByteIdentity:
     )
     @settings(max_examples=12, deadline=None)
     def test_hypothesis_identity_across_executors(
-        self, fleet, chunk_count, workers, epsilon, seed
+        self, fleet, processes_on_threads, chunk_count, workers, epsilon, seed
     ):
         chunk_size = -(-len(fleet.dataset) // chunk_count)  # ceil div
         make = lambda: GL(epsilon=epsilon, signature_size=3, seed=seed)
         base, base_report = publish_bytes(
             StreamPublisher(make()), source(fleet.dataset, chunk_size)
         )
-        got, report = publish_bytes(
-            StreamPublisher(make(), workers=workers, executor="thread"),
-            source(fleet.dataset, chunk_size),
-        )
+        with processes_on_threads():
+            got, report = publish_bytes(
+                StreamPublisher(make(), workers=workers),
+                source(fleet.dataset, chunk_size),
+            )
         assert got == base
         assert report.epsilon_total == base_report.epsilon_total
         assert report.utility_loss == base_report.utility_loss
         assert report.chunk_count == base_report.chunk_count == chunk_count
-
-
-class TestApportionmentModes:
-    def test_both_modes_apportion_exactly(self, fleet):
-        for mode in ("balanced", "proportional"):
-            publisher = StreamPublisher(
-                GL(epsilon=1.0, signature_size=3, seed=9), apportionment=mode
-            )
-            estimate = publisher.estimate(chunked(iter(fleet.dataset), 3))
-            targets = publisher.chunk_targets(estimate)
-            shared = estimate.perturbation
-            for loc in shared.original:
-                assert sum(t.perturbed.get(loc, 0) for t in targets) == (
-                    shared.perturbed[loc]
-                )
-            for target, size in zip(
-                targets, estimate.chunk_sizes, strict=True
-            ):
-                assert all(0 <= c <= size for c in target.perturbed.values())
-
-    def test_balanced_touches_fewer_locations(self, fleet):
-        """The perf lever: balanced concentrates each location's delta
-        on few chunks, so chunks see fewer distinct perturbed
-        locations than under proportional spreading."""
-
-        def touched(mode):
-            publisher = StreamPublisher(
-                GL(epsilon=1.0, signature_size=3, seed=9), apportionment=mode
-            )
-            estimate = publisher.estimate(chunked(iter(fleet.dataset), 3))
-            targets = publisher.chunk_targets(estimate)
-            return sum(
-                sum(1 for l in t.original if t.perturbed[l] != t.original[l])
-                for t in targets
-            )
-
-        assert touched("balanced") <= touched("proportional")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="apportionment"):
-            StreamPublisher(
-                GL(epsilon=1.0, signature_size=3, seed=9),
-                apportionment="random",
-            )
 
 
 # -- overlap -------------------------------------------------------------------

@@ -83,7 +83,6 @@ def daemon(tmp_path):
         spool=tmp_path / "spool",
         tenants=(("acme", 8.0), ("tiny", 0.1)),
         engine_workers=1,
-        engine_executor="thread",
         job_workers=1,
     )
     with Daemon(config) as daemon:
@@ -273,7 +272,6 @@ class TestJobLifecycle:
             load_dataset(dataset_csv),
             engine="batch",
             workers=1,
-            executor="thread",
         )
         expected = tmp_path / "expected.csv"
         write_csv(reference.dataset, expected)
@@ -458,7 +456,6 @@ class TestShutdown:
             spool=tmp_path / "spool",
             tenants=(("acme", 8.0),),
             engine_workers=1,
-            engine_executor="thread",
         )
         daemon = Daemon(config)
         daemon.start()

@@ -8,6 +8,7 @@ import pytest
 from repro.api.spec import MethodSpec
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.engine.batch import BatchAnonymizer
+from repro.serve import ServeConfig
 from repro.serve.budget import (
     AccountError,
     BudgetExceededError,
@@ -40,7 +41,7 @@ def store(tmp_path):
 
 @pytest.fixture
 def engines():
-    cache = EngineCache(workers=1, executor="thread")
+    cache = EngineCache(workers=1)
     yield cache
     cache.close()
 
@@ -84,6 +85,18 @@ class TestEngineCache:
         assert len(engines) == 0
         with pytest.raises(RuntimeError, match="closed"):
             engines.get(MethodSpec("gl", {"epsilon": 1.0}))
+
+
+@pytest.mark.parametrize(
+    "make, keyword",
+    [(ServeConfig, "engine_executor"), (EngineCache, "executor")],
+    ids=["ServeConfig", "EngineCache"],
+)
+def test_retired_pool_kind_is_refused(make, keyword):
+    """Warm engines always map on processes; no setting picks the
+    pool kind, not even its old default."""
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+        make(**{keyword: "process"})
 
 
 class TestEpsilonOf:

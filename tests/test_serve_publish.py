@@ -42,7 +42,7 @@ def dataset_csv(tmp_path_factory):
 def runner(tmp_path):
     store = BudgetStore(tmp_path / "budgets")
     store.declare("acme", 8.0)
-    engines = EngineCache(workers=1, executor="serial")
+    engines = EngineCache(workers=1)
     runner = JobRunner(store, engines, tmp_path / "spool", workers=2)
     yield runner
     runner.close()

@@ -94,7 +94,6 @@ def main() -> int:
             "--tenant", "acme=4.0",
             "--tenant", "tiny=0.1",
             "--workers", "1",
-            "--executor", "thread",
         ],
         cwd=REPO,
         env={**env, "PATH": "/usr/bin:/bin"},
@@ -144,7 +143,6 @@ def main() -> int:
             DatasetRegistry(registry).load("smoke-fleet"),
             engine="batch",
             workers=1,
-            executor="thread",
         )
         expected_csv = tmp / "expected.csv"
         write_csv(reference.dataset, expected_csv)
