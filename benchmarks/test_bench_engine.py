@@ -178,12 +178,11 @@ def test_bench_publish_shared_tf(
     )
 
     def run_publish():
-        with StreamPublisher(
+        return StreamPublisher(
             GL(epsilon=1.0, signature_size=SIGNATURE_SIZE, seed=7)
-        ) as publisher:
-            return publisher.publish(
-                lambda: chunked(iter(engine_fleet.dataset), _bench_chunk_size())
-            )
+        ).publish(
+            lambda: chunked(iter(engine_fleet.dataset), _bench_chunk_size())
+        )
 
     report = benchmark.pedantic(
         lambda: bench_timer("stream_publisher", "shared_tf_s", run_publish),
@@ -207,13 +206,12 @@ def test_bench_publish_shared_tf_parallel(
     """
 
     def run_publish():
-        with StreamPublisher(
+        return StreamPublisher(
             GL(epsilon=1.0, signature_size=SIGNATURE_SIZE, seed=7),
             workers=0,
-        ) as publisher:
-            return publisher.publish(
-                lambda: chunked(iter(engine_fleet.dataset), _bench_chunk_size())
-            )
+        ).publish(
+            lambda: chunked(iter(engine_fleet.dataset), _bench_chunk_size())
+        )
 
     report = benchmark.pedantic(
         lambda: bench_timer(

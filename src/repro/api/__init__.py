@@ -5,8 +5,8 @@ Three pieces:
 * :class:`MethodSpec` (:mod:`repro.api.spec`) — a frozen, validated,
   picklable ``(kind, params)`` description of a configured method,
   with ``to_dict``/``from_dict`` and a stable config :attr:`digest
-  <repro.api.spec.MethodSpec.digest>`; the engine's cross-process
-  payload and the provenance recorded in reports;
+  <repro.api.spec.MethodSpec.digest>`; the provenance recorded in
+  reports and what the serving daemon's jobs name;
 * the **method registry** (:mod:`repro.api.registry`) — string-keyed
   :func:`register` decorator covering GL/PureG/PureL and every
   Table II baseline, with ``repro.methods`` entry-point discovery for

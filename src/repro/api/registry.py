@@ -7,8 +7,9 @@ parameter contract of the method — :func:`build` binds a
 or malformed parameters fail fast with the accepted names listed.
 
 Built-in registrations cover the paper's models (GL / PureG / PureL,
-plus the raw ``frequency`` pipeline the engine uses as its canonical
-cross-process payload) and every Table II baseline. Third-party
+plus the raw ``frequency`` pipeline, the canonical kind of
+:meth:`~repro.core.pipeline.FrequencyAnonymizer.spec`) and every
+Table II baseline. Third-party
 packages can plug in via the ``repro.methods`` entry-point group:
 each entry point is loaded on first registry miss (or listing) and
 may either call :func:`register` itself at import time or simply *be*
@@ -68,9 +69,9 @@ class MethodInfo:
 
 _REGISTRY: dict[str, MethodInfo] = {}
 _PLUGINS_LOADED = False
-#: Guards the one-shot plugin scan: registry lookups happen inside
-#: batch-engine workers (``_anonymize_one`` rebuilds anonymizers from
-#: specs), so concurrent first lookups must not race the scan.
+#: Guards the one-shot plugin scan: the serving daemon's job threads
+#: call :func:`build` concurrently (each new spec builds an engine),
+#: so concurrent first lookups must not race the scan.
 _PLUGINS_LOCK = threading.Lock()
 #: The thread running the scan, while it runs: a lookup made from a
 #: plugin's own import sees the registry as it stands instead of

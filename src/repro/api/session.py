@@ -166,8 +166,6 @@ def publish(
     *,
     chunk_size: int = 500,
     split: float | None = None,
-    engine: str = "serial",
-    workers: int | None = None,
     publish_workers: int | None = 1,
     spill_dir: str | os.PathLike | None = None,
     sink: Callable | None = None,
@@ -186,21 +184,16 @@ def publish(
     parallel per-chunk local randomization (``split`` re-splits the
     spec's total ε first — see :func:`split_spec`).
 
-    Two independent parallelism axes, both byte-identical to serial
-    for the same seed: ``engine="batch"`` shards *within* each chunk's
-    local stage across ``workers`` processes, while
+    One parallelism axis, byte-identical to serial for the same seed:
     ``publish_workers > 1`` (``0`` = per core) realises whole spilled
     chunks concurrently across a process pool behind a bounded
-    in-flight window.  ``sink(chunk, report)`` receives
+    in-flight window; ``1`` realises them in process, through the
+    same per-chunk function.  ``sink(chunk, report)`` receives
     each anonymized chunk in stream order as soon as it is ready;
     ``byte_sink(rows, report)`` receives the same chunk's encoded CSV
     data rows (the fast path for file output).
     """
     spec = as_spec(spec)
-    if engine not in ENGINE_KINDS:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {ENGINE_KINDS}"
-        )
     if split is not None:
         spec = split_spec(spec, split)
     anonymizer = build(spec)
@@ -211,16 +204,9 @@ def publish(
             f"{spec.kind!r} is family {info.family!r}"
         )
     # Lazy so `import repro.api` stays light.
-    from repro.engine.batch import BatchAnonymizer
     from repro.engine.publish import StreamPublisher, chunk_source
 
     chunks = source if callable(source) else chunk_source(source, chunk_size)
-    if engine == "batch":
-        front = BatchAnonymizer(anonymizer, workers=workers)
-        with front:
-            return StreamPublisher(
-                front, workers=publish_workers, spill_dir=spill_dir
-            ).publish(chunks, sink=sink, byte_sink=byte_sink)
     return StreamPublisher(
         anonymizer, workers=publish_workers, spill_dir=spill_dir
     ).publish(chunks, sink=sink, byte_sink=byte_sink)

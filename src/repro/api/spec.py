@@ -8,8 +8,9 @@ method and its constructor parameters. It is
   parameter value plain JSON-compatible data, checked at construction
   (the parameter *names* are checked against the method's signature
   when the spec is built, see :func:`repro.api.registry.build`);
-* **picklable** — plain data only, so it is the payload the batch
-  engine ships across process boundaries;
+* **picklable** — plain data only, so it can cross a process
+  boundary (the engine's own workers ship the even plainer
+  :meth:`~repro.core.pipeline.FrequencyAnonymizer.config` dict);
 * **digestible** — :attr:`MethodSpec.digest` is a stable hash of the
   canonical JSON form, identical across processes and runs, recorded
   as provenance in :class:`~repro.core.pipeline.AnonymizationReport`

@@ -82,24 +82,6 @@ def _add_method_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None)
 
 
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    """The shared batch-engine flags of ``anonymize``/``publish``."""
-    parser.add_argument(
-        "--engine",
-        choices=("serial", "batch"),
-        default="serial",
-        help="'batch' shards the local stage across a worker pool "
-        "(output is byte-identical to serial for the same seed)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="N",
-        help="process-pool size for --engine batch; 0 = one per CPU core",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -206,7 +188,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     anonymize.add_argument("-o", "--output", required=True)
     _add_method_args(anonymize)
-    _add_engine_args(anonymize)
+    anonymize.add_argument(
+        "--engine",
+        choices=("serial", "batch"),
+        default="serial",
+        help="'batch' shards the local stage across a worker pool "
+        "(output is byte-identical to serial for the same seed)",
+    )
+    anonymize.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        metavar="N",
+        help="process-pool size for --engine batch; 0 = one per CPU core",
+    )
 
     publish = sub.add_parser(
         "publish",
@@ -257,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "tempdir, cleaned up when the publish finishes)",
     )
     _add_method_args(publish)
-    _add_engine_args(publish)
 
     attack = sub.add_parser("attack", help="linkage attack between datasets")
     attack.add_argument("-i", "--original", required=True)
@@ -668,8 +662,6 @@ def _cmd_publish(args: argparse.Namespace) -> int:
                 args.input,
                 chunk_size=args.chunk_size,
                 split=args.split,
-                engine=args.engine,
-                workers=args.workers,
                 publish_workers=args.publish_workers,
                 spill_dir=args.spill_dir,
                 byte_sink=lambda rows, _report: handle.write(rows),

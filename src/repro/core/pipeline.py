@@ -255,10 +255,11 @@ class FrequencyAnonymizer:
     def config(self) -> dict:
         """Constructor kwargs reproducing this configuration.
 
-        Everything here is picklable plain data, so the batch engine
-        can rebuild equivalent anonymizers inside worker processes
-        (the instance itself holds a lock and cannot cross a process
-        boundary).
+        Everything here is picklable plain data, so the engine
+        rebuilds an equivalent anonymizer from it for every shard,
+        sweep item and published chunk, in process or in a worker
+        process (the instance itself holds a lock and cannot cross a
+        process boundary).
         """
         return {
             "epsilon_global": None if self._global is None else self.epsilon_global,
@@ -280,8 +281,8 @@ class FrequencyAnonymizer:
         canonical form: ``repro.api.build(spec)`` (equivalently
         ``FrequencyAnonymizer(**spec.params)``) rebuilds an equivalent
         instance, and :attr:`~repro.api.spec.MethodSpec.digest` is its
-        stable configuration identity. This is the engine's
-        cross-process payload and the provenance recorded in reports.
+        stable configuration identity. This is the provenance recorded
+        in reports; the engine's workers rebuild from :meth:`config`.
         """
         from repro.api.spec import MethodSpec
 

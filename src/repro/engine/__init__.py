@@ -6,11 +6,10 @@ Three pieces built for the "as fast as the hardware allows" roadmap:
   PF stage of a :class:`~repro.core.pipeline.FrequencyAnonymizer`
   across a process pool (and fans whole-dataset sweeps with
   ``anonymize_many``), byte-identical to the serial path for the same
-  seed thanks to per-trajectory derived noise streams. Sweeps ship
-  declarative :class:`~repro.api.spec.MethodSpec` payloads — not live
-  objects — across process boundaries, and results travel with the
-  return value (``anonymize_with_report`` / the ``(dataset, report)``
-  pairs of ``anonymize_stream``), never through shared mutable state;
+  seed thanks to per-trajectory derived noise streams. Results travel
+  with the return value (``anonymize_with_report`` / the ``(dataset,
+  report)`` pairs of ``anonymize_stream``), never through shared
+  mutable state;
 * :func:`parallel_map` / :func:`parallel_map_stream` — the
   deterministic order-preserving pool primitives (process pools; the
   stream also runs on threads for the serving daemon's job runner)
@@ -24,6 +23,14 @@ Three pieces built for the "as fast as the hardware allows" roadmap:
   over worker processes, byte-identical to serial either way — with a
   DP composition ledger (:mod:`repro.core.accounting`) recording the
   end-to-end ε.
+
+Each unit of work — a local-stage shard, a sweep item, a published
+chunk — runs exactly one function, in process or in a pool worker as
+:func:`parallel_map_stream` decides (in process when ``workers <= 1``).
+The function rebuilds the pipeline with ``FrequencyAnonymizer(**config)``
+from the plain constructor kwargs its payload carries, never from a
+live object, so the engine imports nothing from :mod:`repro.api` at
+run time.
 
 The global stage is not sharded: it runs in-process, as the serial
 per-location loop over the shared index's incremental ``iter_nearest``

@@ -14,29 +14,31 @@ construction: the pipeline derives each trajectory's noise stream from
 ``(run seed, call index, object id)`` — not from a shared sequential
 RNG — so any sharding replays exactly the serial draws and the output
 is byte-identical to the serial path for the same seed.
+
+Each unit of work the engine hands out runs exactly one function, in
+process or in a pool worker as :func:`~repro.engine.pool.parallel_map_stream`
+decides: a local-stage shard runs :func:`_run_local_shard`, which is
+the pipeline's own ``_run_local_serial`` on a rebuilt anonymizer, and
+a sweep item runs :func:`_anonymize_one`. Both rebuild the pipeline
+from its plain-data :meth:`~repro.core.pipeline.FrequencyAnonymizer.config`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from repro.core.local_mechanism import LocalPFMechanism, PFPerturbation
-from repro.core.modification import IntraTrajectoryModifier, ModificationReport
+from repro.core.local_mechanism import PFPerturbation
+from repro.core.modification import ModificationReport
 from repro.core.pipeline import (
     AnonymizationReport,
     FrequencyAnonymizer,
     LocalResult,
-    local_stream_seed,
 )
 from repro.core.signature import SignatureIndex
 from repro.engine.pool import parallel_map, parallel_map_stream, resolve_workers
 from repro.engine.spill import decode_chunk, encode_chunk
 from repro.trajectory.model import Trajectory, TrajectoryDataset
-
-if TYPE_CHECKING:  # engine sits below repro.api; runtime imports are lazy
-    from repro.api.spec import MethodSpec
 
 #: The local stage forks its pool only for a dataset of at least
 #: ``workers * MIN_POINTS_PER_WORKER`` points; a smaller one runs in
@@ -67,9 +69,11 @@ class _LocalShard:
 
     trajectories: bytes
     signature_index: SignatureIndex
-    seeds: list[int]
-    epsilon_local: float
-    signature_size: int
+    #: The per-call noise base; each trajectory's stream derives from
+    #: it and its object id, so the shard draws the serial noise.
+    base_seed: int
+    #: ``FrequencyAnonymizer`` constructor kwargs for the rebuild.
+    config: dict
 
 
 #: What a local-stage worker sends back: the modified trajectories as
@@ -79,43 +83,29 @@ _ShardResult = tuple[bytes, list[PFPerturbation], list[ModificationReport]]
 
 
 def _run_local_shard(shard: _LocalShard) -> _ShardResult:
-    """Worker: the exact serial per-trajectory loop, on one shard."""
-    mechanism = LocalPFMechanism(shard.epsilon_local, m=shard.signature_size)
-    intra = IntraTrajectoryModifier()
-    modified: list[Trajectory] = []
-    perturbations: list[PFPerturbation] = []
-    reports: list[ModificationReport] = []
-    for trajectory, seed in zip(
-        decode_chunk(shard.trajectories), shard.seeds, strict=True
-    ):
-        rng = random.Random(seed)
-        perturbation = mechanism.perturb_trajectory(
-            trajectory, shard.signature_index, rng
-        )
-        result, report = intra.apply(trajectory, perturbation)
-        modified.append(result)
-        perturbations.append(perturbation)
-        reports.append(report)
+    """Worker: the pipeline's own local stage, on one shard."""
+    results = FrequencyAnonymizer(**shard.config)._run_local_serial(
+        decode_chunk(shard.trajectories), shard.signature_index, shard.base_seed
+    )
     return (
-        encode_chunk(TrajectoryDataset(modified)),
-        perturbations,
-        reports,
+        encode_chunk(TrajectoryDataset(t for _, _, t, _ in results)),
+        [perturbation for _, perturbation, _, _ in results],
+        [report for _, _, _, report in results],
     )
 
 
-def _anonymize_one(payload: tuple[MethodSpec, int, TrajectoryDataset]):
+def _anonymize_one(payload: tuple[dict, int, TrajectoryDataset]):
     """Worker: full anonymization of one dataset of a sweep.
 
-    Rebuilds the anonymizer from its :class:`MethodSpec` (the
-    declarative cross-process payload) and pins the reserved call
-    index so dataset ``i`` of the sweep draws exactly the noise the
-    ``i``-th sequential call on a single instance would draw.
+    Rebuilds the anonymizer from its constructor kwargs (plain data,
+    like the shard payloads) and pins the reserved call index so
+    dataset ``i`` of the sweep draws exactly the noise the ``i``-th
+    sequential call on a single instance would draw.
     """
-    spec, call_index, dataset = payload
-    from repro.api.registry import build  # lazy: engine sits below api
-
-    anonymizer = build(spec)
-    return anonymizer.anonymize_with_report(dataset, call_index=call_index)
+    config, call_index, dataset = payload
+    return FrequencyAnonymizer(**config).anonymize_with_report(
+        dataset, call_index=call_index
+    )
 
 
 class BatchAnonymizer:
@@ -181,21 +171,19 @@ class BatchAnonymizer:
         return self.anonymize_with_report(dataset)[0]
 
     def anonymize_with_report(
-        self, dataset: TrajectoryDataset, **hooks
+        self, dataset: TrajectoryDataset, *, call_index: int | None = None
     ) -> tuple[TrajectoryDataset, AnonymizationReport]:
         """Anonymize and return ``(dataset, report)`` together.
 
         Nothing is stored on the wrapped anonymizer — the sharding hook
         travels as a per-call argument — so concurrent calls on one
         engine are safe: each gets its own report and its own
-        atomically reserved noise stream. Extra keyword arguments
-        (``tf_target``, ``base_seed``, ``scope``, ``call_index``) are
-        forwarded to :meth:`FrequencyAnonymizer.anonymize_with_report`
-        — the streaming publisher's injection surface.
+        atomically reserved noise stream. ``call_index`` pins the
+        per-call stream instead (the serving daemon replays call 0).
         """
         self._ensure_open()
         return self.anonymizer.anonymize_with_report(
-            dataset, local_runner=self._run_local_sharded, **hooks
+            dataset, local_runner=self._run_local_sharded, call_index=call_index
         )
 
     def anonymize_stream(
@@ -210,35 +198,18 @@ class BatchAnonymizer:
         works. Yields ``(anonymized, report)`` pairs in input order;
         each dataset draws the same per-call noise stream the ``i``-th
         sequential ``anonymize`` call on the wrapped instance would.
-
-        The in-process path (``workers <= 1``) runs chunks through
-        :meth:`anonymize_with_report` directly.
+        With ``workers <= 1`` the same worker function runs in process.
 
         A closed engine refuses eagerly, at the call — not on first
         iteration of the returned generator.
         """
         self._ensure_open()
-        return self._anonymize_stream_inner(datasets)
-
-    def _anonymize_stream_inner(
-        self, datasets: Iterable[TrajectoryDataset]
-    ) -> Iterator[tuple[TrajectoryDataset, AnonymizationReport]]:
-        if self.workers <= 1:
-            for dataset in datasets:
-                yield self.anonymize_with_report(
-                    dataset, call_index=self.anonymizer.reserve_call_index()
-                )
-            return
-
-        spec = self.anonymizer.spec()
-
-        def payloads() -> Iterator[tuple[MethodSpec, int, TrajectoryDataset]]:
-            for dataset in datasets:
-                yield (spec, self.anonymizer.reserve_call_index(), dataset)
-
-        yield from parallel_map_stream(
-            _anonymize_one, payloads(), workers=self.workers
+        config = self.anonymizer.config()
+        payloads = (
+            (config, self.anonymizer.reserve_call_index(), dataset)
+            for dataset in datasets
         )
+        return parallel_map_stream(_anonymize_one, payloads, workers=self.workers)
 
     def anonymize_many(
         self, datasets: Iterable[TrajectoryDataset]
@@ -296,7 +267,6 @@ class BatchAnonymizer:
         signature_index: SignatureIndex,
         base_seed: int,
     ) -> _LocalShard:
-        anonymizer = self.anonymizer
         trimmed = SignatureIndex(
             m=signature_index.m,
             signatures={
@@ -309,11 +279,8 @@ class BatchAnonymizer:
         return _LocalShard(
             trajectories=encode_chunk(TrajectoryDataset(chunk)),
             signature_index=trimmed,
-            seeds=[
-                local_stream_seed(base_seed, t.object_id) for t in chunk
-            ],
-            epsilon_local=anonymizer.epsilon_local,
-            signature_size=anonymizer.signature_size,
+            base_seed=base_seed,
+            config=self.anonymizer.config(),
         )
 
 

@@ -1,21 +1,19 @@
 """Worker-pool plumbing shared by the batch engine, the publisher, the
 experiment drivers and the serving daemon.
 
-Two entry points, both order-preserving:
+One loop, :func:`parallel_map_stream`, decides between running in
+process and running on a pool: it maps in process when ``workers <=
+1`` (or when no pool can be created: sandboxes without fork,
+exhausted resources), and over a ``ProcessPoolExecutor`` otherwise,
+which requires picklable functions and payloads (module-level workers
++ plain data). With ``executor="thread"`` it maps on a thread pool
+instead; the daemon's job runner streams its jobs on threads, so they
+share one warm engine cache, and the engines' own process pools
+provide the CPU-level parallelism. :func:`parallel_map` is its
+materialising form.
 
-* :func:`parallel_map` maps over a ``ProcessPoolExecutor``: true
-  parallelism, which requires picklable functions and payloads
-  (module-level workers + plain data);
-* :func:`parallel_map_stream` is its lazy form, over a process pool or,
-  with ``executor="thread"``, a thread pool. The daemon's job runner
-  streams its jobs on threads, so they share one warm engine cache;
-  the engines' own process pools provide the CPU-level parallelism.
-
-Both map in process when ``workers <= 1``. Results always come back in
-input order, so a parallel run is a drop-in replacement for the serial
-loop. If a pool cannot be created (sandboxes without fork, exhausted
-resources), the call degrades to the serial path rather than failing
-the run.
+Results always come back in input order, so a parallel run is a
+drop-in replacement for the serial loop.
 """
 
 from __future__ import annotations
@@ -60,17 +58,19 @@ def parallel_map(
 ) -> list[R]:
     """``[fn(item) for item in items]``, possibly across a process pool.
 
-    Exceptions raised by ``fn`` propagate from either path.
+    The materialising form of :func:`parallel_map_stream`: the whole
+    batch is in flight at once, on a pool of at most one worker per
+    item. Exceptions raised by ``fn`` propagate from either path.
     """
     batch: Sequence[T] = list(items)
-    workers = resolve_workers(workers)
-    if workers <= 1 or len(batch) <= 1:
-        return [fn(item) for item in batch]
-    pool = _make_executor("process", min(workers, len(batch)))
-    if pool is None:
-        return [fn(item) for item in batch]
-    with pool:
-        return list(pool.map(fn, batch))
+    return list(
+        parallel_map_stream(
+            fn,
+            batch,
+            workers=min(resolve_workers(workers), max(1, len(batch))),
+            window=max(1, len(batch)),
+        )
+    )
 
 
 def parallel_map_stream(
@@ -80,18 +80,17 @@ def parallel_map_stream(
     executor: str = "process",
     window: int | None = None,
 ) -> Iterator[R]:
-    """Lazy :func:`parallel_map`: results stream back in input order.
+    """``map(fn, items)``, possibly across a pool, in input order.
 
     At most ``window`` items are in flight (submitted but not yet
     yielded) — two per worker unless ``window`` overrides it —
     and the input iterable is pulled only as slots free up, so a lazy
-    or unbounded input stream is consumed with bounded memory, unlike
-    :func:`parallel_map` which materialises its input first. The
+    or unbounded input stream is consumed with bounded memory. The
     explicit ``window`` is for callers whose in-flight bound is a
-    memory budget in its own right (the publisher's spill window)
-    rather than a pool-utilisation heuristic. The serial path
-    (``workers <= 1``, or an environment without pools) degenerates to
-    a plain lazy ``map``.
+    memory budget in its own right (the publisher's spill window) or
+    the whole batch (:func:`parallel_map`) rather than a
+    pool-utilisation heuristic. The in-process path (``workers <= 1``,
+    or an environment without pools) is a plain lazy ``map``.
     """
     if executor not in EXECUTOR_KINDS:
         raise ValueError(

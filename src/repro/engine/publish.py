@@ -24,21 +24,24 @@ protocol that publishes one consistent ε-DP release of the entire
   as usual.
 
 The two passes are **pipelined**: pass-2 jobs dispatch through
-:func:`~repro.engine.pool.parallel_map_stream`, so with
-``publish workers > 1`` spilled chunks are realised concurrently
-across a process pool (workers receive the spec, the apportioned
-target, and the shared ``base_seed``, and ship back CSV bytes plus the
-chunk report), behind a bounded in-flight ``window`` that caps both
-memory and spill-disk usage.  When the spec has no global mechanism
-there is no shared draw to wait for, so realisation of chunk k starts
-as soon as its spill lands, while pass 1 is still parsing chunk k+1;
-with a global mechanism the one shared TF draw necessarily gates
-realisation (the target depends on the whole stream), but only
-realisation — parsing, accumulation, and spilling never stall on it.
+:func:`~repro.engine.pool.parallel_map_stream` to one function,
+:func:`_realize_spilled_chunk`, which runs in process with one worker
+and across a process pool with more. Either way it reads the chunk
+back from its spill, rebuilds the pipeline from its constructor
+kwargs, realises the apportioned target with the shared
+``base_seed``, and returns CSV bytes plus the chunk report. A bounded
+in-flight ``window`` caps both memory and spill-disk usage.  When the
+spec has no global mechanism there is no shared draw to wait for, so
+realisation of chunk k starts as soon as its spill lands, while pass 1
+is still parsing chunk k+1; with a global mechanism the one shared TF
+draw necessarily gates realisation (the target depends on the whole
+stream), but only realisation — parsing, accumulation, and spilling
+never stall on it.
 
 Accounting (:mod:`repro.core.accounting`): the shared TF draw is one
 *sequential* draw over the whole dataset; the per-chunk local PF draws
-cover **disjoint** trajectory sets and compose in *parallel*, so the
+cover **disjoint** trajectory sets (pass 1 refuses an object id that an
+earlier chunk already held) and compose in *parallel*, so the
 end-to-end budget is ε_G + max(ε_L) = ε_G + ε_L — exactly the declared
 split, independent of the number of chunks or of the workers that
 realised them.  The merged :class:`PublishReport` carries the full
@@ -70,7 +73,6 @@ from repro.core.pipeline import (
     FrequencyAnonymizer,
     derive_seed,
 )
-from repro.engine.batch import BatchAnonymizer
 from repro.engine.pool import parallel_map_stream, resolve_workers
 from repro.engine.spill import SpillStore, read_spill
 from repro.trajectory.io import write_csv_rows
@@ -210,9 +212,8 @@ class _ChunkJob:
     path: str
     #: Trajectory count pass 1 recorded (spill validation pins it).
     expected: int
-    #: ``FrequencyAnonymizer`` constructor kwargs for worker-side
-    #: rebuild, or ``None`` on the in-process path.
-    spec_params: dict | None
+    #: ``FrequencyAnonymizer`` constructor kwargs for the rebuild.
+    config: dict
     #: The chunk's apportioned TF target (``None`` without a global).
     target: TFPerturbation | None
     #: The publish-wide noise base.
@@ -235,11 +236,24 @@ class _ChunkOutcome:
     payload: bytes | None
 
 
-def _package(
-    job: _ChunkJob,
-    result: TrajectoryDataset,
-    report: AnonymizationReport,
-) -> _ChunkOutcome:
+def _realize_spilled_chunk(job: _ChunkJob) -> _ChunkOutcome:
+    """Worker: replay one spilled chunk and realise its target.
+
+    The only way a chunk is realised, in process or in a pool worker:
+    loads and validates the spill, rebuilds the pipeline from the
+    job's constructor kwargs, and realises the injected target with
+    the shared ``base_seed`` — the same call for every worker count,
+    so the bytes cannot differ.
+    """
+    chunk = read_spill(
+        job.path, index=job.index, expected_trajectories=job.expected
+    )
+    result, report = FrequencyAnonymizer(**job.config).anonymize_with_report(
+        chunk,
+        tf_target=job.target,
+        base_seed=job.base_seed,
+        scope=job.scope,
+    )
     return _ChunkOutcome(
         index=job.index,
         trajectories=len(result),
@@ -247,29 +261,6 @@ def _package(
         dataset=result if job.want_dataset else None,
         payload=csv_chunk_bytes(result) if job.want_bytes else None,
     )
-
-
-def _realize_spilled_chunk(job: _ChunkJob) -> _ChunkOutcome:
-    """Worker: replay one spilled chunk and realise its target.
-
-    Runs in a pool worker process: rebuilds the pipeline from the
-    job's constructor kwargs, loads and validates the spill, and
-    realises the injected target with the shared ``base_seed`` —
-    exactly the serial publisher's per-chunk call, so the bytes cannot
-    differ.
-    """
-    chunk = read_spill(
-        job.path, index=job.index, expected_trajectories=job.expected
-    )
-    assert job.spec_params is not None
-    anonymizer = FrequencyAnonymizer(**job.spec_params)
-    result, report = anonymizer.anonymize_with_report(
-        chunk,
-        tf_target=job.target,
-        base_seed=job.base_seed,
-        scope=job.scope,
-    )
-    return _package(job, result, report)
 
 
 class _PassOneAccumulator:
@@ -281,9 +272,21 @@ class _PassOneAccumulator:
         self._global_tf: Counter = Counter()
         self._candidate_set: set[LocationKey] = set()
         self._chunk_tfs: list[Counter] = []
+        self._object_ids: set[str] = set()
         self.sizes: list[int] = []
 
     def add(self, chunk: TrajectoryDataset) -> None:
+        # Parallel composition of the per-chunk local draws and the
+        # shared TF's counts both assume disjoint chunks: an object in
+        # two chunks would get two local PF draws and count twice.
+        for trajectory in chunk:
+            if trajectory.object_id in self._object_ids:
+                raise ValueError(
+                    f"chunk {len(self.sizes)}: object "
+                    f"{trajectory.object_id!r} already appeared in an "
+                    f"earlier chunk"
+                )
+            self._object_ids.add(trajectory.object_id)
         self.sizes.append(len(chunk))
         if not self._needs_tf:
             # Without a global mechanism there is no shared target to
@@ -345,11 +348,9 @@ class StreamPublisher:
 
     Parameters
     ----------
-    engine:
-        A :class:`~repro.engine.batch.BatchAnonymizer` (the in-process
-        path then shards each chunk's local stage) or a bare
-        :class:`~repro.core.pipeline.FrequencyAnonymizer`.  The
-        wrapped pipeline's ``epsilon_global`` / ``epsilon_local`` *are*
+    anonymizer:
+        The :class:`~repro.core.pipeline.FrequencyAnonymizer` to
+        publish with. Its ``epsilon_global`` / ``epsilon_local`` *are*
         the budget split: ε_G buys the one shared TF estimate of
         pass 1, ε_L the parallel per-chunk local randomization of
         pass 2.
@@ -366,60 +367,26 @@ class StreamPublisher:
 
     At most :attr:`window` = ``max(4, 2 * workers)`` chunks are
     spilled-but-unpublished at once, which caps memory and spill disk.
+    The publisher holds nothing between calls: each :meth:`publish`
+    stages and cleans its own spills.
     """
 
     def __init__(
         self,
-        engine: BatchAnonymizer | FrequencyAnonymizer,
+        anonymizer: FrequencyAnonymizer,
         *,
         workers: int | None = 1,
         spill_dir=None,
     ) -> None:
-        if isinstance(engine, BatchAnonymizer):
-            self.engine = engine
-            self.anonymizer = engine.anonymizer
-        elif isinstance(engine, FrequencyAnonymizer):
-            self.engine = engine
-            self.anonymizer = engine
-        else:
+        if not isinstance(anonymizer, FrequencyAnonymizer):
             raise TypeError(
-                f"StreamPublisher needs a FrequencyAnonymizer or "
-                f"BatchAnonymizer, got {type(engine).__name__}"
+                f"StreamPublisher needs a FrequencyAnonymizer, got "
+                f"{type(anonymizer).__name__}"
             )
+        self.anonymizer = anonymizer
         self.workers = resolve_workers(workers)
         self.spill_dir = spill_dir
         self.window = max(4, 2 * self.workers)
-        self._closed = False
-
-    # -- lifecycle --------------------------------------------------------------
-
-    def close(self) -> None:
-        """Terminal close, mirroring ``BatchAnonymizer.close``.
-
-        Spill staging is scoped to each :meth:`publish` call and is
-        cleaned there (success and failure alike); ``close`` marks the
-        publisher itself unusable so long-lived holders get the same
-        closed-means-closed contract as the batch engine. Idempotent.
-        """
-        self._closed = True
-
-    def __enter__(self) -> "StreamPublisher":
-        if self._closed:
-            raise RuntimeError(
-                "StreamPublisher is closed; build a new publisher instead "
-                "of reusing a closed one"
-            )
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(
-                "StreamPublisher is closed; build a new publisher instead "
-                "of reusing a closed one"
-            )
 
     # -- pass 1 -----------------------------------------------------------------
 
@@ -558,21 +525,16 @@ class StreamPublisher:
         ``byte_sink``) in stream order as soon as it is ready, so the
         output can stream to disk without ever holding the dataset.
         """
-        self._ensure_open()
         started = time.perf_counter()
         anonymizer = self.anonymizer
         needs_tf = anonymizer._global is not None
         call_index = anonymizer.reserve_call_index()
         base_seed = anonymizer.base_seed_for(call_index)
-        parallel = self.workers > 1
-        spec_params = anonymizer.config() if parallel else None
-        want_dataset = sink is not None
+        config = anonymizer.config()
         ledger = CompositionLedger()
         state: dict = {}
 
-        with SpillStore(
-            self.spill_dir, cache=0 if parallel else self.window
-        ) as store:
+        with SpillStore(self.spill_dir) as store:
 
             def jobs() -> Iterator[_ChunkJob]:
                 def job_for(index: int, target) -> _ChunkJob:
@@ -580,11 +542,11 @@ class StreamPublisher:
                         index=index,
                         path=str(store.path_of(index)),
                         expected=state["sizes"][index],
-                        spec_params=spec_params,
+                        config=config,
                         target=target,
                         base_seed=base_seed,
                         scope=f"chunk:{index}",
-                        want_dataset=want_dataset,
+                        want_dataset=sink is not None,
                         want_bytes=byte_sink is not None,
                     )
 
@@ -609,25 +571,14 @@ class StreamPublisher:
                     for index, target in enumerate(targets):
                         yield job_for(index, target)
 
-            if parallel:
-                runner = _realize_spilled_chunk
-            else:
-
-                def runner(job: _ChunkJob) -> _ChunkOutcome:
-                    chunk = store.load(job.index)
-                    result, report = self.engine.anonymize_with_report(
-                        chunk,
-                        tf_target=job.target,
-                        base_seed=job.base_seed,
-                        scope=job.scope,
-                    )
-                    return _package(job, result, report)
-
             totals = ModificationReport()
             summaries: list[dict] = []
             trajectories = 0
             for outcome in parallel_map_stream(
-                runner, jobs(), workers=self.workers, window=self.window
+                _realize_spilled_chunk,
+                jobs(),
+                workers=self.workers,
+                window=self.window,
             ):
                 report = outcome.report
                 chunk_mods = ModificationReport()

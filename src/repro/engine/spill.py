@@ -22,10 +22,11 @@ second-pass input). It is also fast — at paper scale (500×300 points)
 encoding is ~9x and decoding ~2x faster than pickling the dataset,
 which matters because the spill write sits on pass 1's critical path.
 
-Every read is validated: header shape, spill version, chunk index,
-payload length, SHA-256 checksum, frame bounds, and trajectory count
-must all agree, and any mismatch raises :class:`SpillError` carrying
-the file, line/byte position, and what diverged. A truncated or
+Every read goes through :func:`read_spill` and is validated in full:
+header shape, spill version, chunk index, payload length, SHA-256
+checksum, frame bounds, and trajectory count must all agree, and any
+mismatch raises :class:`SpillError` carrying the file, line/byte
+position, and what diverged. A truncated or
 mutated spill therefore aborts pass 2 loudly instead of publishing a
 short or stale release — the single-consumption analogue of the old
 two-pass drift check.
@@ -177,10 +178,19 @@ def _parse_header(path: Path, line: bytes) -> dict[str, int | str]:
     return header
 
 
-def _read_validated(
-    path: Path, index: int | None
-) -> tuple[dict[str, int | str], bytes]:
-    """Header + length + checksum validation; returns (header, payload)."""
+def read_spill(
+    path: str | Path,
+    index: int | None = None,
+    expected_trajectories: int | None = None,
+) -> TrajectoryDataset:
+    """Load and fully validate one staged chunk.
+
+    ``index`` / ``expected_trajectories`` pin what pass 1 recorded for
+    this chunk; a spill that disagrees (renamed, swapped, truncated,
+    edited) raises :class:`SpillError` naming the line or byte offset
+    that diverged rather than feeding pass 2 silently wrong data.
+    """
+    path = Path(path)
     try:
         with open(path, "rb") as handle:
             line = handle.readline()
@@ -206,23 +216,6 @@ def _read_validated(
             f"{path}:2: payload checksum mismatch (spill mutated after "
             f"staging?)"
         )
-    return header, payload
-
-
-def read_spill(
-    path: str | Path,
-    index: int | None = None,
-    expected_trajectories: int | None = None,
-) -> TrajectoryDataset:
-    """Load and fully validate one staged chunk.
-
-    ``index`` / ``expected_trajectories`` pin what pass 1 recorded for
-    this chunk; a spill that disagrees (renamed, swapped, truncated,
-    edited) raises :class:`SpillError` naming the line or byte offset
-    that diverged rather than feeding pass 2 silently wrong data.
-    """
-    path = Path(path)
-    header, payload = _read_validated(path, index)
     dataset = decode_chunk(payload, source=str(path))
     if len(dataset) != header["trajectories"]:
         raise SpillError(
@@ -255,18 +248,12 @@ class SpillStore:
         directory is created if missing, its staged files are removed
         on close, and the directory itself is kept only if it
         pre-existed or still holds foreign files.
-    cache:
-        Keep up to this many staged chunks decoded in memory (the
-        publisher passes its in-flight window). A cached load still
-        reads and checksums the file — tampering is detected either
-        way — but skips the decode. ``0`` disables caching.
+
+    The store only writes and removes; a staged chunk is read back
+    with :func:`read_spill` on :meth:`path_of`, from any process.
     """
 
-    def __init__(
-        self, directory: str | Path | None = None, cache: int = 0
-    ) -> None:
-        if cache < 0:
-            raise ValueError(f"cache must be non-negative, got {cache}")
+    def __init__(self, directory: str | Path | None = None) -> None:
         if directory is None:
             self.path = Path(tempfile.mkdtemp(prefix="repro-spill-"))
             self._owns_dir = True
@@ -276,8 +263,6 @@ class SpillStore:
             self._owns_dir = False
             self._made_dir = not self.path.exists()
             self.path.mkdir(parents=True, exist_ok=True)
-        self._cache_budget = cache
-        self._cache: dict[int, TrajectoryDataset] = {}
         self._staged: dict[int, Path] = {}
         self._closed = False
 
@@ -302,29 +287,10 @@ class SpillStore:
         path = self.path_of(index)
         write_spill(path, index, dataset)
         self._staged[index] = path
-        if len(self._cache) < self._cache_budget:
-            self._cache[index] = dataset
         return path
-
-    def load(self, index: int) -> TrajectoryDataset:
-        """Replay one staged chunk, always re-validating the file.
-
-        The integrity check (header + length + checksum) runs even on
-        a cache hit — a mutated spill must abort whether or not the
-        decoded chunk happens to still be in memory — but a hit skips
-        the payload decode, which is the expensive half.
-        """
-        if index not in self._staged:
-            raise SpillError(f"chunk {index} was never staged")
-        cached = self._cache.pop(index, None)
-        if cached is not None:
-            _read_validated(self._staged[index], index)
-            return cached
-        return read_spill(self._staged[index], index=index)
 
     def remove(self, index: int) -> None:
         """Drop one staged chunk (pass 2 is done with it)."""
-        self._cache.pop(index, None)
         path = self._staged.pop(index, None)
         if path is not None:
             path.unlink(missing_ok=True)
@@ -334,7 +300,6 @@ class SpillStore:
         if self._closed:
             return
         self._closed = True
-        self._cache.clear()
         for path in self._staged.values():
             path.unlink(missing_ok=True)
         self._staged.clear()

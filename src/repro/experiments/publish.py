@@ -9,6 +9,11 @@ the publisher exists for): it chunks the input, publishes it once per
 strategy at the same total ε, and evaluates the Table II utility and
 privacy metrics of both merged outputs against the original.
 
+``workers`` fans both strategies over worker processes: the per-chunk
+baseline's sweep (one chunk per worker) and the shared-TF publisher's
+pass 2 (one spilled chunk per worker). Output is the same for any
+value.
+
 Invoke with::
 
     repro experiment publish --preset smoke --chunk-size 10
@@ -51,23 +56,22 @@ def run(
     if chunk_size is None:
         chunk_size = max(1, len(dataset) // 4)
 
-    def fresh_engine() -> BatchAnonymizer:
-        return BatchAnonymizer(GL(**config.model_params()), workers=workers)
-
     # Baseline: k independent releases, one per chunk (each draws its
     # own TF over its own candidate set — the pre-publisher stream).
     merged: list = []
-    for chunk_result, _report in fresh_engine().anonymize_stream(
-        chunked(iter(dataset), chunk_size)
-    ):
-        merged.extend(chunk_result)
+    with BatchAnonymizer(
+        GL(**config.model_params()), workers=workers
+    ) as engine:
+        for chunk_result, _report in engine.anonymize_stream(
+            chunked(iter(dataset), chunk_size)
+        ):
+            merged.extend(chunk_result)
     per_chunk = TrajectoryDataset(merged)
 
     # Shared-TF: one two-pass publish of the whole stream.
-    with fresh_engine() as engine:
-        shared, publish_report = StreamPublisher(engine).publish_collected(
-            lambda: chunked(iter(dataset), chunk_size)
-        )
+    shared, publish_report = StreamPublisher(
+        GL(**config.model_params()), workers=workers
+    ).publish_collected(lambda: chunked(iter(dataset), chunk_size))
 
     with_recovery = experiment_input.fleet is not None
     metrics = {}

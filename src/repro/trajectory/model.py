@@ -81,9 +81,10 @@ class Point:
 class Trajectory:
     """An ordered sequence of :class:`Point` belonging to one object.
 
-    The class supports the edit operations the paper's modification step
-    needs — inserting a location into a chosen segment and deleting an
-    occurrence — while keeping timestamps plausibly interpolated.
+    The paper's edit operations (OP_i inserts a location into a chosen
+    segment, OP_d deletes an occurrence) live in
+    :class:`repro.core.edits.EditableTrajectory`, which the
+    modification step builds from a trajectory and turns back into one.
     """
 
     __slots__ = ("object_id", "points")
@@ -149,40 +150,6 @@ class Trajectory:
         if len(self.points) < 2:
             return 0.0
         return self.points[-1].t - self.points[0].t
-
-    # -- edit operations -----------------------------------------------------
-
-    def insert_location(self, loc: LocationKey, segment_index: int) -> None:
-        """Insert a new occurrence of ``loc`` after ``segment_index``.
-
-        This realises the paper's OP_i: the point is spliced between the
-        two endpoints of the chosen segment, with a timestamp midway
-        between them so the trajectory stays chronologically ordered.
-        """
-        if not 0 <= segment_index < max(len(self.points) - 1, 1):
-            raise IndexError(
-                f"segment index {segment_index} out of range for "
-                f"{len(self.points)}-point trajectory"
-            )
-        if len(self.points) < 2:
-            # A 0/1-point trajectory has no segment; append instead.
-            t = self.points[0].t if self.points else 0.0
-            self.points.append(Point(loc[0], loc[1], t))
-            return
-        before = self.points[segment_index]
-        after = self.points[segment_index + 1]
-        t = (before.t + after.t) / 2.0
-        self.points.insert(segment_index + 1, Point(loc[0], loc[1], t))
-
-    def delete_at(self, index: int) -> Point:
-        """Delete and return the point at ``index`` (the paper's OP_d)."""
-        return self.points.pop(index)
-
-    def delete_all(self, loc: LocationKey) -> int:
-        """Remove every occurrence of ``loc``; returns how many were removed."""
-        original = len(self.points)
-        self.points = [p for p in self.points if p.loc != loc]
-        return original - len(self.points)
 
     def copy(self) -> "Trajectory":
         return Trajectory(self.object_id, self.points)

@@ -460,13 +460,16 @@ class TestRun:
             (publish, "publish_executor", "process"),
             (publish, "apportionment", "balanced"),
             (publish, "window", 4),
+            (publish, "engine", "batch"),
+            (publish, "workers", 2),
         ],
         ids=lambda v: getattr(v, "__name__", v),
     )
     def test_retired_keyword_is_refused(self, fleet, call, keyword, value):
-        """Pool kinds, the apportionment policy and the publisher's
-        window are not settings: each retired keyword is refused by
-        name, even at its old default."""
+        """Pool kinds, the apportionment policy, the publisher's
+        window and a second publish parallelism axis are not settings:
+        each retired keyword is refused by name, even at its old
+        default."""
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
             call("gl", fleet.dataset, **{keyword: value})
 

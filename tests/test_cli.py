@@ -300,21 +300,32 @@ class TestErrorBoundary:
         assert "unrecognized arguments: --strategy top_down" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["anonymize", "publish", "serve"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            pytest.param("anonymize", ["--executor", "process"], id="anonymize"),
+            pytest.param("publish", ["--executor", "process"], id="publish"),
+            pytest.param("serve", ["--executor", "process"], id="serve"),
+            # publish has one parallelism axis, --publish-workers.
+            pytest.param("publish", ["--engine", "batch"], id="publish-engine"),
+            pytest.param("publish", ["--workers", "2"], id="publish-workers"),
+        ],
+    )
     def test_retired_executor_flag_is_refused(
-        self, fleet_csv, tmp_path, capsys, command
+        self, fleet_csv, tmp_path, capsys, command, flag
     ):
         """The batch engine always maps on processes; no flag picks
-        the pool kind."""
+        the pool kind, and publish takes no batch-engine flags."""
         out = tmp_path / "x.csv"
         io_args = [] if command == "serve" else ["-i", str(fleet_csv), "-o", str(out)]
         with pytest.raises(SystemExit) as exited:
-            main([command, *io_args, "--executor", "process"])
+            main([command, *io_args, *flag])
         err = capsys.readouterr().err
         assert exited.value.code == 2
-        assert "unrecognized arguments: --executor process" in err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
         assert "Traceback" not in err
         assert not out.exists()
+        assert not (tmp_path / "x.csv.tmp").exists()
 
     @pytest.mark.parametrize("command", ["anonymize", "publish"])
     @pytest.mark.parametrize("model", ["gl", "pureg"])

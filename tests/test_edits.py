@@ -78,6 +78,21 @@ class TestInsertion:
         assert times == sorted(times)
         assert times[1] == pytest.approx(30.0)
 
+    def test_insert_takes_the_chosen_segments_midpoint_time(self):
+        """OP_i's new point sits midway in time between the endpoints
+        of the segment it splits, not of the trajectory."""
+        t = Trajectory(
+            "t", [Point(0.0, 0.0, 0.0), Point(10.0, 0.0, 60.0), Point(10.0, 10.0, 200.0)]
+        )
+        e = EditableTrajectory(t, LinearSegmentIndex())
+        sid = e.index.knn((12, 5), 1)[0][0]
+        e.insert_into_segment((12.0, 5.0), sid)
+        result = e.to_trajectory()
+        assert [p.coord for p in result] == [(0, 0), (10, 0), (12.0, 5.0), (10, 10)]
+        assert result[2].t == pytest.approx(130.0)
+        times = [p.t for p in result]
+        assert times == sorted(times)
+
     def test_insert_unknown_segment_raises(self):
         e = editable([(0, 0), (10, 0)])
         with pytest.raises(KeyError):

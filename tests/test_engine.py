@@ -14,6 +14,7 @@ from repro.core.pipeline import GL, PureL
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.engine import (
     BatchAnonymizer,
+    SpillStore,
     StreamPublisher,
     parallel_map,
     parallel_map_stream,
@@ -361,8 +362,9 @@ class TestGlobalPoolLifecycle:
 
 class TestRetiredSettings:
     """The engine layer has one pool kind per call site, one
-    apportionment policy and a derived publisher window: each retired
-    keyword is refused by name, even at its old default."""
+    apportionment policy, a derived publisher window and no decoded
+    spill cache: each retired keyword is refused by name, even at its
+    old default."""
 
     @pytest.mark.parametrize(
         "call, keyword, value",
@@ -391,6 +393,10 @@ class TestRetiredSettings:
                 # A generator function binds its arguments at the call.
                 lambda **kw: parallel_map_stream(int, [], **kw),
                 "prefetch", 2, id="parallel_map_stream-prefetch",
+            ),
+            pytest.param(
+                lambda **kw: SpillStore(**kw),
+                "cache", 4, id="SpillStore-cache",
             ),
         ],
     )

@@ -94,43 +94,10 @@ class TestTrajectory:
         assert traj.duration() == pytest.approx(120.0)
         assert Trajectory("x", [Point(0, 0, 5.0)]).duration() == 0.0
 
-    def test_insert_location_interpolates_time(self):
-        traj = make_trajectory()
-        traj.insert_location((7.0, 7.0), 0)
-        assert len(traj) == 4
-        inserted = traj[1]
-        assert inserted.coord == (7.0, 7.0)
-        assert inserted.t == pytest.approx(30.0)
-        # Chronological order preserved.
-        times = [p.t for p in traj]
-        assert times == sorted(times)
-
-    def test_insert_location_bad_index(self):
-        with pytest.raises(IndexError):
-            make_trajectory().insert_location((1.0, 1.0), 5)
-
-    def test_insert_into_single_point_trajectory_appends(self):
-        traj = Trajectory("x", [Point(0, 0, 0.0)])
-        traj.insert_location((3.0, 3.0), 0)
-        assert len(traj) == 2
-        assert traj[1].coord == (3.0, 3.0)
-
-    def test_delete_at(self):
-        traj = make_trajectory()
-        removed = traj.delete_at(1)
-        assert removed.coord == (10, 0)
-        assert [p.coord for p in traj] == [(0, 0), (10, 10)]
-
-    def test_delete_all(self):
-        traj = make_trajectory(coords=((0, 0), (5, 5), (0, 0), (0, 0)))
-        removed = traj.delete_all((0.0, 0.0))
-        assert removed == 3
-        assert [p.coord for p in traj] == [(5, 5)]
-
     def test_copy_is_independent(self):
         traj = make_trajectory()
         clone = traj.copy()
-        clone.delete_at(0)
+        clone.points.pop(0)
         assert len(traj) == 3
         assert len(clone) == 2
 
@@ -179,7 +146,7 @@ class TestTrajectoryDataset:
     def test_copy_is_deep_for_point_lists(self):
         ds = self.make_dataset()
         clone = ds.copy()
-        clone[0].delete_at(0)
+        clone[0].points.pop(0)
         assert len(ds[0]) == 3
 
     def test_subset(self):
@@ -241,7 +208,7 @@ class TestTrajectoryDataset:
         merged = ds.merge(other)
         assert len(merged) == 3
         # Deep copy: mutating merged leaves the sources intact.
-        merged.by_id("a").delete_at(0)
+        merged.by_id("a").points.pop(0)
         assert len(ds.by_id("a")) == 3
 
     def test_merge_rejects_id_collisions(self):

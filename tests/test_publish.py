@@ -12,18 +12,20 @@ The load-bearing guarantees:
 """
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.core import waves
 from repro.core.accounting import CompositionLedger
 from repro.core.pipeline import GL, PureG, PureL
 from repro.data.stream import chunked
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.engine import BatchAnonymizer, StreamPublisher
-from repro.engine import batch as batch_module
 from repro.engine.publish import chunk_source
 from repro.trajectory.io import read_csv, write_csv
+from repro.trajectory.model import TrajectoryDataset
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,20 @@ def points_of(dataset):
     return [[(p.coord, p.t) for p in t] for t in dataset]
 
 
+def repeated_head(dataset):
+    """A chunk factory yielding the first three objects, then the
+    same three again: one object in two chunks."""
+    head = list(dataset)[:3]
+    return lambda: iter([TrajectoryDataset(head), TrajectoryDataset(head)])
+
+
+def repeat_error(dataset):
+    first = list(dataset)[0].object_id
+    return re.escape(
+        f"chunk 1: object '{first}' already appeared in an earlier chunk"
+    )
+
+
 class TestSingleChunkIdentity:
     def test_byte_identical_to_plain_anonymize(self, fleet):
         serial = GL(epsilon=1.0, signature_size=3, seed=21).anonymize(
@@ -55,20 +71,24 @@ class TestSingleChunkIdentity:
         assert report.chunk_count == 1
 
     def test_byte_identical_through_batch_engine(self, fleet, monkeypatch):
-        # Cross the pool although the fleet is below the size rule.
-        monkeypatch.setattr(batch_module, "MIN_POINTS_PER_WORKER", 0)
+        """The opt-in wave planner, on the publisher's tf_target path,
+        matches the default serial GL; the one chunk runs in process,
+        through the same per-chunk function a pool worker runs."""
         serial = GL(epsilon=1.0, signature_size=3, seed=21).anonymize(
             fleet.dataset
         )
-        with BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=3, seed=21, candidate_source="wave"),
-            workers=3,
-        ) as engine:
-            published, _ = StreamPublisher(engine).publish_collected(
-                source(fleet.dataset, 10_000)
-            )
-            # The wave planner ran on the publisher's tf_target path.
-            assert engine.anonymizer._inter.last_wave_stats.operations > 0
+        plans = []
+        plan_wave = waves.WavePlanner.plan_wave
+
+        def counting(self, *args, **kwargs):
+            plans.append(1)
+            return plan_wave(self, *args, **kwargs)
+
+        monkeypatch.setattr(waves.WavePlanner, "plan_wave", counting)
+        published, _ = StreamPublisher(
+            GL(epsilon=1.0, signature_size=3, seed=21, candidate_source="wave")
+        ).publish_collected(source(fleet.dataset, 10_000))
+        assert plans  # the wave planner ran
         assert points_of(published) == points_of(serial)
 
     def test_csv_bytes_identical(self, fleet, tmp_path):
@@ -166,8 +186,45 @@ class TestGuardsAndReports:
             publisher.publish(lambda: iter(()))
 
     def test_rejects_non_pipeline_engines(self):
-        with pytest.raises(TypeError):
-            StreamPublisher(object())
+        # A BatchAnonymizer included: chunks are realised by a pipeline
+        # rebuilt from its config, so there is no engine to wrap.
+        for engine in (object(), BatchAnonymizer(GL(epsilon=1.0, seed=9))):
+            with pytest.raises(TypeError, match=type(engine).__name__):
+                StreamPublisher(engine)
+
+    @pytest.mark.parametrize(
+        "maker, sunk",
+        [
+            # The shared TF draw gates realisation: nothing is sunk.
+            (lambda: GL(epsilon=1.0, signature_size=3, seed=1), []),
+            # Realisation overlaps parsing: chunk 0 is already out.
+            (lambda: PureL(epsilon=1.0, signature_size=3, seed=1), [3]),
+        ],
+        ids=["gl", "purel"],
+    )
+    def test_object_in_two_chunks_is_refused(
+        self, fleet, tmp_path, maker, sunk
+    ):
+        """Parallel composition and the shared TF both assume disjoint
+        chunks, so an object seen twice stops the publish."""
+        spill = tmp_path / "spill"
+        seen = []
+        with pytest.raises(ValueError, match=repeat_error(fleet.dataset)):
+            StreamPublisher(maker(), spill_dir=spill).publish(
+                repeated_head(fleet.dataset),
+                sink=lambda chunk, _report: seen.append(len(chunk)),
+            )
+        assert seen == sunk
+        assert list(spill.glob("*")) == []
+
+    def test_estimate_and_api_refuse_an_object_in_two_chunks(self, fleet):
+        from repro.api import publish
+
+        publisher = StreamPublisher(GL(epsilon=1.0, signature_size=3, seed=1))
+        with pytest.raises(ValueError, match=repeat_error(fleet.dataset)):
+            publisher.estimate(repeated_head(fleet.dataset)())
+        with pytest.raises(ValueError, match=repeat_error(fleet.dataset)):
+            publish("gl", repeated_head(fleet.dataset))
 
     def test_rejects_local_first_ordering(self):
         """The shared TF is estimated over the raw stream, so the
