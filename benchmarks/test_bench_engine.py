@@ -32,6 +32,7 @@ from repro.core.signature import SignatureExtractor
 from repro.data.stream import chunked
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.engine import BatchAnonymizer, StreamPublisher
+from repro.experiments.publish import per_chunk_release
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +137,7 @@ def test_bench_local_stage_batch(benchmark, bench_timer, engine_fleet):
             lambda: BatchAnonymizer(
                 PureL(epsilon=0.5, signature_size=SIGNATURE_SIZE, seed=7),
                 workers=0,
-            ).anonymize(engine_fleet.dataset),
+            ).anonymize_with_report(engine_fleet.dataset)[0],
         ),
         rounds=1,
         iterations=1,
@@ -148,18 +149,17 @@ def _bench_chunk_size():
 
 
 def test_bench_publish_per_chunk(benchmark, bench_timer, engine_fleet):
-    """Baseline: k independent per-chunk releases (anonymize_stream)."""
+    """Baseline: k independent per-chunk releases, the one
+    ``repro experiment publish`` reports (``per_chunk_release``)."""
 
     def run_stream():
-        with BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=SIGNATURE_SIZE, seed=7), workers=1
-        ) as engine:
-            return sum(
-                len(result)
-                for result, _ in engine.anonymize_stream(
-                    chunked(iter(engine_fleet.dataset), _bench_chunk_size())
-                )
+        return sum(
+            len(chunk)
+            for chunk in per_chunk_release(
+                GL(epsilon=1.0, signature_size=SIGNATURE_SIZE, seed=7),
+                chunked(iter(engine_fleet.dataset), _bench_chunk_size()),
             )
+        )
 
     published = benchmark.pedantic(
         lambda: bench_timer("stream_publisher", "per_chunk_s", run_stream),
@@ -232,6 +232,6 @@ def test_batch_output_identical_to_serial(engine_fleet):
     ).anonymize(engine_fleet.dataset)
     batched = BatchAnonymizer(
         PureL(epsilon=0.5, signature_size=SIGNATURE_SIZE, seed=7), workers=4
-    ).anonymize(engine_fleet.dataset)
+    ).anonymize_with_report(engine_fleet.dataset)[0]
     for a, b in zip(serial, batched, strict=True):
         assert [p.coord for p in a] == [p.coord for p in b]

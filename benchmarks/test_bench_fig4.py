@@ -7,18 +7,18 @@ structure to ``python -m repro.experiments.fig4``.
 
 import pytest
 
+from repro.api import run
 from repro.experiments.evaluate import evaluate_method
 from repro.experiments.fig4 import PANELS, run as run_fig4
-from repro.experiments.methods import build_our_models
+from repro.experiments.methods import our_model_specs
 
 
 @pytest.mark.parametrize("epsilon", (0.5, 5.0))
 @pytest.mark.parametrize("model", ("PureG", "PureL", "GL"))
 def test_bench_model_at_epsilon(benchmark, config, fleet, model, epsilon):
-    swept = config.with_epsilon(epsilon)
-    anonymize = build_our_models(swept)[model]
+    spec = our_model_specs(config.with_epsilon(epsilon))[model]
     result = benchmark.pedantic(
-        lambda: anonymize(fleet.dataset), rounds=3, iterations=1
+        lambda: run(spec, fleet.dataset).dataset, rounds=3, iterations=1
     )
     assert len(result) == len(fleet.dataset)
 
@@ -26,8 +26,7 @@ def test_bench_model_at_epsilon(benchmark, config, fleet, model, epsilon):
 def test_bench_fig4_point(benchmark, config, fleet):
     """One full sweep point: anonymize + all eight panel metrics."""
     swept = config.with_epsilon(1.0)
-    anonymize = build_our_models(swept)["GL"]
-    anonymized = anonymize(fleet.dataset)
+    anonymized = run(our_model_specs(swept)["GL"], fleet.dataset).dataset
     evaluation = benchmark.pedantic(
         lambda: evaluate_method(fleet.dataset, anonymized, fleet, swept),
         rounds=2,

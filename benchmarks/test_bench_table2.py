@@ -8,8 +8,9 @@ Each bench runs a method's full anonymize step on the smoke fleet; the
 
 import pytest
 
+from repro.api import run
 from repro.experiments.evaluate import evaluate_method
-from repro.experiments.methods import SYNTHETIC_METHODS, build_methods
+from repro.experiments.methods import SYNTHETIC_METHODS, table2_specs
 from repro.experiments.table2 import run as run_table2
 
 METHOD_LABELS = (
@@ -28,9 +29,9 @@ METHOD_LABELS = (
 
 @pytest.mark.parametrize("label", METHOD_LABELS)
 def test_bench_method_anonymize(benchmark, config, fleet, label):
-    method = build_methods(config)[label]
+    spec = table2_specs(config)[label]
     result = benchmark.pedantic(
-        lambda: method(fleet.dataset), rounds=3, iterations=1
+        lambda: run(spec, fleet.dataset).dataset, rounds=3, iterations=1
     )
     assert len(result) == len(fleet.dataset)
 
@@ -38,8 +39,7 @@ def test_bench_method_anonymize(benchmark, config, fleet, label):
 @pytest.mark.parametrize("label", ("SC", "GL"))
 def test_bench_method_evaluation(benchmark, config, fleet, label):
     """Benchmark the metric computation for one anonymized dataset."""
-    method = build_methods(config)[label]
-    anonymized = method(fleet.dataset)
+    anonymized = run(table2_specs(config)[label], fleet.dataset).dataset
     evaluation = benchmark.pedantic(
         lambda: evaluate_method(
             fleet.dataset,

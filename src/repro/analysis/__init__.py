@@ -17,17 +17,17 @@ DET002 is a single-pass AST pattern check; RACE002 follows
 ``name()``/``self.method()`` calls through the lock summaries of
 :mod:`repro.analysis.callgraph`.
 
-Run via ``repro check`` (or ``tools/check_static.py`` in CI). Suppress
-a finding inline with ``# repro: noqa[CODE]`` — stale suppressions are
-reported as warnings — or grandfather it with a justified entry in
-``tools/analysis_baseline.json``. The rule catalogue with examples
-lives in ``docs/analysis.md``.
+Run via ``repro check`` (or ``tools/check_static.py`` in CI); every
+run applies both rules (:data:`RULES`). Suppress a finding inline with
+``# repro: noqa[CODE]`` — unused suppressions are reported as
+warnings. The rule catalogue with examples lives in
+``docs/analysis.md``.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry
+from repro.analysis.builtin import RULES
 from repro.analysis.callgraph import FuncKey, FunctionTable, Summaries
 from repro.analysis.findings import Finding
-from repro.analysis.rules import Rule, all_rules, rule, rules_for
+from repro.analysis.rules import Rule
 from repro.analysis.runner import (
     AnalysisError,
     AnalysisReport,
@@ -39,21 +39,17 @@ from repro.analysis.runner import (
 )
 
 __all__ = [
+    "RULES",
     "AnalysisError",
     "AnalysisReport",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "FuncKey",
     "FunctionTable",
     "Rule",
     "Summaries",
     "UnusedNoqa",
-    "all_rules",
     "analyze_paths",
     "analyze_project",
     "analyze_source",
     "load_project",
-    "rule",
-    "rules_for",
 ]

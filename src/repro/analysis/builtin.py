@@ -1,4 +1,4 @@
-"""The built-in AST rules.
+"""The project's AST rules, and :data:`RULES`, the ones every run applies.
 
 DET002 is a single-module pattern check over the shared
 :class:`~repro.analysis.visitor.ModuleInfo` facts. RACE002 is
@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .callgraph import Summaries, lock_name
 from .findings import Finding
-from .rules import Rule, rule
+from .rules import Rule
 from .visitor import ModuleInfo, Project
 
 # ---------------------------------------------------------------------------
@@ -35,21 +35,15 @@ _WALL_CLOCK = frozenset(
 )
 
 
-@rule
 class NondeterminismSource(Rule):
+    """A wall-clock read, or a loop directly over a set.
+
+    Byte-identical reruns are the repo's determinism contract;
+    wall-clock values and set iteration order (hash randomization)
+    vary between processes, so neither may feed committed output.
+    """
+
     code = "DET002"
-    name = "nondeterminism source"
-    summary = (
-        "wall-clock read or direct iteration over an unordered set in "
-        "code that feeds committed output"
-    )
-    rationale = (
-        "Byte-identical reruns are the repo's determinism contract; "
-        "wall-clock values and set iteration order vary between "
-        "processes (hash randomization) and so cannot appear on any "
-        "path that produces committed output."
-    )
-    example = "for loc in {a, b, c}:  # iterate sorted(...) instead"
 
     def check(self, project: Project) -> Iterable[Finding]:
         for module in project.modules:
@@ -156,21 +150,15 @@ class _LockNesting(ast.NodeVisitor):
     visit_Lambda = visit_FunctionDef  # type: ignore[assignment]
 
 
-@rule
 class LockOrderInconsistency(Rule):
+    """Two locks acquired in opposite orders on different paths.
+
+    Directly or through called functions: if one thread holds A
+    waiting for B while another holds B waiting for A, both block
+    forever. One global acquisition order is the fix.
+    """
+
     code = "RACE002"
-    name = "lock-order inconsistency"
-    summary = (
-        "two locks are acquired in opposite orders on different paths "
-        "(directly or through called functions) — a potential deadlock"
-    )
-    rationale = (
-        "If one thread holds A waiting for B while another holds B "
-        "waiting for A, both block forever. The daemon's per-account "
-        "locks plus store/job locks make this reachable; a single "
-        "global acquisition order is the fix."
-    )
-    example = "with a:  with b: ...   # elsewhere: with b:  with a: ..."
 
     def check(self, project: Project) -> Iterable[Finding]:
         summaries = Summaries(project)
@@ -251,3 +239,7 @@ class LockOrderInconsistency(Rule):
             if vertex not in index:
                 strongconnect(vertex)
         return sorted(sccs, key=sorted)
+
+
+#: Every rule a run applies, in code order.
+RULES: tuple[Rule, ...] = (NondeterminismSource(), LockOrderInconsistency())

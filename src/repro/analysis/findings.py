@@ -2,9 +2,7 @@
 
 A finding pins a rule violation to a file, line, and column, carries
 the human message, and keeps the *snippet* — the stripped source line
-it fired on — which is the line-number-independent identity the
-baseline file matches against (code churn above a grandfathered
-finding must not un-grandfather it).
+it fired on — so a report reads without the source at hand.
 
 This module is a leaf — stdlib only.
 """
@@ -29,8 +27,7 @@ class Finding:
     col: int
     #: Human explanation: what fired and what to do instead.
     message: str
-    #: The stripped source line the finding fired on — the baseline
-    #: matching key (robust against line-number drift).
+    #: The stripped source line the finding fired on.
     snippet: str = ""
 
     def sort_key(self) -> tuple:

@@ -2,9 +2,10 @@
 
 :func:`analyze_paths` is the programmatic entry the CLI and
 ``tools/check_static.py`` share; :func:`analyze_source` analyzes one
-in-memory snippet (the test fixture path). Suppression
-(``# repro: noqa[CODE]``) and baseline matching happen here, after the
-rules run, so individual rules stay oblivious to both.
+in-memory snippet (the test fixture path). Every run applies every
+rule in :data:`~repro.analysis.builtin.RULES`. Suppression
+(``# repro: noqa[CODE]``) happens here, after the rules run, so
+individual rules stay oblivious to it.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .baseline import Baseline, BaselineEntry
+from .builtin import RULES
 from .findings import Finding
-from .rules import Rule, iter_codes, rules_for
 from .visitor import ALL_CODES, ModuleInfo, Project, module_name_for
+
 
 class AnalysisError(Exception):
     """The analyzer itself failed (unreadable file, syntax error) —
@@ -52,10 +53,6 @@ class AnalysisReport:
     findings: list[Finding] = field(default_factory=list)
     #: Findings silenced by an inline ``# repro: noqa`` comment.
     suppressed: list[Finding] = field(default_factory=list)
-    #: Findings absorbed by the baseline file.
-    baselined: list[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing (should be deleted).
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
     #: ``# repro: noqa`` comments that suppressed nothing (warnings —
     #: they do not affect the exit code).
     unused_noqa: list[UnusedNoqa] = field(default_factory=list)
@@ -78,8 +75,6 @@ class AnalysisReport:
             "codes": self.codes,
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "baselined": [f.to_dict() for f in self.baselined],
-            "stale_baseline": [e.to_dict() for e in self.stale_baseline],
             "unused_noqa": [u.to_dict() for u in self.unused_noqa],
             "clean": self.clean,
         }
@@ -90,12 +85,6 @@ class AnalysisReport:
             lines.append(finding.render())
             if finding.snippet:
                 lines.append(f"    {finding.snippet}")
-        for entry in self.stale_baseline:
-            lines.append(
-                f"warning: stale baseline entry {entry.code} for "
-                f"{entry.path!r} ({entry.snippet!r}) matches nothing — "
-                f"delete it"
-            )
         for unused in self.unused_noqa:
             lines.append(unused.render())
         summary = (
@@ -106,13 +95,8 @@ class AnalysisReport:
             summary += "clean"
         else:
             summary += f"{len(self.findings)} finding(s)"
-        extras = []
         if self.suppressed:
-            extras.append(f"{len(self.suppressed)} suppressed")
-        if self.baselined:
-            extras.append(f"{len(self.baselined)} baselined")
-        if extras:
-            summary += f" ({', '.join(extras)})"
+            summary += f" ({len(self.suppressed)} suppressed)"
         lines.append(summary)
         return "\n".join(lines)
 
@@ -157,24 +141,12 @@ def load_project(paths: Sequence[Path], root: Path | None = None) -> Project:
     return project
 
 
-def run_rules(project: Project, rules: Sequence[Rule]) -> list[Finding]:
-    findings: list[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check(project))
-    return sorted(findings, key=Finding.sort_key)
-
-
-def analyze_project(
-    project: Project,
-    rules: Sequence[Rule] | None = None,
-    baseline: Baseline | None = None,
-    codes: Iterable[str] | None = None,
-) -> AnalysisReport:
-    """Run ``rules`` (or the registered set restricted to ``codes``)
-    over an already-parsed project."""
-    if rules is None:
-        rules = rules_for(list(codes) if codes is not None else None)
-    raw = run_rules(project, rules)
+def analyze_project(project: Project) -> AnalysisReport:
+    """Run every rule over an already-parsed project."""
+    raw = sorted(
+        (finding for rule in RULES for finding in rule.check(project)),
+        key=Finding.sort_key,
+    )
     by_path = {module.path: module for module in project.modules}
     kept: list[Finding] = []
     suppressed: list[Finding] = []
@@ -184,80 +156,55 @@ def analyze_project(
             suppressed.append(finding)
         else:
             kept.append(finding)
-    if baseline is None:
-        active, baselined, stale = kept, [], []
-    else:
-        active, baselined, stale = baseline.apply(kept)
     return AnalysisReport(
-        findings=active,
+        findings=kept,
         suppressed=suppressed,
-        baselined=baselined,
-        stale_baseline=stale,
-        unused_noqa=_unused_suppressions(project, suppressed, rules),
+        unused_noqa=_unused_suppressions(project, suppressed),
         files=len(project.modules),
-        codes=[rule.code for rule in rules],
+        codes=[rule.code for rule in RULES],
     )
 
 
 def _unused_suppressions(
-    project: Project, suppressed: Sequence[Finding], rules: Sequence[Rule]
+    project: Project, suppressed: Sequence[Finding]
 ) -> list[UnusedNoqa]:
     """``# repro: noqa`` comments nothing in this run needed.
 
-    A named code is only called unused when that code actually ran; a
-    bare ``# repro: noqa`` is only called unused when the full rule set
-    ran (a restricted ``--rules`` run cannot tell what it would have
-    suppressed)."""
+    Every rule ran, so a named code that did not fire on its line, or
+    a bare ``# repro: noqa`` on a line where nothing fired, is unused.
+    """
     used: dict[tuple[str, int], set[str]] = {}
     for finding in suppressed:
         used.setdefault((finding.path, finding.line), set()).add(finding.code)
-    ran = {rule.code for rule in rules}
-    full_run = ran >= set(iter_codes())
     unused: list[UnusedNoqa] = []
     for module in project.modules:
         for line, named in sorted(module.noqa.items()):
             used_here = used.get((module.path, line), set())
             if ALL_CODES in named:
-                if full_run and not used_here:
+                if not used_here:
                     unused.append(UnusedNoqa(module.path, line, (ALL_CODES,)))
                 continue
-            dead = tuple(
-                sorted(code for code in named if code in ran and code not in used_here)
-            )
+            dead = tuple(sorted(named - used_here))
             if dead:
                 unused.append(UnusedNoqa(module.path, line, dead))
     return unused
 
 
 def analyze_paths(
-    paths: Sequence[Path | str],
-    root: Path | str | None = None,
-    baseline: Baseline | Path | str | None = None,
-    codes: Iterable[str] | None = None,
+    paths: Sequence[Path | str], root: Path | str | None = None
 ) -> AnalysisReport:
-    """Analyze a file tree: the CLI/CI entry point.
-
-    ``baseline`` may be a loaded :class:`Baseline` or a path to one;
-    ``codes`` restricts the rule set (default: every registered rule).
-    """
+    """Analyze a file tree: the CLI/CI entry point."""
     root_path = Path.cwd() if root is None else Path(root)
-    if baseline is not None and not isinstance(baseline, Baseline):
-        baseline = Baseline.load(Path(baseline))
     project = load_project([Path(p) for p in paths], root=root_path)
-    return analyze_project(project, baseline=baseline, codes=codes)
+    return analyze_project(project)
 
 
 def analyze_source(
-    source: str,
-    path: str = "<snippet>.py",
-    module: str = "snippet",
-    codes: Iterable[str] | None = None,
-    baseline: Baseline | None = None,
+    source: str, path: str = "<snippet>.py", module: str = "snippet"
 ) -> AnalysisReport:
     """Analyze one in-memory snippet (test-fixture convenience)."""
     try:
         info = ModuleInfo.parse(source, path, module)
     except SyntaxError as exc:
         raise AnalysisError(f"{path}: syntax error: {exc}") from exc
-    project = Project(modules=[info])
-    return analyze_project(project, baseline=baseline, codes=codes)
+    return analyze_project(Project(modules=[info]))

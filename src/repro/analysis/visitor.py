@@ -2,9 +2,10 @@
 
 :class:`ModuleInfo` parses one source file once and precomputes the
 things every rule needs: the import/alias map (so ``np.random`` and
-``numpy.random`` resolve identically), the ``# repro: noqa[CODE]``
-suppression table, and a :meth:`qualified` resolver that turns a
-``Name``/``Attribute`` chain into a dotted path through that map.
+``numpy.random`` resolve identically) and a :meth:`qualified` resolver
+that turns a ``Name``/``Attribute`` chain into a dotted path through
+that map. It also keeps the ``# repro: noqa[CODE]`` suppression table,
+which the runner applies once every rule has run.
 :class:`Project` is just the collection of modules under analysis —
 rules that need cross-module facts (the RACE002 call graph) walk it.
 """

@@ -54,10 +54,13 @@ class RunResult:
         return None if self.report is None else self.report.utility_loss
 
     def to_dict(self) -> dict:
-        """JSON-serialisable provenance summary (no dataset payload)."""
+        """JSON-serialisable provenance summary (no dataset payload, and
+        no noise seed: see :meth:`~repro.api.spec.MethodSpec.provenance`)."""
+        spec = self.spec.provenance()
+        digest = spec.pop("digest")
         return {
-            "spec": self.spec.to_dict(),
-            "digest": self.spec.digest,
+            "spec": spec,
+            "digest": digest,
             "engine": self.engine,
             "seconds": self.seconds,
             "trajectories": len(self.dataset),
@@ -112,10 +115,9 @@ def run(
         from repro.engine.batch import BatchAnonymizer
 
         front = BatchAnonymizer(anonymizer, workers=workers)
-        with front:
-            started = time.perf_counter()
-            dataset, report = front.anonymize_with_report(data)
-            seconds = time.perf_counter() - started
+        started = time.perf_counter()
+        dataset, report = front.anonymize_with_report(data)
+        seconds = time.perf_counter() - started
     elif hasattr(anonymizer, "anonymize_with_report"):
         # Frequency pipelines and the DP baselines (DPT/AdaTrace) all
         # return their report — with its composition ledger — alongside

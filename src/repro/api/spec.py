@@ -12,9 +12,12 @@ method and its constructor parameters. It is
   boundary (the engine's own workers ship the even plainer
   :meth:`~repro.core.pipeline.FrequencyAnonymizer.config` dict);
 * **digestible** — :attr:`MethodSpec.digest` is a stable hash of the
-  canonical JSON form, identical across processes and runs, recorded
-  as provenance in :class:`~repro.core.pipeline.AnonymizationReport`
-  and usable as an artifact version key.
+  canonical JSON form, identical across processes and runs: the
+  in-process identity of a configuration, seed included;
+* **publishable without its seed** — :meth:`MethodSpec.provenance` is
+  the one form that leaves the process (reports, job snapshots, the
+  CLI's ``method:`` line): every parameter but the noise seed, and a
+  digest over exactly that.
 
 This module is a leaf: it imports nothing from the rest of the
 package, so every layer (core, engine, experiments, CLI) can depend
@@ -113,8 +116,28 @@ class MethodSpec:
 
     @property
     def digest(self) -> str:
-        """Stable 16-hex config digest, identical across processes."""
+        """Stable 16-hex config digest, identical across processes.
+
+        It covers the seed, so it is an in-process key only (the
+        daemon's engine cache): a 64-bit digest of a spec gives a small
+        seed back to anyone who enumerates candidates. Write
+        :meth:`provenance` out instead.
+        """
         return canonical_digest(self.to_dict())
+
+    def provenance(self) -> dict:
+        """``{"kind", "params", "digest"}`` without the noise seed.
+
+        The seed is the curator's secret: a recipient who holds it and
+        every record but one can rerun the release once per candidate
+        for the missing record and match bytes. ``params`` keeps every
+        other parameter, and ``digest`` is taken over this seedless
+        ``{"kind", "params"}``, so two seeds of one configuration
+        publish identical provenance.
+        """
+        public = self.to_dict()
+        public["params"].pop("seed", None)
+        return {**public, "digest": canonical_digest(public)}
 
     # -- serialization ----------------------------------------------------------
 

@@ -28,7 +28,7 @@ deliberately configurable per invocation — tuning guidance lives in
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.bench.record import BenchRecord

@@ -79,7 +79,14 @@ def _add_method_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--epsilon", type=float, default=1.0)
     parser.add_argument("--signature-size", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="noise seed: the curator's secret, like a key. The same "
+        "seed replays the same release; never ship it with one (reports "
+        "and the printed digest leave it out)",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="run the privacy/determinism/concurrency static analyzer "
+        help="run the determinism and lock-order static analyzer "
         "(see docs/analysis.md)",
     )
     check.add_argument(
@@ -309,29 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("human", "json"),
         default="human",
         help="report format (json emits the machine-readable schema)",
-    )
-    check.add_argument(
-        "--baseline",
-        default=None,
-        metavar="JSON",
-        help="grandfathered-findings file (default: "
-        "tools/analysis_baseline.json when present; 'none' disables)",
-    )
-    check.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to grandfather every current finding",
-    )
-    check.add_argument(
-        "--rules",
-        default=None,
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    check.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list the registered rules and exit",
     )
 
     bench = sub.add_parser(
@@ -628,7 +612,7 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
             f"anonymized {len(result.dataset)} trajectories with "
             f"{spec.kind.upper()} -> {args.output}"
         )
-    print(f"  method: {spec.kind} (config digest {spec.digest}, "
+    print(f"  method: {spec.kind} (config digest {spec.provenance()['digest']}, "
           f"{result.seconds:.2f}s, engine {result.engine})")
     return 0
 
@@ -761,40 +745,10 @@ def _default_check_paths() -> list[str]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from pathlib import Path
+    from repro.analysis import AnalysisError, analyze_paths
 
-    from repro.analysis import AnalysisError, Baseline, all_rules, analyze_paths
-
-    if args.list_rules:
-        for registered in all_rules():
-            print(f"{registered.code}  {registered.name}: {registered.summary}")
-        return 0
-    codes = None
-    if args.rules:
-        codes = [code.strip() for code in args.rules.split(",") if code.strip()]
-    default_baseline = Path("tools/analysis_baseline.json")
-    if args.baseline and args.baseline.lower() == "none":
-        baseline_path = None
-    elif args.baseline:
-        baseline_path = Path(args.baseline)
-    else:
-        baseline_path = default_baseline if default_baseline.is_file() else None
-    paths = args.paths or _default_check_paths()
     try:
-        if args.update_baseline:
-            # Grandfather what exists today: analyze without a baseline
-            # and write one absorbing every finding.
-            report = analyze_paths(paths, codes=codes)
-            target = baseline_path or default_baseline
-            Baseline.from_findings(
-                report.findings, reason="grandfathered by --update-baseline"
-            ).save(target)
-            print(
-                f"baseline updated: {target} "
-                f"({len(report.findings)} finding(s) grandfathered)"
-            )
-            return 0
-        report = analyze_paths(paths, baseline=baseline_path, codes=codes)
+        report = analyze_paths(args.paths or _default_check_paths())
     except AnalysisError as exc:
         print(f"repro check: {exc}", file=sys.stderr)
         return 2

@@ -147,11 +147,7 @@ class AnonymizationReport:
             }
 
         return {
-            "method": (
-                None
-                if self.spec is None
-                else {**self.spec.to_dict(), "digest": self.spec.digest}
-            ),
+            "method": None if self.spec is None else self.spec.provenance(),
             "epsilon_total": self.epsilon_total,
             "budget_ledger": [
                 {"mechanism": label, "epsilon": epsilon}

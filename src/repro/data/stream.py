@@ -253,9 +253,10 @@ def chunked(
     """Group a lazy trajectory stream into ``chunk_size``-sized datasets.
 
     The bridge between the streaming readers and dataset-at-a-time
-    consumers such as :meth:`repro.engine.BatchAnonymizer.anonymize_many`:
-    the source is pulled one trajectory at a time, so at most one chunk
-    is materialised.
+    consumers such as :class:`repro.engine.StreamPublisher` and
+    :func:`repro.experiments.publish.per_chunk_release`: the source is
+    pulled one trajectory at a time, so at most one chunk is
+    materialised.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")

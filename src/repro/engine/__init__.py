@@ -4,12 +4,10 @@ Three pieces built for the "as fast as the hardware allows" roadmap:
 
 * :class:`BatchAnonymizer` — shards the embarrassingly-parallel local
   PF stage of a :class:`~repro.core.pipeline.FrequencyAnonymizer`
-  across a process pool (and fans whole-dataset sweeps with
-  ``anonymize_many``), byte-identical to the serial path for the same
-  seed thanks to per-trajectory derived noise streams. Results travel
-  with the return value (``anonymize_with_report`` / the ``(dataset,
-  report)`` pairs of ``anonymize_stream``), never through shared
-  mutable state;
+  across a process pool, byte-identical to the serial path for the
+  same seed thanks to per-trajectory derived noise streams. Results
+  travel with the return value of ``anonymize_with_report``, never
+  through shared mutable state;
 * :func:`parallel_map` / :func:`parallel_map_stream` — the
   deterministic order-preserving pool primitives (process pools; the
   stream also runs on threads for the serving daemon's job runner)
@@ -24,8 +22,8 @@ Three pieces built for the "as fast as the hardware allows" roadmap:
   DP composition ledger (:mod:`repro.core.accounting`) recording the
   end-to-end ε.
 
-Each unit of work — a local-stage shard, a sweep item, a published
-chunk — runs exactly one function, in process or in a pool worker as
+Each unit of work — a local-stage shard, a published chunk — runs
+exactly one function, in process or in a pool worker as
 :func:`parallel_map_stream` decides (in process when ``workers <= 1``).
 The function rebuilds the pipeline with ``FrequencyAnonymizer(**config)``
 from the plain constructor kwargs its payload carries, never from a

@@ -15,18 +15,14 @@ construction: the pipeline derives each trajectory's noise stream from
 RNG — so any sharding replays exactly the serial draws and the output
 is byte-identical to the serial path for the same seed.
 
-Each unit of work the engine hands out runs exactly one function, in
-process or in a pool worker as :func:`~repro.engine.pool.parallel_map_stream`
-decides: a local-stage shard runs :func:`_run_local_shard`, which is
-the pipeline's own ``_run_local_serial`` on a rebuilt anonymizer, and
-a sweep item runs :func:`_anonymize_one`. Both rebuild the pipeline
-from its plain-data :meth:`~repro.core.pipeline.FrequencyAnonymizer.config`.
+A local-stage shard runs :func:`_run_local_shard` in a pool worker:
+the pipeline's own ``_run_local_serial`` on an anonymizer rebuilt from
+its plain-data :meth:`~repro.core.pipeline.FrequencyAnonymizer.config`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from repro.core.local_mechanism import PFPerturbation
 from repro.core.modification import ModificationReport
@@ -36,7 +32,7 @@ from repro.core.pipeline import (
     LocalResult,
 )
 from repro.core.signature import SignatureIndex
-from repro.engine.pool import parallel_map, parallel_map_stream, resolve_workers
+from repro.engine.pool import parallel_map, resolve_workers
 from repro.engine.spill import decode_chunk, encode_chunk
 from repro.trajectory.model import Trajectory, TrajectoryDataset
 
@@ -94,20 +90,6 @@ def _run_local_shard(shard: _LocalShard) -> _ShardResult:
     )
 
 
-def _anonymize_one(payload: tuple[dict, int, TrajectoryDataset]):
-    """Worker: full anonymization of one dataset of a sweep.
-
-    Rebuilds the anonymizer from its constructor kwargs (plain data,
-    like the shard payloads) and pins the reserved call index so
-    dataset ``i`` of the sweep draws exactly the noise the ``i``-th
-    sequential call on a single instance would draw.
-    """
-    config, call_index, dataset = payload
-    return FrequencyAnonymizer(**config).anonymize_with_report(
-        dataset, call_index=call_index
-    )
-
-
 class BatchAnonymizer:
     """Parallel front-end for a :class:`FrequencyAnonymizer`.
 
@@ -122,10 +104,8 @@ class BatchAnonymizer:
         A dataset under ``workers * MIN_POINTS_PER_WORKER`` points runs
         its local stage in process whatever the pool size.
 
-    :meth:`close` (or leaving the engine's ``with`` block) is terminal:
-    a closed engine raises ``RuntimeError`` on further use (long-lived
-    holders like the serving daemon rely on close meaning *closed*,
-    not *paused*).
+    The engine holds no pool between calls: a sharded local stage gets
+    a fresh one from :func:`~repro.engine.pool.parallel_map`.
     """
 
     def __init__(
@@ -135,40 +115,6 @@ class BatchAnonymizer:
     ) -> None:
         self.anonymizer = anonymizer
         self.workers = resolve_workers(workers)
-        self._closed = False
-
-    # -- lifecycle --------------------------------------------------------------
-
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(
-                "BatchAnonymizer is closed; build a new engine instead "
-                "of reusing a closed one"
-            )
-
-    def close(self) -> None:
-        """Shut the engine down: idempotent and terminal.
-
-        Any later ``anonymize*`` call (or context-manager re-entry)
-        raises ``RuntimeError``.
-        """
-        self._closed = True
-
-    def __enter__(self) -> "BatchAnonymizer":
-        self._ensure_open()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def anonymize(self, dataset: TrajectoryDataset) -> TrajectoryDataset:
-        """ε-DP anonymization, local stage fanned across the pool.
-
-        Byte-identical to ``self.anonymizer.anonymize(dataset)`` for
-        the same seed and call index: the dataset half of
-        :meth:`anonymize_with_report`.
-        """
-        return self.anonymize_with_report(dataset)[0]
 
     def anonymize_with_report(
         self, dataset: TrajectoryDataset, *, call_index: int | None = None
@@ -181,50 +127,9 @@ class BatchAnonymizer:
         atomically reserved noise stream. ``call_index`` pins the
         per-call stream instead (the serving daemon replays call 0).
         """
-        self._ensure_open()
         return self.anonymizer.anonymize_with_report(
             dataset, local_runner=self._run_local_sharded, call_index=call_index
         )
-
-    def anonymize_stream(
-        self, datasets: Iterable[TrajectoryDataset]
-    ) -> Iterator[tuple[TrajectoryDataset, AnonymizationReport]]:
-        """Lazily anonymize a stream of datasets, one worker each.
-
-        Datasets are pulled from the (possibly lazy — e.g.
-        :func:`repro.data.stream.chunked` over a streaming reader)
-        iterable only as pool slots free up, with at most a small
-        bounded window in flight, so a sweep far larger than memory
-        works. Yields ``(anonymized, report)`` pairs in input order;
-        each dataset draws the same per-call noise stream the ``i``-th
-        sequential ``anonymize`` call on the wrapped instance would.
-        With ``workers <= 1`` the same worker function runs in process.
-
-        A closed engine refuses eagerly, at the call — not on first
-        iteration of the returned generator.
-        """
-        self._ensure_open()
-        config = self.anonymizer.config()
-        payloads = (
-            (config, self.anonymizer.reserve_call_index(), dataset)
-            for dataset in datasets
-        )
-        return parallel_map_stream(_anonymize_one, payloads, workers=self.workers)
-
-    def anonymize_many(
-        self, datasets: Iterable[TrajectoryDataset]
-    ) -> list[tuple[TrajectoryDataset, AnonymizationReport]]:
-        """Anonymize a sweep of datasets, one worker each.
-
-        Equivalent to calling ``anonymize`` on the wrapped instance
-        once per dataset in order (each dataset gets its own per-call
-        noise stream); the wrapped instance's call counter advances
-        accordingly. Returns ``(anonymized, report)`` pairs in input
-        order. The input may be any iterable — it is consumed
-        incrementally (see :meth:`anonymize_stream`); only the results
-        are accumulated.
-        """
-        return list(self.anonymize_stream(datasets))
 
     # -- local-stage sharding ---------------------------------------------------
 

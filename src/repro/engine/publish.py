@@ -1,10 +1,12 @@
 """The whole-dataset streaming publisher.
 
-``BatchAnonymizer.anonymize_stream`` over ``chunked()`` readers treats
-every chunk as its own release: each chunk draws its own noisy TF over
-its own candidate set, so the published stream is k independent DP
-releases with no shared target and no budget story for the dataset as
-a whole.  :class:`StreamPublisher` closes that gap with a **two-pass**
+Anonymizing each ``chunked()`` chunk on its own treats every chunk
+as its own release: each chunk draws its own noisy TF over its own
+candidate set, so the published stream is k independent DP releases
+with no shared target and no budget story for the dataset as a whole
+(``repro experiment publish`` measures that baseline with
+:func:`~repro.experiments.publish.per_chunk_release`).
+:class:`StreamPublisher` closes that gap with a **two-pass**
 protocol that publishes one consistent ε-DP release of the entire
 (possibly larger-than-memory) dataset:
 
@@ -187,11 +189,7 @@ class PublishReport:
     def to_dict(self) -> dict:
         """JSON-serialisable merged report (the artifact's audit trail)."""
         return {
-            "method": (
-                None
-                if self.spec is None
-                else {**self.spec.to_dict(), "digest": self.spec.digest}
-            ),
+            "method": None if self.spec is None else self.spec.provenance(),
             "epsilon_total": self.epsilon_total,
             "accounting": self.accounting.to_dict(),
             "chunk_count": self.chunk_count,

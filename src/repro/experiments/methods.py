@@ -5,11 +5,8 @@ module is a thin, *ordered* view over it: ``table2_specs`` maps the
 paper's method labels (Table II column order) to declarative
 :class:`~repro.api.spec.MethodSpec` values derived from an
 :class:`ExperimentConfig`, and ``our_model_specs`` covers just the
-frequency-based models for the ε sweep of Figure 4.
-
-``build_methods`` / ``build_our_models`` are kept as the historical
-callable-returning views; each callable is ``run(spec, ds).dataset``,
-so both surfaces execute exactly the same registry-built methods.
+frequency-based models for the ε sweep of Figure 4. The drivers run
+each spec with :func:`repro.api.run`.
 
 ``SYNTHETIC_METHODS`` marks the generative models whose outputs carry
 no record-level truthfulness (the paper skips temporal-linkage and
@@ -19,13 +16,8 @@ recovery metrics for them); it is derived from the registry's
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.api import MethodSpec, method_info, run
+from repro.api import MethodSpec, method_info
 from repro.experiments.config import ExperimentConfig
-from repro.trajectory.model import TrajectoryDataset
-
-Anonymizer = Callable[[TrajectoryDataset], TrajectoryDataset]
 
 #: Table II labels, in the paper's column order, with the registry
 #: kind each resolves to (RSC expands to one column per radius).
@@ -93,22 +85,3 @@ def our_model_specs(config: ExperimentConfig) -> dict[str, MethodSpec]:
         "GL": MethodSpec("gl", config.model_params()),
     }
 
-
-def _as_callable(spec: MethodSpec) -> Anonymizer:
-    return lambda dataset: run(spec, dataset).dataset
-
-
-def build_methods(config: ExperimentConfig) -> dict[str, Anonymizer]:
-    """All Table II methods as callables, in the paper's column order."""
-    return {
-        label: _as_callable(spec)
-        for label, spec in table2_specs(config).items()
-    }
-
-
-def build_our_models(config: ExperimentConfig) -> dict[str, Anonymizer]:
-    """The frequency-based models as callables (Figure 4 view)."""
-    return {
-        label: _as_callable(spec)
-        for label, spec in our_model_specs(config).items()
-    }

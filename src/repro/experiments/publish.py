@@ -10,9 +10,9 @@ strategy at the same total ε, and evaluates the Table II utility and
 privacy metrics of both merged outputs against the original.
 
 ``workers`` fans both strategies over worker processes: the per-chunk
-baseline's sweep (one chunk per worker) and the shared-TF publisher's
-pass 2 (one spilled chunk per worker). Output is the same for any
-value.
+baseline (:func:`per_chunk_release`, one chunk per worker) and the
+shared-TF publisher's pass 2 (one spilled chunk per worker). Output is
+the same for any value.
 
 Invoke with::
 
@@ -26,10 +26,11 @@ truth), like every other driver.
 from __future__ import annotations
 
 import sys
+from typing import Iterable, Iterator
 
-from repro.core.pipeline import GL
+from repro.core.pipeline import GL, FrequencyAnonymizer
 from repro.data.stream import chunked
-from repro.engine.batch import BatchAnonymizer
+from repro.engine.pool import parallel_map_stream
 from repro.engine.publish import StreamPublisher
 from repro.experiments.config import ExperimentConfig, load_experiment_input
 from repro.experiments.evaluate import METRIC_COLUMNS, evaluate_method
@@ -37,6 +38,38 @@ from repro.trajectory.model import TrajectoryDataset
 
 #: The two publishing strategies the experiment compares.
 STRATEGIES = ("per_chunk", "shared_tf")
+
+
+def _release_chunk(
+    payload: tuple[dict, int, TrajectoryDataset],
+) -> TrajectoryDataset:
+    """Worker: one chunk released on its own, at its reserved call index."""
+    config, call_index, chunk = payload
+    return FrequencyAnonymizer(**config).anonymize_with_report(
+        chunk, call_index=call_index
+    )[0]
+
+
+def per_chunk_release(
+    anonymizer: FrequencyAnonymizer,
+    chunks: Iterable[TrajectoryDataset],
+    workers: int = 1,
+) -> Iterator[TrajectoryDataset]:
+    """Release every chunk as its own dataset; yield them in order.
+
+    The baseline the shared-TF publisher is measured against: each
+    chunk draws its own noisy TF over its own candidate set. Chunk
+    ``i`` reserves the next call index on ``anonymizer``, so it draws
+    the noise of the ``i``-th sequential ``anonymize_with_report`` call
+    on it, whatever ``workers`` is (``<= 1`` maps in process). Chunks
+    are pulled only as results are taken, a bounded window ahead on a
+    pool.
+    """
+    config = anonymizer.config()
+    payloads = (
+        (config, anonymizer.reserve_call_index(), chunk) for chunk in chunks
+    )
+    yield from parallel_map_stream(_release_chunk, payloads, workers=workers)
 
 
 def run(
@@ -58,15 +91,15 @@ def run(
 
     # Baseline: k independent releases, one per chunk (each draws its
     # own TF over its own candidate set — the pre-publisher stream).
-    merged: list = []
-    with BatchAnonymizer(
-        GL(**config.model_params()), workers=workers
-    ) as engine:
-        for chunk_result, _report in engine.anonymize_stream(
-            chunked(iter(dataset), chunk_size)
-        ):
-            merged.extend(chunk_result)
-    per_chunk = TrajectoryDataset(merged)
+    per_chunk = TrajectoryDataset(
+        trajectory
+        for chunk in per_chunk_release(
+            GL(**config.model_params()),
+            chunked(iter(dataset), chunk_size),
+            workers,
+        )
+        for trajectory in chunk
+    )
 
     # Shared-TF: one two-pass publish of the whole stream.
     shared, publish_report = StreamPublisher(

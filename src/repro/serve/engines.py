@@ -11,7 +11,13 @@ small one runs its local stage in process (see
 ``repro.engine.batch.MIN_POINTS_PER_WORKER``). Concurrent calls on one
 engine are safe by design (reports travel with the return value,
 noise streams are reserved per call), so the cache needs no
-per-engine serialization — only its own map lock.
+per-engine serialization — only its own map lock. Nor does an engine
+need shutting down: :meth:`EngineCache.close` just drops them.
+
+The key is :attr:`~repro.api.spec.MethodSpec.digest`, the in-process
+identity over the whole spec, seed included: one spec under two seeds
+is two engines. Nothing writes the key out (a job snapshot carries the
+seedless :meth:`~repro.api.spec.MethodSpec.provenance`).
 
 Frequency-family methods get the batch engine; other families are
 cached as their bare anonymizer, so their construction (e.g. a fitted
@@ -31,7 +37,7 @@ __all__ = ["EngineCache"]
 
 
 class EngineCache:
-    """``spec.digest -> anonymizer`` map with a close lifecycle.
+    """``spec.digest -> anonymizer`` map that refuses use once closed.
 
     ``workers`` is the batch engine's pool size; it applies to every
     frequency-family engine the cache builds. An entry keeps the built
@@ -66,19 +72,12 @@ class EngineCache:
             return engine
 
     def close(self) -> None:
-        """Tear every warm engine down; idempotent and terminal.
+        """Drop every warm engine; idempotent and terminal.
 
-        Callers must drain in-flight jobs first — closing an engine
-        must not race calls still using it (the runner's shutdown
-        sequence does exactly that).
+        A later :meth:`get` raises ``RuntimeError``. The engines hold
+        no pool or file, so dropping them releases everything; jobs
+        still running keep the engine they already got.
         """
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-            engines = list(self._engines.values())
             self._engines.clear()
-        for engine in engines:
-            close = getattr(engine, "close", None)
-            if callable(close):
-                close()

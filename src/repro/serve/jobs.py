@@ -89,15 +89,21 @@ class Job:
     )
 
     def to_dict(self) -> dict:
-        """Consistent JSON snapshot of the job (one lock acquisition)."""
+        """Consistent JSON snapshot of the job (one lock acquisition).
+
+        Any client may read it, so the spec goes out as its seedless
+        :meth:`~repro.api.spec.MethodSpec.provenance`.
+        """
+        spec = self.spec.provenance()
+        digest = spec.pop("digest")
         with self._lock:
             return {
                 "id": self.id,
                 "tenant": self.tenant,
                 "state": self.state,
                 "dataset": self.dataset,
-                "spec": self.spec.to_dict(),
-                "digest": self.spec.digest,
+                "spec": spec,
+                "digest": digest,
                 "publish": None if self.publish is None else dict(self.publish),
                 "eps_total": self.eps_total,
                 "eps_charged": self.eps_charged,

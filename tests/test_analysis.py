@@ -3,9 +3,9 @@
 Every rule gets a positive fixture (a seeded violation it must catch)
 and a negative fixture (idiomatic code it must not flag), driven
 through :func:`analyze_source`. Suppression (including unused-noqa
-warnings), the baseline ratchet, the JSON report schema, and the
-``repro check`` exit-code contract (0 clean / 1 findings / 2 internal
-error) are covered end to end.
+warnings), the JSON report schema, and the ``repro check`` exit-code
+contract (0 clean / 1 findings / 2 internal error) are covered end to
+end.
 """
 
 import json
@@ -15,15 +15,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
+    RULES,
     AnalysisError,
-    Baseline,
-    BaselineEntry,
     Finding,
-    all_rules,
     analyze_project,
     analyze_source,
     load_project,
-    rules_for,
 )
 from repro.analysis.visitor import ModuleInfo, Project
 from repro.cli import main
@@ -35,8 +32,8 @@ RETIRED = (
 )
 
 
-def check(source: str, codes=None, **kwargs):
-    return analyze_source(textwrap.dedent(source), codes=codes, **kwargs)
+def check(source: str):
+    return analyze_source(textwrap.dedent(source))
 
 
 def codes_of(report) -> list[str]:
@@ -45,21 +42,14 @@ def codes_of(report) -> list[str]:
 
 class TestRegistry:
     def test_all_rules_registered(self):
-        assert [r.code for r in all_rules()] == ["DET002", "RACE002"]
+        codes = [r.code for r in RULES]
+        assert codes == ["DET002", "RACE002"]
+        assert not set(codes) & set(RETIRED)
 
     def test_every_rule_documented(self):
-        for rule in all_rules():
-            assert rule.name
-            assert rule.summary
-            assert rule.rationale
-            assert rule.example
-
-    def test_rules_for_subset(self):
-        assert [r.code for r in rules_for(["RACE002"])] == ["RACE002"]
-
-    def test_rules_for_unknown_code_raises(self):
-        with pytest.raises(KeyError):
-            rules_for(["NOPE999"])
+        catalogue = (REPO_ROOT / "docs" / "analysis.md").read_text()
+        for rule in RULES:
+            assert f"### {rule.code} — " in catalogue, rule.code
 
 
 class TestDET002:
@@ -70,8 +60,7 @@ class TestDET002:
 
             def stamp():
                 return time.time()
-            """,
-            codes=["DET002"],
+            """
         )
         assert codes_of(report) == ["DET002"]
 
@@ -82,8 +71,7 @@ class TestDET002:
 
             def stamp():
                 return datetime.now()
-            """,
-            codes=["DET002"],
+            """
         )
         assert codes_of(report) == ["DET002"]
 
@@ -94,8 +82,7 @@ class TestDET002:
 
             def measure():
                 return time.perf_counter()
-            """,
-            codes=["DET002"],
+            """
         )
         assert report.clean
 
@@ -105,8 +92,7 @@ class TestDET002:
             def walk(a, b):
                 for loc in {a, b}:
                     yield loc
-            """,
-            codes=["DET002"],
+            """
         )
         assert codes_of(report) == ["DET002"]
 
@@ -115,8 +101,7 @@ class TestDET002:
             """
             def dedupe(items):
                 return [x for x in set(items)]
-            """,
-            codes=["DET002"],
+            """
         )
         assert codes_of(report) == ["DET002"]
 
@@ -126,8 +111,7 @@ class TestDET002:
             def walk(items):
                 for loc in sorted(set(items)):
                     yield loc
-            """,
-            codes=["DET002"],
+            """
         )
         assert report.clean
 
@@ -146,8 +130,7 @@ class TestRACE002:
                     with self.job_lock:
                         with self.store_lock:
                             pass
-            """,
-            codes=["RACE002"],
+            """
         )
         assert codes_of(report) == ["RACE002"]
         message = report.findings[0].message
@@ -168,8 +151,7 @@ class TestRACE002:
                     with self.store_lock:
                         with self.job_lock:
                             pass
-            """,
-            codes=["RACE002"],
+            """
         )
         assert report.clean
 
@@ -189,8 +171,7 @@ class TestRACE002:
                     with self.b_lock:
                         with self.a_lock:
                             pass
-            """,
-            codes=["RACE002"],
+            """
         )
         assert codes_of(report) == ["RACE002"]
         assert "call to" in report.findings[0].message
@@ -206,8 +187,7 @@ class TestRACE002:
                 def drain(self):
                     with self.store_lock:
                         pass
-            """,
-            codes=["RACE002"],
+            """
         )
         assert report.clean
 
@@ -217,9 +197,9 @@ def source_tree() -> Project:
     return load_project([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
 
 
-def inject(tree: Project, path: str, anchor: str, bug: str, code: str):
-    """Run ``code`` over ``src/repro`` with ``anchor`` in ``path``
-    replaced by ``bug``: a copy of the real source, changed at one site."""
+def inject(tree: Project, path: str, anchor: str, bug: str):
+    """Analyze ``src/repro`` with ``anchor`` in ``path`` replaced by
+    ``bug``: a copy of the real source, changed at one site."""
     source = (REPO_ROOT / path).read_text()
     assert source.count(anchor) == 1, (
         f"the anchor of this pinned injection is gone from {path}; "
@@ -232,7 +212,7 @@ def inject(tree: Project, path: str, anchor: str, bug: str, code: str):
         else module
         for module in tree.modules
     ]
-    return analyze_project(Project(modules=modules), codes=[code])
+    return analyze_project(Project(modules=modules))
 
 
 class TestPinnedInjections:
@@ -247,7 +227,6 @@ class TestPinnedInjections:
             "src/repro/api/spec.py",
             "        for name in sorted(raw):\n",
             "        for name in set(raw):\n",
-            "DET002",
         )
         assert [(f.code, f.path, f.snippet) for f in report.findings] == [
             ("DET002", "src/repro/api/spec.py", "for name in set(raw):")
@@ -266,7 +245,6 @@ class TestPinnedInjections:
             "                with job._lock:\n"
             "                    listed.append(job)\n"
             "            return listed\n",
-            "RACE002",
         )
         (finding,) = report.findings
         assert finding.code == "RACE002"
@@ -283,7 +261,7 @@ class TestSuppression:
     """
 
     def test_coded_noqa_suppresses(self):
-        report = check(self.VIOLATION, codes=["DET002"])
+        report = check(self.VIOLATION)
         assert report.clean
         assert [f.code for f in report.suppressed] == ["DET002"]
 
@@ -294,8 +272,7 @@ class TestSuppression:
 
             def draw():
                 return time.time()  # repro: noqa
-            """,
-            codes=["DET002"],
+            """
         )
         assert report.clean
         assert len(report.suppressed) == 1
@@ -307,8 +284,7 @@ class TestSuppression:
 
             def draw():
                 return time.time()  # repro: noqa[RACE002]
-            """,
-            codes=["DET002"],
+            """
         )
         assert codes_of(report) == ["DET002"]
 
@@ -319,13 +295,12 @@ class TestSuppression:
 
             def draw():
                 return time.time()  # repro: noqa[det002]
-            """,
-            codes=["DET002"],
+            """
         )
         assert report.clean
 
 
-class TestBaseline:
+class TestReportSchema:
     VIOLATION = """
     import time
 
@@ -333,82 +308,16 @@ class TestBaseline:
         return time.time()
     """
 
-    def test_from_findings_absorbs_everything(self):
-        first = check(self.VIOLATION, codes=["DET002"])
-        baseline = Baseline.from_findings(first.findings)
-        second = check(self.VIOLATION, codes=["DET002"], baseline=baseline)
-        assert second.clean
-        assert len(second.baselined) == 1
-        assert not second.stale_baseline
-
-    def test_survives_line_drift(self):
-        baseline = Baseline.from_findings(
-            check(self.VIOLATION, codes=["DET002"]).findings
-        )
-        shifted = "# a new leading comment\n\n" + textwrap.dedent(self.VIOLATION)
-        report = analyze_source(shifted, codes=["DET002"], baseline=baseline)
-        assert report.clean
-        assert len(report.baselined) == 1
-
-    def test_fixed_violation_marks_entry_stale(self):
-        baseline = Baseline.from_findings(
-            check(self.VIOLATION, codes=["DET002"]).findings
-        )
-        report = check("def draw(clock): return clock()",
-                       codes=["DET002"], baseline=baseline)
-        assert report.clean
-        assert len(report.stale_baseline) == 1
-        assert report.stale_baseline[0].code == "DET002"
-
-    def test_count_caps_absorption(self):
-        doubled = """
-        import time
-
-        def draw():
-            return time.time()
-
-        def draw_again():
-            return time.time()
-        """
-        entry = BaselineEntry(
-            code="DET002",
-            path="<snippet>.py",
-            snippet="return time.time()",
-            count=1,
-        )
-        report = check(doubled, codes=["DET002"],
-                       baseline=Baseline(entries=[entry]))
-        # Two identical snippets, budget for one: the second stays active.
-        assert len(report.baselined) == 1
-        assert len(report.findings) == 1
-
-    def test_save_load_round_trip(self, tmp_path):
-        baseline = Baseline.from_findings(
-            check(self.VIOLATION, codes=["DET002"]).findings,
-            reason="legacy draw",
-        )
-        target = tmp_path / "baseline.json"
-        baseline.save(target)
-        assert Baseline.load(target) == baseline
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        target = tmp_path / "baseline.json"
-        target.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError):
-            Baseline.load(target)
-
-
-class TestReportSchema:
     def test_json_shape(self):
-        report = check(TestBaseline.VIOLATION, codes=["DET002"])
+        report = check(self.VIOLATION)
         payload = report.to_dict()
         assert set(payload) == {
             "version", "files", "codes", "findings", "suppressed",
-            "baselined", "stale_baseline", "unused_noqa", "clean",
+            "unused_noqa", "clean",
         }
         assert payload["version"] == 1
         assert payload["files"] == 1
-        assert payload["codes"] == ["DET002"]
+        assert payload["codes"] == ["DET002", "RACE002"]
         assert payload["clean"] is False
         (finding,) = payload["findings"]
         assert set(finding) == {
@@ -417,7 +326,7 @@ class TestReportSchema:
         assert Finding.from_dict(finding) == report.findings[0]
 
     def test_render_human_mentions_location_and_code(self):
-        report = check(TestBaseline.VIOLATION, codes=["DET002"])
+        report = check(self.VIOLATION)
         text = report.render_human()
         assert "<snippet>.py:5:12: DET002" in text
         assert "1 finding(s)" in text
@@ -433,8 +342,7 @@ class TestUnusedNoqa:
             """
             def double(x):
                 return 2 * x  # repro: noqa[DET002]
-            """,
-            codes=["DET002"],
+            """
         )
         assert report.clean
         assert report.exit_code() == 0
@@ -444,45 +352,33 @@ class TestUnusedNoqa:
         assert "unused suppression" in report.render_human()
 
     def test_used_noqa_not_warned(self):
-        report = check(TestSuppression.VIOLATION, codes=["DET002"])
+        report = check(TestSuppression.VIOLATION)
         assert report.clean
         assert report.unused_noqa == []
 
-    def test_named_code_outside_run_set_not_warned(self):
-        # A restricted run cannot tell whether RACE002 would have fired.
+    def test_unused_bare_noqa_warns(self):
         report = check(
             """
             def double(x):
-                return 2 * x  # repro: noqa[RACE002]
-            """,
-            codes=["DET002"],
+                return 2 * x  # repro: noqa
+            """
         )
-        assert report.unused_noqa == []
-
-    def test_bare_noqa_only_flagged_on_full_run(self):
-        source = """
-        def double(x):
-            return 2 * x  # repro: noqa
-        """
-        restricted = check(source, codes=["DET002"])
-        assert restricted.unused_noqa == []
-        full = check(source)
-        (unused,) = full.unused_noqa
+        (unused,) = report.unused_noqa
         assert unused.codes == ("*",)
 
     def test_partially_used_noqa_reports_dead_codes_only(self):
+        # DP001 names no rule (it was retired), so it suppresses nothing.
         report = check(
             """
             import time
 
             def draw():
-                return time.time()  # repro: noqa[DET002, RACE002]
-            """,
-            codes=["DET002", "RACE002"],
+                return time.time()  # repro: noqa[DET002, RACE002, DP001]
+            """
         )
         assert report.clean
         (unused,) = report.unused_noqa
-        assert unused.codes == ("RACE002",)
+        assert unused.codes == ("DP001", "RACE002")
 
     def test_docstring_mention_is_not_a_suppression(self):
         # The syntax quoted in prose must neither suppress findings on
@@ -494,8 +390,7 @@ class TestUnusedNoqa:
 
             def draw():
                 return time.time()
-            ''',
-            codes=["DET002"],
+            '''
         )
         assert codes_of(report) == ["DET002"]
         assert report.unused_noqa == []
@@ -505,8 +400,7 @@ class TestUnusedNoqa:
             """
             def double(x):
                 return 2 * x  # repro: noqa[DET002]
-            """,
-            codes=["DET002"],
+            """
         )
         payload = report.to_dict()
         assert payload["unused_noqa"] == [
@@ -530,14 +424,12 @@ class TestCheckCLI:
         return path
 
     def test_exit_zero_on_clean_tree(self, tmp_path, capsys):
-        code = main(["check", str(self.clean_file(tmp_path)),
-                     "--baseline", "none"])
+        code = main(["check", str(self.clean_file(tmp_path))])
         assert code == 0
         assert "clean" in capsys.readouterr().out
 
     def test_exit_one_on_findings(self, tmp_path, capsys):
-        code = main(["check", str(self.dirty_file(tmp_path)),
-                     "--baseline", "none"])
+        code = main(["check", str(self.dirty_file(tmp_path))])
         assert code == 1
         out = capsys.readouterr().out
         assert "DET002" in out
@@ -546,60 +438,35 @@ class TestCheckCLI:
     def test_exit_two_on_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("def broken(:\n")
-        code = main(["check", str(bad), "--baseline", "none"])
+        code = main(["check", str(bad)])
         assert code == 2
         assert "syntax error" in capsys.readouterr().err
 
-    def test_exit_two_on_unknown_rule(self, tmp_path, capsys):
-        code = main(["check", str(self.clean_file(tmp_path)),
-                     "--baseline", "none", "--rules", "NOPE999"])
-        assert code == 2
-        assert "NOPE999" in capsys.readouterr().err
-
     def test_json_format_machine_readable(self, tmp_path, capsys):
         code = main(["check", str(self.dirty_file(tmp_path)),
-                     "--baseline", "none", "--format", "json"])
+                     "--format", "json"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 1
         assert payload["clean"] is False
         assert payload["findings"][0]["code"] == "DET002"
 
-    def test_list_rules(self, capsys):
-        assert main(["check", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in ("DET002", "RACE002"):
-            assert code in out
-        for retired in RETIRED:
-            assert retired not in out
-
     def test_retired_format_and_rules_refused(self, tmp_path, capsys):
+        """Every run applies every rule, and nothing is grandfathered:
+        the options that chose otherwise are refused by argparse."""
         with pytest.raises(SystemExit) as excinfo:
             main(["check", str(self.clean_file(tmp_path)), "--format", "sarif"])
         assert excinfo.value.code == 2
-        capsys.readouterr()
-        for retired in RETIRED:
-            code = main(["check", str(self.clean_file(tmp_path)),
-                         "--baseline", "none", "--rules", retired])
-            assert code == 2
-            assert retired in capsys.readouterr().err
-
-    def test_rules_flag_restricts(self, tmp_path, capsys):
-        code = main(["check", str(self.dirty_file(tmp_path)),
-                     "--baseline", "none", "--rules", "RACE002"])
-        assert code == 0  # the DET002 violation is outside the rule set
-        capsys.readouterr()
-
-    def test_update_baseline_then_clean_then_stale(self, tmp_path, capsys):
-        dirty = self.dirty_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(["check", str(dirty), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        assert "1 finding(s) grandfathered" in capsys.readouterr().out
-        # Grandfathered: same tree now exits 0, finding is baselined.
-        assert main(["check", str(dirty), "--baseline", str(baseline)]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # Fix the violation: still 0, but the entry is reported stale.
-        dirty.write_text("def draw(clock):\n    return clock()\n")
-        assert main(["check", str(dirty), "--baseline", str(baseline)]) == 0
-        assert "stale baseline entry" in capsys.readouterr().out
+        assert "invalid choice" in capsys.readouterr().err
+        for retired in (
+            ["--baseline", "none"],
+            ["--update-baseline"],
+            ["--rules", "DET002"],
+            ["--list-rules"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["check", str(self.clean_file(tmp_path)), *retired])
+            assert excinfo.value.code == 2, retired
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(retired)}" in err
+            assert "Traceback" not in err

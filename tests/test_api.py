@@ -15,6 +15,7 @@ The load-bearing guarantees:
 """
 
 import importlib.metadata
+import json
 import pickle
 import subprocess
 import sys
@@ -45,7 +46,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.methods import (
     SYNTHETIC_METHODS,
     TABLE2_ORDER,
-    build_methods,
     our_model_specs,
     table2_specs,
 )
@@ -384,10 +384,6 @@ class TestTable2Completeness:
                 collapsed.append(name)
         assert collapsed == [label for label, _ in TABLE2_ORDER]
 
-    def test_build_methods_is_thin_view(self):
-        config = ExperimentConfig.smoke()
-        assert list(build_methods(config)) == list(table2_specs(config))
-
     def test_synthetic_flags_come_from_registry(self):
         assert SYNTHETIC_METHODS == frozenset({"DPT", "AdaTrace"})
         for label, kind in TABLE2_ORDER:
@@ -429,7 +425,7 @@ class TestRun:
         assert result.report.spec.kind == "frequency"
         assert result.utility_loss == result.report.utility_loss
         summary = result.to_dict()
-        assert summary["digest"] == spec.digest
+        assert summary["digest"] == spec.provenance()["digest"]
         assert summary["trajectories"] == len(fleet.dataset)
         assert summary["report"]["method"]["kind"] == "frequency"
 
@@ -477,8 +473,53 @@ class TestRun:
         spec = MethodSpec("gl", {"epsilon": 1.0, "signature_size": 3, "seed": 2})
         result = run(spec, fleet.dataset)
         method = result.report.to_dict()["method"]
-        assert method["digest"] == result.report.spec.digest
-        assert method["params"]["seed"] == 2
+        assert method == result.report.spec.provenance()
+        assert method["params"]["signature_size"] == 3
+        assert "seed" not in method["params"]
+
+
+#: Two noise seeds whose digits cannot turn up in a report by accident.
+SECRET_SEEDS = (424242, 987654321)
+
+
+def assert_seedless(artifacts: list) -> None:
+    """One artifact per seed of ``SECRET_SEEDS``: identical, and
+    neither seed's decimal string appears in either."""
+    first, second = artifacts
+    assert first == second
+    text = json.dumps(artifacts)
+    for seed in SECRET_SEEDS:
+        assert str(seed) not in text
+
+
+class TestSeedlessProvenance:
+    """A release carries no noise seed: whatever leaves the process
+    states every parameter but the seed, and digests only that."""
+
+    def test_provenance_drops_the_seed_and_digests_the_rest(self):
+        spec = MethodSpec("gl", {"epsilon": 1.0, "seed": SECRET_SEEDS[0]})
+        provenance = spec.provenance()
+        assert provenance == {
+            "kind": "gl",
+            "params": {"epsilon": 1.0},
+            "digest": MethodSpec("gl", {"epsilon": 1.0}).digest,
+        }
+        # The in-process identity still tells the seeds apart (the
+        # daemon's engine cache keys on it).
+        assert spec.digest != spec.replace(seed=SECRET_SEEDS[1]).digest
+
+    def test_run_result_summary_is_seedless(self, fleet):
+        summaries = [
+            run(
+                MethodSpec("gl", {"epsilon": 1.0, "signature_size": 3, "seed": seed}),
+                fleet.dataset,
+            ).to_dict()
+            for seed in SECRET_SEEDS
+        ]
+        assert_seedless(
+            [{key: summary[key] for key in ("spec", "digest")} for summary in summaries]
+        )
+        assert_seedless([summary["report"]["method"] for summary in summaries])
 
 
 class TestConcurrencySafety:

@@ -97,10 +97,10 @@ class TestDiff:
         actual = check_api.build_surface()
         expected = copy.deepcopy(actual)
         actual["repro.engine"]["BatchAnonymizer"]["members"][
-            "anonymize"
+            "anonymize_with_report"
         ] = "method(self)"
         problems = check_api.diff_surfaces(expected, actual)
-        assert any("BatchAnonymizer.anonymize" in p for p in problems)
+        assert any("BatchAnonymizer.anonymize_with_report" in p for p in problems)
 
     def test_identical_surfaces_clean(self, check_api):
         actual = check_api.build_surface()

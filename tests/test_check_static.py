@@ -57,7 +57,6 @@ class TestInjectedViolation:
         tree.mkdir()
         (tree / "leaky.py").write_text(textwrap.dedent(source))
         monkeypatch.setattr(check_static, "ANALYSIS_ROOTS", (tree,))
-        monkeypatch.setattr(check_static, "BASELINE", tmp_path / "missing.json")
 
     def assert_fails_with(self, check_static, capsys, code):
         assert check_static.main(["analysis"]) == 1

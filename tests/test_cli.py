@@ -66,6 +66,44 @@ class TestAnonymize:
         captured = capsys.readouterr().out
         assert "budget" in captured
 
+    def test_printed_digest_and_publish_report_hold_no_seed(
+        self, fleet_csv, tmp_path, capsys
+    ):
+        """The noise seed is the curator's secret: the printed `method:`
+        line and the publish report's `method` section are the same for
+        two seeds, and neither seed's digits appear in them."""
+        seeds = ("424242", "987654321")
+        printed, methods = [], []
+        for seed in seeds:
+            common = ["-i", str(fleet_csv), "--signature-size", "3", "--seed", seed]
+            assert main(["anonymize", "-o", str(tmp_path / "a.csv"), *common]) == 0
+            (line,) = [
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  method:")
+            ]
+            printed.append(line.split(",")[0])  # timing follows the digest
+            release = tmp_path / "p.csv"
+            assert main(
+                ["publish", "-o", str(release), "--chunk-size", "3", *common]
+            ) == 0
+            capsys.readouterr()
+            report = json.loads((tmp_path / "p.csv.report.json").read_text())
+            methods.append(report["method"])
+        assert printed[0] == printed[1]
+        assert "config digest" in printed[0]
+        assert methods[0] == methods[1]
+        assert "seed" not in methods[0]["params"]
+        for seed in seeds:
+            assert seed not in json.dumps([printed, methods])
+
+    def test_seed_help_calls_it_the_curators_secret(self, capsys):
+        for command in ("anonymize", "publish"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            # argparse wraps help to the terminal width.
+            assert "curator's secret" in " ".join(capsys.readouterr().out.split())
+
     def test_index_settings_are_refused(self, fleet_csv, tmp_path, capsys):
         """The global stage always searches the paper's hierarchical
         grid: no flag or parameter picks another index or shape."""

@@ -16,7 +16,7 @@ from repro.data.registry import (
     load_dataset,
     stream_dataset,
 )
-from repro.engine import BatchAnonymizer
+from repro.experiments.publish import per_chunk_release
 from repro.trajectory.io import read_csv, write_csv
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
@@ -228,7 +228,7 @@ class TestIngestThenAnonymize:
         ) == 0
         assert via_artifact.read_text() == via_csv.read_text()
 
-    def test_anonymize_stream_consumes_chunks_lazily(self, planar_csv):
+    def test_per_chunk_release_consumes_chunks_lazily(self, planar_csv):
         from repro.data.stream import chunked
         from repro.trajectory.io import stream_csv
 
@@ -239,35 +239,29 @@ class TestIngestThenAnonymize:
                 pulled.append(len(chunk))
                 yield chunk
 
-        engine = BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=3, seed=5),
-            workers=1,
+        stream = per_chunk_release(
+            GL(epsilon=1.0, signature_size=3, seed=5), chunks(), workers=1
         )
-        stream = engine.anonymize_stream(chunks())
-        first, report = next(stream)
-        # Serial streaming: exactly one chunk pulled per result —
+        first = next(stream)
+        # In-process streaming: exactly one chunk pulled per result —
         # the 3-chunk sweep is never materialised up front.
         assert pulled == [2]
         assert len(first) == 2
-        assert report.epsilon_total == 1.0
         rest = list(stream)
         assert len(rest) == 2
         assert pulled == [2, 2, 2]
 
-    def test_anonymize_many_accepts_generator_and_matches_serial(
-        self, planar_csv
-    ):
+    def test_per_chunk_release_matches_serial(self, planar_csv):
+        """A generator of datasets in; each out equals the next
+        sequential call on one seeded instance."""
         dataset = read_csv(planar_csv)
-        engine = BatchAnonymizer(
+        released = per_chunk_release(
             GL(epsilon=1.0, signature_size=3, seed=5),
-            workers=1,
-        )
-        from_stream = engine.anonymize_many(
-            dataset.copy() for _ in range(2)
+            (dataset.copy() for _ in range(2)),
         )
         serial = GL(epsilon=1.0, signature_size=3, seed=5)
         expected = [serial.anonymize(dataset) for _ in range(2)]
-        for (got, _), want in zip(from_stream, expected, strict=True):
+        for got, want in zip(released, expected, strict=True):
             assert [
                 [p.coord for p in t] for t in got
             ] == [[p.coord for p in t] for t in want]

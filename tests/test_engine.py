@@ -23,6 +23,7 @@ from repro.engine import (
 from repro.engine import batch as batch_module
 from repro.engine.batch import _chunks, _run_local_shard
 from repro.engine.spill import decode_chunk
+from repro.experiments.publish import per_chunk_release
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +230,7 @@ class TestBatchAnonymizer:
         serial = GL(epsilon=1.0, signature_size=3, seed=21).anonymize(fleet.dataset)
         anonymizer = GL(epsilon=1.0, signature_size=3, seed=21)
         engine = BatchAnonymizer(anonymizer, workers=1 if pool == "serial" else 3)
-        batched = engine.anonymize(fleet.dataset)
+        batched = engine.anonymize_with_report(fleet.dataset)[0]
         assert coords_of(batched) == coords_of(serial)
         # Timestamps too: truly byte-identical trajectories.
         for a, b in zip(serial, batched, strict=True):
@@ -249,7 +250,7 @@ class TestBatchAnonymizer:
         engine = BatchAnonymizer(
             PureL(epsilon=0.5, signature_size=3, seed=23), workers=1
         )
-        assert coords_of(engine.anonymize(fleet.dataset)) == coords_of(serial)
+        assert coords_of(engine.anonymize_with_report(fleet.dataset)[0]) == coords_of(serial)
 
     def test_shard_count_independent(
         self, fleet, always_shard, monkeypatch, thread_pool
@@ -261,33 +262,8 @@ class TestBatchAnonymizer:
             engine = BatchAnonymizer(
                 PureL(epsilon=0.5, signature_size=3, seed=24), workers=2
             )
-            results.append(coords_of(engine.anonymize(fleet.dataset)))
+            results.append(coords_of(engine.anonymize_with_report(fleet.dataset)[0]))
         assert results[0] == results[1] == results[2]
-
-    def test_anonymize_many_matches_sequential_calls(self, fleet):
-        sequential = GL(epsilon=1.0, signature_size=3, seed=25)
-        expected = [
-            coords_of(sequential.anonymize(fleet.dataset)) for _ in range(3)
-        ]
-        # Per-call streams: successive calls must differ.
-        assert expected[0] != expected[1]
-        engine = BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=3, seed=25), workers=2
-        )
-        outcomes = engine.anonymize_many([fleet.dataset] * 3)
-        assert [coords_of(result) for result, _ in outcomes] == expected
-        for _, report in outcomes:
-            assert report is not None
-            assert report.epsilon_total == pytest.approx(1.0)
-
-    def test_anonymize_many_advances_call_counter(self, fleet):
-        """A sweep then a direct call must keep drawing fresh streams."""
-        engine = BatchAnonymizer(
-            GL(epsilon=1.0, signature_size=3, seed=26), workers=1
-        )
-        swept = [coords_of(r) for r, _ in engine.anonymize_many([fleet.dataset] * 2)]
-        after = coords_of(engine.anonymize(fleet.dataset))
-        assert after not in swept
 
     def test_rejects_bad_configuration(self, fleet):
         with pytest.raises(ValueError, match="workers"):
@@ -298,7 +274,7 @@ class TestBatchAnonymizer:
         instance state (the old _local_runner mutation is gone)."""
         anonymizer = PureL(epsilon=0.5, signature_size=3, seed=27)
         engine = BatchAnonymizer(anonymizer, workers=2)
-        engine.anonymize(fleet.dataset)
+        engine.anonymize_with_report(fleet.dataset)[0]
         assert not hasattr(anonymizer, "_local_runner")
 
     def test_config_roundtrip(self):
@@ -317,34 +293,8 @@ def wave_gl():
 
 
 class TestGlobalPoolLifecycle:
-    """Closing an engine is idempotent and terminal, and the opt-in
-    wave global stage runs through the engine byte-identically."""
-
-    def _engine(self):
-        return BatchAnonymizer(wave_gl(), workers=1)
-
-    def test_close_is_idempotent_and_terminal(self, fleet):
-        engine = self._engine()
-        engine.anonymize_with_report(fleet.dataset)
-        engine.close()
-        engine.close()  # idempotent
-        # Terminal: a closed engine refuses every entry point (long-
-        # lived holders like the serving daemon depend on close
-        # meaning closed).
-        with pytest.raises(RuntimeError, match="closed"):
-            engine.anonymize_with_report(fleet.dataset)
-        with pytest.raises(RuntimeError, match="closed"):
-            engine.anonymize(fleet.dataset)
-        with pytest.raises(RuntimeError, match="closed"):
-            engine.anonymize_stream([fleet.dataset])  # eager, no next()
-
-    def test_context_manager_reentry_rejected_after_close(self, fleet):
-        engine = self._engine()
-        with engine:
-            engine.anonymize_with_report(fleet.dataset)
-        with pytest.raises(RuntimeError, match="closed"):
-            with engine:
-                pass  # pragma: no cover — __enter__ must refuse
+    """The opt-in wave global stage runs through a pooled engine
+    byte-identically."""
 
     def test_pooled_output_identical_to_serial(self, fleet, always_shard):
         """A wave GL through a pooled engine (its local stage on real
@@ -352,12 +302,33 @@ class TestGlobalPoolLifecycle:
         serial = GL(epsilon=1.0, signature_size=3, seed=31).anonymize(
             fleet.dataset
         )
-        with BatchAnonymizer(wave_gl(), workers=2) as engine:
-            pooled = engine.anonymize(fleet.dataset)
+        engine = BatchAnonymizer(wave_gl(), workers=2)
+        pooled = engine.anonymize_with_report(fleet.dataset)[0]
         assert coords_of(pooled) == coords_of(serial)
         # The wave planner ran: engine -> pipeline -> modifier wiring.
         assert engine.anonymizer._inter.last_wave_stats.operations > 0
 
+
+class TestPerChunkRelease:
+    """``repro experiment publish``'s per-chunk baseline: chunk ``i``
+    is the ``i``-th sequential call on the one anonymizer, in process
+    or across worker processes."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_per_chunk_release_matches_sequential_calls(self, fleet, workers):
+        sequential = GL(epsilon=1.0, signature_size=3, seed=25)
+        expected = [
+            coords_of(sequential.anonymize_with_report(fleet.dataset)[0])
+            for _ in range(3)
+        ]
+        # Per-call streams: successive calls must differ.
+        assert expected[0] != expected[1]
+        anonymizer = GL(epsilon=1.0, signature_size=3, seed=25)
+        released = per_chunk_release(anonymizer, [fleet.dataset] * 3, workers)
+        assert [coords_of(chunk) for chunk in released] == expected
+        # The instance's call counter advanced by the chunk count, so a
+        # later call draws a fresh stream.
+        assert anonymizer.reserve_call_index() == 3
 
 
 class TestRetiredSettings:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import run
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.evaluate import METRIC_COLUMNS, evaluate_method
 from repro.experiments.fig4 import PANELS, format_series, run as run_fig4
@@ -10,10 +11,7 @@ from repro.experiments.fig5 import (
     format_timings,
     run as run_fig5,
 )
-from repro.experiments.methods import (
-    build_methods,
-    build_our_models,
-)
+from repro.experiments.methods import our_model_specs, table2_specs
 from repro.experiments.table2 import format_table, run as run_table2
 from repro.datagen.generator import generate_fleet
 
@@ -48,7 +46,7 @@ class TestConfig:
 
 class TestMethodRegistry:
     def test_all_table2_methods_present(self, config):
-        methods = build_methods(config)
+        methods = table2_specs(config)
         for label in ("SC", "W4M", "GLOVE", "KLT", "DPT", "AdaTrace",
                       "PureG", "PureL", "GL"):
             assert label in methods
@@ -57,12 +55,12 @@ class TestMethodRegistry:
         )
 
     def test_our_models(self, config):
-        assert set(build_our_models(config)) == {"PureG", "PureL", "GL"}
+        assert set(our_model_specs(config)) == {"PureG", "PureL", "GL"}
 
     def test_methods_produce_datasets(self, config, fleet):
-        methods = build_methods(config)
+        specs = table2_specs(config)
         for label in ("SC", "PureL"):
-            result = methods[label](fleet.dataset)
+            result = run(specs[label], fleet.dataset).dataset
             assert len(result) == len(fleet.dataset)
 
 

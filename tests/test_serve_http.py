@@ -277,6 +277,29 @@ class TestJobLifecycle:
         write_csv(reference.dataset, expected)
         assert served == expected.read_bytes()
 
+    def test_job_snapshots_hold_no_seed(self, client, dataset_csv):
+        """Any client may read a job, so its `spec` and `digest` are
+        the same for two noise seeds and neither seed appears in them."""
+        seeds = (424242, 987654321)
+        views = []
+        for seed in seeds:
+            spec = {"kind": "gl", "params": {"epsilon": 1.0, "seed": seed}}
+            status, submitted = client.post(
+                "/v1/jobs",
+                {"tenant": "acme", "dataset": str(dataset_csv), "spec": spec},
+            )
+            assert status == 202
+            final = client.wait_done(submitted["id"])
+            assert final["state"] == "done"
+            views.append(
+                [{key: body[key] for key in ("spec", "digest")}
+                 for body in (submitted, final)]
+            )
+        assert views[0] == views[1]
+        assert views[0][0]["spec"] == {"kind": "gl", "params": {"epsilon": 1.0}}
+        for seed in seeds:
+            assert str(seed) not in json.dumps(views)
+
     def test_repeat_jobs_are_each_charged(self, client, dataset_csv):
         for expected_spent in (1.0, 2.0):
             _, job = client.post(

@@ -5,9 +5,8 @@ Runs four sections and renders them in one unified format:
 
 ``analysis``
     The project's AST rules (``repro.analysis``: DET002 and RACE002)
-    over ``src/repro``, ``tools``, ``benchmarks``, and ``examples``,
-    against the committed baseline
-    ``tools/analysis_baseline.json``. Unused ``# repro: noqa``
+    over ``src/repro``, ``tools``, ``benchmarks``, and ``examples``.
+    Every finding fails the gate; unused ``# repro: noqa``
     suppressions surface as warnings.
 ``api``
     The public-API-surface diff of ``tools/check_api.py`` against its
@@ -50,7 +49,6 @@ ANALYSIS_ROOTS = (
     REPO_ROOT / "benchmarks",
     REPO_ROOT / "examples",
 )
-BASELINE = REPO_ROOT / "tools" / "analysis_baseline.json"
 
 SECTIONS = ("analysis", "api", "docs", "bench")
 
@@ -62,7 +60,7 @@ class SectionResult:
     name: str
     #: One line per problem, already formatted for humans.
     problems: list[str] = field(default_factory=list)
-    #: Non-failing notices (stale baseline entries and the like).
+    #: Non-failing notices (unused suppressions and the like).
     warnings: list[str] = field(default_factory=list)
     #: One-line summary of what was covered.
     summary: str = ""
@@ -88,24 +86,14 @@ def run_analysis() -> SectionResult:
     from repro.analysis import analyze_paths
 
     result = SectionResult("analysis")
-    baseline = BASELINE if BASELINE.is_file() else None
     roots = [path for path in ANALYSIS_ROOTS if path.exists()]
-    report = analyze_paths(roots, root=REPO_ROOT, baseline=baseline)
+    report = analyze_paths(roots, root=REPO_ROOT)
     for finding in report.findings:
         result.problems.append(finding.render())
-    for entry in report.stale_baseline:
-        result.warnings.append(
-            f"stale baseline entry {entry.code} for {entry.path!r} "
-            f"({entry.snippet!r}) matches nothing — delete it"
-        )
     for unused in report.unused_noqa:
         result.warnings.append(unused.render().removeprefix("warning: "))
-    extras = ""
-    if report.baselined:
-        extras = f", {len(report.baselined)} baselined"
     result.summary = (
         f"{report.files} file(s) against {len(report.codes)} rule(s)"
-        f"{extras}"
     )
     return result
 
