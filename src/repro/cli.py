@@ -89,6 +89,20 @@ def _add_method_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _ForkBound:
+    """``repro.engine.batch.MIN_POINTS_PER_WORKER`` as help text.
+
+    argparse expands ``%(name)s`` in a help string from the action's
+    attributes only when help is printed, so the engine (about 40 ms of
+    imports) stays unloaded for commands that never use it.
+    """
+
+    def __str__(self) -> str:
+        from repro.engine.batch import MIN_POINTS_PER_WORKER
+
+        return f"{MIN_POINTS_PER_WORKER:,}"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -421,14 +435,15 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="background job-runner pool width",
     )
-    serve.add_argument(
+    workers = serve.add_argument(
         "--workers",
         type=int,
         default=0,
         metavar="N",
         help="local-stage pool size per job; 0 = one per core; a job "
-        "under N x 9000 points runs its local stage in process",
+        "under N x %(fork_bound)s points runs its local stage in process",
     )
+    workers.fork_bound = _ForkBound()
     serve.add_argument(
         "--publish-workers",
         type=int,

@@ -21,6 +21,7 @@ point).
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 
 from repro.geo.geometry import Coord, point_distance, point_segment_distance
@@ -33,22 +34,19 @@ class _Node:
 
     __slots__ = ("point", "loc", "prev", "next", "out_sid", "seq")
 
-    _counter = 0
-
-    def __init__(self, point: Point) -> None:
+    def __init__(self, point: Point, seq: int) -> None:
         self.point = point
-        #: ``point.loc``, quantized once: every bookkeeping structure
-        #: is keyed by it.
+        #: ``point.loc``: every bookkeeping structure is keyed by it.
         self.loc = point.loc
         self.prev: _Node | None = None
         self.next: _Node | None = None
         #: Id of the indexed segment (self -> self.next), if any.
         self.out_sid: int | None = None
-        #: Creation order, used as a deterministic tie-breaker when
-        #: sorting occurrences by cost (node sets otherwise iterate in
-        #: memory-address order, which varies between runs).
-        _Node._counter += 1
-        self.seq = _Node._counter
+        #: Creation order within the node's trajectory, used as a
+        #: deterministic tie-breaker when sorting occurrences by cost
+        #: (node sets otherwise iterate in memory-address order, which
+        #: varies between runs).
+        self.seq = seq
 
 
 @dataclass(slots=True)
@@ -78,36 +76,32 @@ class EditableTrajectory:
     def __init__(self, trajectory: Trajectory, index: SegmentIndex) -> None:
         self.object_id = trajectory.object_id
         self.index = index
-        self._head: _Node | None = None
-        self._tail: _Node | None = None
-        self._size = 0
-        self._nodes_by_loc: dict[LocationKey, set[_Node]] = {}
-        self._node_by_sid: dict[int, _Node] = {}
         self.total_utility_loss = 0.0
-        starts: list[_Node] = []
-        previous: _Node | None = None
-        for point in trajectory:
-            node = _Node(point)
-            self._register_node(node)
-            if previous is None:
-                self._head = node
-            else:
-                previous.next = node
-                node.prev = previous
-                starts.append(previous)
-            previous = node
-        self._tail = previous
-        # Bulk-register the initial segments: one block of index rows
-        # and one vectorised placement pass, with sid assignment
-        # identical to the per-segment loop.
-        if starts:
-            sids = self.index.insert_many(
-                [(n.point.coord, n.next.point.coord) for n in starts],
-                owner=self.object_id,
-            )
-            for node, sid in zip(starts, sids, strict=True):
-                node.out_sid = sid
-                self._node_by_sid[sid] = node
+        self._seq = itertools.count()
+        nodes = [
+            _Node(point, seq)
+            for point, seq in zip(trajectory, self._seq, strict=False)
+        ]
+        self._size = len(nodes)
+        self._head: _Node | None = nodes[0] if nodes else None
+        self._tail: _Node | None = nodes[-1] if nodes else None
+        self._nodes_by_loc: dict[LocationKey, set[_Node]] = {}
+        for node in nodes:
+            self._nodes_by_loc.setdefault(node.loc, set()).add(node)
+        for before, after in zip(nodes, nodes[1:], strict=False):
+            before.next = after
+            after.prev = before
+        # The initial segments go in as one block of index rows (one
+        # vectorised placement pass on a grid), with the sids the
+        # per-segment loop would assign.
+        starts = nodes[:-1]
+        coords = [point.coord for point in trajectory]
+        sids = self.index.insert_many(
+            list(zip(coords, coords[1:], strict=False)), owner=self.object_id
+        )
+        for node, sid in zip(starts, sids, strict=True):
+            node.out_sid = sid
+        self._node_by_sid: dict[int, _Node] = dict(zip(sids, starts, strict=True))
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -175,7 +169,7 @@ class EditableTrajectory:
         assert after is not None
         loss = point_segment_distance(loc, start.point.coord, after.point.coord)
         t = (start.point.t + after.point.t) / 2.0
-        node = _Node(Point(loc[0], loc[1], t))
+        node = _Node(Point(loc[0], loc[1], t), next(self._seq))
         self._unindex_segment(start)
         start.next = node
         node.prev = start
@@ -190,7 +184,7 @@ class EditableTrajectory:
     def append(self, loc: LocationKey) -> EditOutcome:
         """Append an occurrence at the tail (fallback when no segment exists)."""
         t = self._tail.point.t + 1.0 if self._tail is not None else 0.0
-        node = _Node(Point(loc[0], loc[1], t))
+        node = _Node(Point(loc[0], loc[1], t), next(self._seq))
         loss = 0.0
         if self._tail is None:
             self._head = self._tail = node

@@ -330,14 +330,17 @@ class InterTrajectoryModifier:
         return modified, report
 
     def shared_index(self, dataset: TrajectoryDataset) -> SegmentIndex:
-        """A fresh, empty shared index for ``dataset``'s global stage."""
-        extent = index_extent(dataset.bbox())
+        """A fresh, empty shared index for ``dataset``'s global stage.
+
+        Only a grid reads the dataset's extent, so the flat scan never
+        pays for the bounding box.
+        """
         if self.index_factory is not None:
-            return self.index_factory(extent)
+            return self.index_factory(index_extent(dataset.bbox()))
         segments = dataset.total_points() - len(dataset)
         if self.candidate_source == "wave" or segments >= MIN_SEGMENTS_FOR_GRID:
             # The paper's grid at its finest granularity of 512x512.
-            return HierarchicalGridIndex(extent, levels=10)
+            return HierarchicalGridIndex(index_extent(dataset.bbox()), levels=10)
         return LinearSegmentIndex()
 
     def _apply_serial(

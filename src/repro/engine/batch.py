@@ -39,10 +39,10 @@ from repro.trajectory.model import Trajectory, TrajectoryDataset
 #: The local stage forks its pool only for a dataset of at least
 #: ``workers * MIN_POINTS_PER_WORKER`` points; a smaller one runs in
 #: process, where it finishes before a pool would pay for itself. On a
-#: 2-core host the 2-worker pool's median wall-clock first won at about
-#: 19k points, so the bound is half of that, rounded down (see "When
-#: the local stage forks" in docs/architecture.md).
-MIN_POINTS_PER_WORKER = 9000
+#: 2-core host the 2-worker pool's median wall-clock won at no size
+#: swept, up to a 150,000-point fleet, so two workers fork only above
+#: that (see "When the local stage forks" in docs/architecture.md).
+MIN_POINTS_PER_WORKER = 76_000
 
 #: A sharded local stage splits the dataset into ``workers *
 #: SHARDS_PER_WORKER`` contiguous slices: a few per worker smooths out

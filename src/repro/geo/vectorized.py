@@ -52,14 +52,31 @@ def segment_distances(
 
     The one column kernel. Plain elementwise ufuncs in a fixed order:
     the clamped projection parameter ``t``, the gap to the projected
-    point, then its length.
+    point, then its length. They run in place on two fresh scratch
+    arrays, never on the inputs, instead of making a temporary per
+    operation. Each step is the IEEE operation of the plain expression
+    ``sqrt(gx * gx + gy * gy)``, ``gx = qx - (ax + t * dx)``, so the
+    bits are the same (addition and multiplication commute exactly).
     """
-    t = ((qx - ax) * dx + (qy - ay) * dy) / safe_norm_sq
-    t = np.maximum(t, 0.0)
-    t = np.minimum(t, 1.0)
-    gx = qx - (ax + t * dx)
-    gy = qy - (ay + t * dy)
-    return np.sqrt(gx * gx + gy * gy)
+    t = np.subtract(qx, ax)
+    t *= dx
+    u = np.subtract(qy, ay)
+    u *= dy
+    t += u
+    t /= safe_norm_sq
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
+    # gx * gx into u, then gy * gy into t.
+    np.multiply(t, dx, out=u)
+    u += ax
+    np.subtract(qx, u, out=u)
+    u *= u
+    t *= dy
+    t += ay
+    np.subtract(qy, t, out=t)
+    t *= t
+    u += t
+    return np.sqrt(u, out=u)
 
 
 def sorted_block(raw: np.ndarray, after: float | None = None) -> np.ndarray:

@@ -17,7 +17,10 @@ need shutting down: :meth:`EngineCache.close` just drops them.
 The key is :attr:`~repro.api.spec.MethodSpec.digest`, the in-process
 identity over the whole spec, seed included: one spec under two seeds
 is two engines. Nothing writes the key out (a job snapshot carries the
-seedless :meth:`~repro.api.spec.MethodSpec.provenance`).
+seedless :meth:`~repro.api.spec.MethodSpec.provenance`). Since every
+distinct seed is a new key, the cache keeps at most
+:data:`MAX_WARM_ENGINES` engines and evicts the least recently used;
+a job keeps the engine it already got, evicted or not.
 
 Frequency-family methods get the batch engine; other families are
 cached as their bare anonymizer, so their construction (e.g. a fitted
@@ -27,6 +30,7 @@ generative baseline's setup) is amortized too.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 from repro.api.registry import build
 from repro.api.spec import MethodSpec
@@ -35,9 +39,13 @@ from repro.engine.batch import BatchAnonymizer
 
 __all__ = ["EngineCache"]
 
+#: Engines the cache keeps warm; getting one more evicts the least
+#: recently used.
+MAX_WARM_ENGINES = 16
+
 
 class EngineCache:
-    """``spec.digest -> anonymizer`` map that refuses use once closed.
+    """``spec.digest -> anonymizer`` LRU map that refuses use once closed.
 
     ``workers`` is the batch engine's pool size; it applies to every
     frequency-family engine the cache builds. An entry keeps the built
@@ -46,7 +54,7 @@ class EngineCache:
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = workers
-        self._engines: dict[str, object] = {}
+        self._engines: OrderedDict[str, object] = OrderedDict()
         self._lock = threading.Lock()
         self._closed = False
 
@@ -62,13 +70,17 @@ class EngineCache:
                     "EngineCache is closed; the daemon is shutting down"
                 )
             engine = self._engines.get(key)
-            if engine is None:
-                anonymizer = build(spec)
-                if isinstance(anonymizer, FrequencyAnonymizer):
-                    engine = BatchAnonymizer(anonymizer, workers=self.workers)
-                else:
-                    engine = anonymizer
-                self._engines[key] = engine
+            if engine is not None:
+                self._engines.move_to_end(key)
+                return engine
+            anonymizer = build(spec)
+            if isinstance(anonymizer, FrequencyAnonymizer):
+                engine = BatchAnonymizer(anonymizer, workers=self.workers)
+            else:
+                engine = anonymizer
+            self._engines[key] = engine
+            if len(self._engines) > MAX_WARM_ENGINES:
+                self._engines.popitem(last=False)
             return engine
 
     def close(self) -> None:

@@ -28,7 +28,7 @@ real-world data should be quantized first (see
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from repro.geo.geometry import BBox, Coord, diameter, path_length, point_distance
@@ -60,15 +60,17 @@ class Point:
     x: float
     y: float
     t: float = 0.0
+    #: The quantized spatial identity used for frequency counting,
+    #: computed once at construction. Not an argument, and left out of
+    #: ``==``, ``hash`` and ``repr``: it follows from ``x`` and ``y``.
+    loc: LocationKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "loc", location_key(self.x, self.y))
 
     @property
     def coord(self) -> Coord:
         return (self.x, self.y)
-
-    @property
-    def loc(self) -> LocationKey:
-        """The quantized spatial identity used for frequency counting."""
-        return location_key(self.x, self.y)
 
     def distance_to(self, other: "Point") -> float:
         return point_distance(self.coord, other.coord)

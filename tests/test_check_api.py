@@ -42,6 +42,15 @@ class TestSnapshot:
         assert batch["kind"] == "class"
         assert "anonymize_with_report" in batch["members"]
 
+    def test_dataclass_fields_are_recorded(self, check_api):
+        """A data field is surface too: ``Point.loc`` is stored, not a
+        property, and must stay pinned alongside ``x``, ``y`` and ``t``."""
+        point = check_api.build_surface()["repro"]["Point"]["members"]
+        assert {name: point[name] for name in ("x", "y", "t", "loc")} == dict.fromkeys(
+            ("x", "y", "t", "loc"), "field"
+        )
+        assert point["coord"] == "property"
+
 
 class TestDiff:
     def test_removal_detected(self, check_api):

@@ -179,17 +179,49 @@ class TestAnonymizeMethod:
         assert code == 0
         assert "PUREL" in capsys.readouterr().out
 
-    def test_method_batch_engine(self, fleet_csv, tmp_path, capsys):
-        out = tmp_path / "b.csv"
-        code = main(
-            [
-                "anonymize", "-i", str(fleet_csv), "-o", str(out),
-                "--method", "gl", "--signature-size", "3", "--seed", "4",
-                "--engine", "batch", "--workers", "2",
-            ]
-        )
-        assert code == 0
-        assert "engine batch" in capsys.readouterr().out
+    def test_method_batch_engine(self, fleet_csv, tmp_path, capsys, monkeypatch):
+        """``--engine batch`` writes the serial engine's bytes: on the
+        in-process branch the size rule picks for this fleet, and with
+        the bound at 0 through the real process pool."""
+        import repro.engine.batch as batch_module
+
+        def run(engine: list[str]) -> bytes:
+            out = tmp_path / "out.csv"
+            code = main(
+                [
+                    "anonymize", "-i", str(fleet_csv), "-o", str(out),
+                    "--method", "gl", "--signature-size", "3", "--seed", "4",
+                    "--engine", *engine,
+                ]
+            )
+            assert code == 0
+            assert f"engine {engine[0]}" in capsys.readouterr().out
+            return out.read_bytes()
+
+        shards = []
+
+        def spy(fn, items, **kwargs):
+            shards.append(len(items))
+            return real_map(fn, items, **kwargs)
+
+        real_map = batch_module.parallel_map
+        monkeypatch.setattr(batch_module, "parallel_map", spy)
+        serial = run(["serial"])
+        assert run(["batch", "--workers", "2"]) == serial
+        assert shards == []
+        monkeypatch.setattr(batch_module, "MIN_POINTS_PER_WORKER", 0)
+        assert run(["batch", "--workers", "2"]) == serial
+        assert shards == [8]  # 8 trajectories, 2 workers x 4 shards
+
+    def test_serve_workers_help_reads_the_fork_bound(self, capsys, monkeypatch):
+        """The help states ``MIN_POINTS_PER_WORKER``'s current value."""
+        import repro.engine.batch as batch_module
+
+        monkeypatch.setattr(batch_module, "MIN_POINTS_PER_WORKER", 12345)
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "a job under N x 12,345 points runs its local stage in process" in text
 
     def test_unknown_method_fails_cleanly(self, fleet_csv, tmp_path, capsys):
         code = main(

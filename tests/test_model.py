@@ -1,8 +1,15 @@
 """Unit + property tests for the trajectory data model."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.edits import EditableTrajectory
+from repro.engine.spill import decode_chunk, encode_chunk
+from repro.index.linear import LinearSegmentIndex
+from repro.trajectory.io import read_csv, write_csv
 from repro.trajectory.model import (
     LOCATION_RESOLUTION,
     Point,
@@ -53,6 +60,67 @@ class TestPoint:
     def test_points_are_immutable(self):
         with pytest.raises(AttributeError):
             Point(0, 0).x = 1.0
+
+
+def _assert_keyed(points):
+    points = list(points)
+    assert points
+    for p in points:
+        assert p.loc == location_key(p.x, p.y)
+
+
+class TestStoredLocation:
+    """``Point.loc`` is a field set once at construction; every way a
+    point is made must leave it equal to ``location_key(x, y)``."""
+
+    COORDS = ((0.4, 0.6), (10.5, -3.5), (1e6 + 0.49, 2.51))
+
+    def dataset(self):
+        return TrajectoryDataset(
+            [make_trajectory("a", self.COORDS), make_trajectory("b", self.COORDS[::-1])]
+        )
+
+    def test_read_csv(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(self.dataset(), path)
+        _assert_keyed(p for t in read_csv(path) for p in t)
+
+    def test_decode_chunk(self):
+        decoded = decode_chunk(encode_chunk(self.dataset()))
+        _assert_keyed(p for t in decoded for p in t)
+
+    def test_moved_to_and_replace(self):
+        p = Point(0.4, 0.4, 5.0)
+        _assert_keyed([p.moved_to(7.6, -2.5), dataclasses.replace(p, x=3.7)])
+        assert dataclasses.replace(p, y=9.9).loc == (0.0, 10.0)
+
+    def test_inserted_point(self):
+        editable = EditableTrajectory(make_trajectory(), LinearSegmentIndex())
+        editable.insert_into_segment((4.6, 0.2), 0)
+        points = editable.to_trajectory().points
+        assert points[1].coord == (4.6, 0.2)
+        _assert_keyed(points)
+
+    def test_pickle_round_trip(self):
+        p = pickle.loads(pickle.dumps(Point(2.6, 3.4, 1.0)))
+        assert (p, p.loc) == (Point(2.6, 3.4, 1.0), (3.0, 3.0))
+
+    def test_not_an_argument_nor_part_of_identity(self):
+        p = Point(1.2, 3.4, 10.0)
+        assert repr(p) == "Point(x=1.2, y=3.4, t=10.0)"
+        assert Point.__match_args__ == ("x", "y", "t")
+        with pytest.raises(TypeError):
+            Point(1.2, 3.4, 10.0, (1.0, 3.0))
+        # A stale key (forced past the frozen guard) changes neither
+        # equality nor the hash: both read only x, y and t.
+        stale = Point(1.2, 3.4, 10.0)
+        object.__setattr__(stale, "loc", (99.0, 99.0))
+        assert stale == p
+        assert hash(stale) == hash(p)
+
+    def test_assigning_raises(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Point(0.0, 0.0).loc = (1.0, 1.0)
 
 
 class TestTrajectory:

@@ -86,6 +86,33 @@ class TestColumnKernel:
         assert got.tolist() == want
         assert SegmentArray.from_pairs(segments).distances_to(q).tolist() == want
 
+    def test_vector_loop_block_is_bitwise_equal_and_read_only(self):
+        """A block long enough for numpy's vector loops (and its
+        unrolled tails) still equals the reference bit for bit, and the
+        kernel, which computes in place on scratch arrays, leaves its
+        five input columns untouched."""
+        rng = np.random.default_rng(4096)
+        n = 4099
+        a = rng.uniform(-1e6, 1e6, (n, 2))
+        b = a + rng.normal(0.0, 500.0, (n, 2))
+        b[::9] = a[::9]  # degenerate segments
+        dx, dy, safe = segment_columns(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        columns = (np.ascontiguousarray(a[:, 0]), np.ascontiguousarray(a[:, 1]),
+                   dx, dy, safe)
+        before = [column.copy() for column in columns]
+        segments = [
+            (tuple(s), tuple(e))
+            for s, e in zip(a.tolist(), b.tolist(), strict=True)
+        ]
+        queries = [tuple(q) for q in rng.uniform(-1.2e6, 1.2e6, (3, 2)).tolist()]
+        queries.append(segments[5][0])  # on a segment's start
+        for q in queries:
+            got = segment_distances(q[0], q[1], *columns)
+            want = np.array([reference_distance(q, *seg) for seg in segments])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for column, original in zip(columns, before, strict=True):
+            assert np.array_equal(column.view(np.int64), original.view(np.int64))
+
     @settings(max_examples=100, deadline=None)
     @given(case=kernel_case())
     def test_store_gather_equals_fresh_array(self, case):

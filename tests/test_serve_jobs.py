@@ -15,7 +15,7 @@ from repro.serve.budget import (
     BudgetStore,
     UnknownTenantError,
 )
-from repro.serve.engines import EngineCache
+from repro.serve.engines import MAX_WARM_ENGINES, EngineCache
 from repro.serve.jobs import Job, JobRunner, epsilon_of
 from repro.trajectory.io import write_csv
 
@@ -77,6 +77,33 @@ class TestEngineCache:
         assert len(engines) == 1
         assert engines.get(MethodSpec("gl", {"epsilon": 2.0})) is not first
         assert len(engines) == 2
+
+    def test_distinct_seeds_keep_at_most_the_warm_window(self, engines):
+        """Each seed is a new key, so a long-lived daemon must evict:
+        100 seeds leave MAX_WARM_ENGINES engines, the most recent."""
+        assert MAX_WARM_ENGINES == 16
+        got = [
+            engines.get(MethodSpec("gl", {"epsilon": 1.0, "seed": seed}))
+            for seed in range(100)
+        ]
+        assert len(engines) == MAX_WARM_ENGINES
+        for seed in range(100 - MAX_WARM_ENGINES, 100):
+            again = engines.get(MethodSpec("gl", {"epsilon": 1.0, "seed": seed}))
+            assert again is got[seed]
+        assert len(engines) == MAX_WARM_ENGINES
+
+    def test_eviction_drops_the_least_recently_used(self, engines):
+        def spec(seed):
+            return MethodSpec("gl", {"epsilon": 1.0, "seed": seed})
+
+        built = [engines.get(spec(seed)) for seed in range(MAX_WARM_ENGINES)]
+        assert engines.get(spec(0)) is built[0]  # now the most recent
+        engines.get(spec(MAX_WARM_ENGINES))  # evicts seed 1, not seed 0
+        assert len(engines) == MAX_WARM_ENGINES
+        assert engines.get(spec(0)) is built[0]
+        rebuilt = engines.get(spec(1))
+        assert rebuilt is not built[1]
+        assert len(engines) == MAX_WARM_ENGINES
 
     def test_close_is_idempotent_and_terminal(self, engines):
         engines.get(MethodSpec("gl", {"epsilon": 1.0}))

@@ -4,7 +4,8 @@
 Builds a description of every ``__all__`` export of the public
 packages (``repro.api``, ``repro.engine``, ``repro.data``, plus the
 top-level ``repro`` namespace) — functions and methods down to their
-full signatures, classes down to their public methods and properties —
+full signatures, classes down to their public methods, properties and
+dataclass fields —
 plus the parameter signature of every built-in registry method (the
 names a ``--param`` or a served spec may use), and compares it against
 the checked-in snapshot ``tools/api_surface.json``. Any drift (a
@@ -23,6 +24,7 @@ CI runs the verify mode as the ``api`` section of the unified
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import inspect
 import json
@@ -63,8 +65,12 @@ def _signature_of(obj) -> str:
 
 def _describe_class(cls: type) -> dict:
     members: dict[str, str] = {}
+    if dataclasses.is_dataclass(cls):
+        for field in dataclasses.fields(cls):
+            if not field.name.startswith("_"):
+                members[field.name] = "field"
     for name, member in inspect.getmembers(cls):
-        if name.startswith("_"):
+        if name.startswith("_") or name in members:
             continue
         if isinstance(member, property):
             members[name] = "property"
