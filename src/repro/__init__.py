@@ -8,29 +8,18 @@ paper compares against, the attack models it evaluates with, and a
 synthetic T-Drive-like data substrate.
 """
 
-from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
-from repro.datagen.generator import FleetConfig, FleetResult, generate_fleet
-from repro.datagen.road_network import RoadNetwork, build_road_network
-from repro.core.pipeline import GL, FrequencyAnonymizer, PureG, PureL
-from repro.api import MethodSpec, RunResult, publish, run
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FleetConfig",
-    "FleetResult",
-    "FrequencyAnonymizer",
-    "GL",
-    "MethodSpec",
-    "Point",
-    "PureG",
-    "PureL",
-    "RoadNetwork",
-    "RunResult",
-    "Trajectory",
-    "TrajectoryDataset",
-    "build_road_network",
-    "generate_fleet",
-    "publish",
-    "run",
-]
+_EXPORTS = {
+    "repro.trajectory.model": ("Point", "Trajectory", "TrajectoryDataset"),
+    "repro.datagen.generator": (
+        "FleetConfig", "FleetResult", "generate_fleet",
+    ),
+    "repro.datagen.road_network": ("RoadNetwork", "build_road_network"),
+    "repro.core.pipeline": ("GL", "FrequencyAnonymizer", "PureG", "PureL"),
+    "repro.api.spec": ("MethodSpec",),
+    "repro.api.session": ("RunResult", "publish", "run"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"

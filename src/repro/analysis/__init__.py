@@ -24,32 +24,16 @@ warnings. The rule catalogue with examples lives in
 ``docs/analysis.md``.
 """
 
-from repro.analysis.builtin import RULES
-from repro.analysis.callgraph import FuncKey, FunctionTable, Summaries
-from repro.analysis.findings import Finding
-from repro.analysis.rules import Rule
-from repro.analysis.runner import (
-    AnalysisError,
-    AnalysisReport,
-    UnusedNoqa,
-    analyze_paths,
-    analyze_project,
-    analyze_source,
-    load_project,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RULES",
-    "AnalysisError",
-    "AnalysisReport",
-    "Finding",
-    "FuncKey",
-    "FunctionTable",
-    "Rule",
-    "Summaries",
-    "UnusedNoqa",
-    "analyze_paths",
-    "analyze_project",
-    "analyze_source",
-    "load_project",
-]
+_EXPORTS = {
+    "repro.analysis.builtin": ("RULES",),
+    "repro.analysis.callgraph": ("FuncKey", "FunctionTable", "Summaries"),
+    "repro.analysis.findings": ("Finding",),
+    "repro.analysis.rules": ("Rule",),
+    "repro.analysis.runner": (
+        "AnalysisError", "AnalysisReport", "UnusedNoqa", "analyze_paths",
+        "analyze_project", "analyze_source", "load_project",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,40 +25,16 @@ The CLI (``repro anonymize --method``, ``repro methods``) and the
 experiment drivers are thin layers over exactly these calls.
 """
 
-from repro.api.spec import MethodSpec, canonical_digest, canonical_json
-from repro.api.registry import (
-    ENTRY_POINT_GROUP,
-    FAMILIES,
-    MethodInfo,
-    build,
-    method_info,
-    method_names,
-    register,
-)
-from repro.api.session import (
-    ENGINE_KINDS,
-    RunResult,
-    as_spec,
-    publish,
-    run,
-    split_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ENGINE_KINDS",
-    "ENTRY_POINT_GROUP",
-    "FAMILIES",
-    "MethodInfo",
-    "MethodSpec",
-    "RunResult",
-    "as_spec",
-    "build",
-    "canonical_digest",
-    "canonical_json",
-    "method_info",
-    "method_names",
-    "publish",
-    "register",
-    "run",
-    "split_spec",
-]
+_EXPORTS = {
+    "repro.api.spec": ("MethodSpec", "canonical_digest", "canonical_json"),
+    "repro.api.registry": (
+        "ENTRY_POINT_GROUP", "FAMILIES", "MethodInfo", "build", "method_info",
+        "method_names", "register",
+    ),
+    "repro.api.session": (
+        "ENGINE_KINDS", "RunResult", "as_spec", "publish", "run", "split_spec",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

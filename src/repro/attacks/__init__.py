@@ -8,13 +8,11 @@
   original road paths from anonymized trajectories via map matching.
 """
 
-from repro.attacks.linkage import LinkageAttack, LinkageResult
-from repro.attacks.hmm import HmmMapMatcher
-from repro.attacks.recovery import RecoveryAttack
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HmmMapMatcher",
-    "LinkageAttack",
-    "LinkageResult",
-    "RecoveryAttack",
-]
+_EXPORTS = {
+    "repro.attacks.linkage": ("LinkageAttack", "LinkageResult"),
+    "repro.attacks.hmm": ("HmmMapMatcher",),
+    "repro.attacks.recovery": ("RecoveryAttack",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

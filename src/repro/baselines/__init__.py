@@ -12,19 +12,16 @@ All expose ``anonymize(dataset) -> TrajectoryDataset`` like the
 frequency-based models in :mod:`repro.core.pipeline`.
 """
 
-from repro.baselines.signature_closure import RadiusSignatureClosure, SignatureClosure
-from repro.baselines.w4m import W4M
-from repro.baselines.glove import Glove
-from repro.baselines.klt import KLT
-from repro.baselines.dpt import DPT
-from repro.baselines.adatrace import AdaTrace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaTrace",
-    "DPT",
-    "Glove",
-    "KLT",
-    "RadiusSignatureClosure",
-    "SignatureClosure",
-    "W4M",
-]
+_EXPORTS = {
+    "repro.baselines.signature_closure": (
+        "RadiusSignatureClosure", "SignatureClosure",
+    ),
+    "repro.baselines.w4m": ("W4M",),
+    "repro.baselines.glove": ("Glove",),
+    "repro.baselines.klt": ("KLT",),
+    "repro.baselines.dpt": ("DPT",),
+    "repro.baselines.adatrace": ("AdaTrace",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,50 +25,21 @@ the ``tools/check_bench.py`` CI gate, which fails on significant
 degradation of any tracked key. See ``docs/benchmarks.md``.
 """
 
-from repro.bench.history import (
-    DEFAULT_HISTORY_FILENAME,
-    DEFAULT_SMOKE_HISTORY_FILENAME,
-    DEFAULT_WINDOW,
-    BenchHistory,
-    HistoryError,
-)
-from repro.bench.record import RECORD_VERSION, BenchRecord, BenchScale, RecordError
-from repro.bench.shift import (
-    DEFAULT_THRESHOLDS,
-    BenchComparison,
-    CrossScaleError,
-    Direction,
-    KeyShift,
-    ShiftClass,
-    Thresholds,
-    classify_shift,
-    compare_records,
-    direction_for,
-)
-from repro.bench.stats import iqr, median, percentile, summarize
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchComparison",
-    "BenchHistory",
-    "BenchRecord",
-    "BenchScale",
-    "CrossScaleError",
-    "DEFAULT_HISTORY_FILENAME",
-    "DEFAULT_SMOKE_HISTORY_FILENAME",
-    "DEFAULT_THRESHOLDS",
-    "DEFAULT_WINDOW",
-    "Direction",
-    "HistoryError",
-    "KeyShift",
-    "RECORD_VERSION",
-    "RecordError",
-    "ShiftClass",
-    "Thresholds",
-    "classify_shift",
-    "compare_records",
-    "direction_for",
-    "iqr",
-    "median",
-    "percentile",
-    "summarize",
-]
+_EXPORTS = {
+    "repro.bench.history": (
+        "DEFAULT_HISTORY_FILENAME", "DEFAULT_SMOKE_HISTORY_FILENAME",
+        "DEFAULT_WINDOW", "BenchHistory", "HistoryError",
+    ),
+    "repro.bench.record": (
+        "RECORD_VERSION", "BenchRecord", "BenchScale", "RecordError",
+    ),
+    "repro.bench.shift": (
+        "DEFAULT_THRESHOLDS", "BenchComparison", "CrossScaleError",
+        "Direction", "KeyShift", "ShiftClass", "Thresholds", "classify_shift",
+        "compare_records", "direction_for",
+    ),
+    "repro.bench.stats": ("iqr", "median", "percentile", "summarize"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -37,22 +37,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tarfile
+from typing import TYPE_CHECKING
 
-from repro.api import MethodSpec, method_info, method_names, run
-from repro.attacks.linkage import SIGNATURE_KINDS, LinkageAttack
-from repro.datagen.generator import FleetConfig, generate_fleet
-from repro.metrics.privacy import mutual_information
-from repro.metrics.utility import (
-    diameter_error,
-    frequent_pattern_f1,
-    information_loss,
-    trip_error,
-)
-from repro.data.registry import DatasetRegistry, load_dataset
-from repro.trajectory.io import write_csv
+if TYPE_CHECKING:
+    from repro.api.spec import MethodSpec
+
+# Each command imports what it runs when it runs, from the module that
+# defines it, so `repro generate` never loads numpy or the modification
+# engine (docs/architecture.md, "Start-up").
 
 MODELS = ("gl", "pureg", "purel")
+#: ``repro.attacks.linkage.SIGNATURE_KINDS``, spelled out so building
+#: the parser imports no attack code.
+ATTACK_KINDS = ("spatial", "temporal", "spatiotemporal", "sequential")
 
 
 def _add_method_args(parser: argparse.ArgumentParser) -> None:
@@ -277,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     attack = sub.add_parser("attack", help="linkage attack between datasets")
     attack.add_argument("-i", "--original", required=True)
     attack.add_argument("-a", "--anonymized", required=True)
-    attack.add_argument("--kind", choices=SIGNATURE_KINDS + ("all",), default="all")
+    attack.add_argument("--kind", choices=ATTACK_KINDS + ("all",), default="all")
     attack.add_argument("--cell", type=float, default=250.0)
 
     evaluate = sub.add_parser("evaluate", help="utility metrics between datasets")
@@ -456,6 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.datagen.generator import FleetConfig, generate_fleet
+    from repro.trajectory.io import write_csv
+
     fleet = generate_fleet(
         FleetConfig(
             n_objects=args.objects,
@@ -497,6 +497,9 @@ def _build_spec(args: argparse.Namespace) -> MethodSpec:
     the chosen method declares the matching parameter; ``--param``
     overrides win last and may name any declared parameter.
     """
+    from repro.api.registry import method_info
+    from repro.api.spec import MethodSpec
+
     kind = args.method or args.model
     info = method_info(kind)  # raises listing alternatives
     accepted = set(info.signature.parameters)
@@ -517,6 +520,7 @@ def _build_spec(args: argparse.Namespace) -> MethodSpec:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.data.preprocess import PreprocessConfig
+    from repro.data.registry import DatasetRegistry
 
     registry = DatasetRegistry(args.root)
     if args.export and args.import_archive:
@@ -535,6 +539,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         print(f"exported {args.name} -> {dest}")
         return 0
     if args.import_archive:
+        import tarfile
+
         try:
             result = registry.import_artifact(
                 args.import_archive, force=args.force
@@ -582,6 +588,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_methods(args: argparse.Namespace) -> int:
+    from repro.api.registry import method_info, method_names
+
     names = method_names()
     width = max(len(name) for name in names)
     family_width = max(len(method_info(name).family) for name in names)
@@ -599,6 +607,10 @@ def _cmd_methods(args: argparse.Namespace) -> int:
 
 
 def _cmd_anonymize(args: argparse.Namespace) -> int:
+    from repro.api.session import run
+    from repro.data.registry import load_dataset
+    from repro.trajectory.io import write_csv
+
     spec = _build_spec(args)
     dataset = load_dataset(args.input)
     try:
@@ -637,7 +649,7 @@ def _cmd_publish(args: argparse.Namespace) -> int:
     import io
     import os
 
-    from repro.api import publish as api_publish
+    from repro.api.session import publish as api_publish
     from repro.trajectory.io import CSV_HEADER
 
     spec = _build_spec(args)
@@ -706,6 +718,9 @@ def _cmd_publish(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    from repro.attacks.linkage import SIGNATURE_KINDS, LinkageAttack
+    from repro.data.registry import load_dataset
+
     original = load_dataset(args.original)
     anonymized = load_dataset(args.anonymized)
     attack = LinkageAttack(cell_size=args.cell)
@@ -718,6 +733,15 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.data.registry import load_dataset
+    from repro.metrics.privacy import mutual_information
+    from repro.metrics.utility import (
+        diameter_error,
+        frequent_pattern_f1,
+        information_loss,
+        trip_error,
+    )
+
     original = load_dataset(args.original)
     anonymized = load_dataset(args.anonymized)
     print(f"MI   {mutual_information(original, anonymized):.3f}")

@@ -13,21 +13,13 @@
 * :mod:`repro.core.pipeline` — the published anonymizers PureG, PureL, GL.
 """
 
-from repro.core.laplace import LaplaceMechanism, laplace_noise
-from repro.core.signature import SignatureExtractor, SignatureIndex
-from repro.core.global_mechanism import GlobalTFMechanism
-from repro.core.local_mechanism import LocalPFMechanism
-from repro.core.pipeline import GL, FrequencyAnonymizer, PureG, PureL
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FrequencyAnonymizer",
-    "GL",
-    "GlobalTFMechanism",
-    "LaplaceMechanism",
-    "LocalPFMechanism",
-    "PureG",
-    "PureL",
-    "SignatureExtractor",
-    "SignatureIndex",
-    "laplace_noise",
-]
+_EXPORTS = {
+    "repro.core.laplace": ("LaplaceMechanism", "laplace_noise"),
+    "repro.core.signature": ("SignatureExtractor", "SignatureIndex"),
+    "repro.core.global_mechanism": ("GlobalTFMechanism",),
+    "repro.core.local_mechanism": ("LocalPFMechanism",),
+    "repro.core.pipeline": ("GL", "FrequencyAnonymizer", "PureG", "PureL"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

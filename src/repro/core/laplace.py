@@ -75,8 +75,19 @@ class LaplaceMechanism:
         return self.sensitivity / self.epsilon
 
     def perturb(self, value: float, rng: random.Random, mu: float = 0.0) -> float:
-        """``value + Lap(μ, ∆φ/ε)`` — the raw noisy answer."""
-        return value + laplace_noise(rng, mu=mu, scale=self.scale)
+        """``value + Lap(μ, ∆φ/ε)`` — the raw noisy answer.
+
+        A scale near the float64 maximum can overflow a draw to
+        infinity, which no count can be rounded from; that raises a
+        :class:`ValueError` naming ε and the scale.
+        """
+        noisy = value + laplace_noise(rng, mu=mu, scale=self.scale)
+        if not math.isfinite(noisy):
+            raise ValueError(
+                f"epsilon={self.epsilon:g} is too small: a Laplace draw at "
+                f"scale {self.scale:g} overflowed to {noisy}"
+            )
+        return noisy
 
     def perturb_count(
         self,

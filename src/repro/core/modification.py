@@ -33,7 +33,6 @@ from repro.core.global_mechanism import TFPerturbation
 from repro.core.local_mechanism import PFPerturbation
 from repro.geo.geometry import BBox
 from repro.index.base import SegmentIndex
-from repro.index.hierarchical import HierarchicalGridIndex
 from repro.index.linear import LinearSegmentIndex
 from repro.trajectory.model import LocationKey, Trajectory, TrajectoryDataset
 
@@ -333,12 +332,14 @@ class InterTrajectoryModifier:
         """A fresh, empty shared index for ``dataset``'s global stage.
 
         Only a grid reads the dataset's extent, so the flat scan never
-        pays for the bounding box.
+        pays for the bounding box, and only this branch imports the grid.
         """
         if self.index_factory is not None:
             return self.index_factory(index_extent(dataset.bbox()))
         segments = dataset.total_points() - len(dataset)
         if self.candidate_source == "wave" or segments >= MIN_SEGMENTS_FOR_GRID:
+            from repro.index.hierarchical import HierarchicalGridIndex
+
             # The paper's grid at its finest granularity of 512x512.
             return HierarchicalGridIndex(index_extent(dataset.bbox()), levels=10)
         return LinearSegmentIndex()

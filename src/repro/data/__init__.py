@@ -17,32 +17,18 @@ Formats, artifact schema, and every preprocessing knob are documented
 in ``docs/data.md``.
 """
 
-from repro.data.preprocess import IngestStats, PreprocessConfig, preprocess_stream
-from repro.data.registry import (
-    DatasetRegistry,
-    IngestResult,
-    is_artifact,
-    load_dataset,
-    stream_dataset,
-)
-from repro.data.stream import (
-    RawRecord,
-    chunked,
-    stream_tdrive_records,
-    stream_trajectories,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DatasetRegistry",
-    "IngestResult",
-    "IngestStats",
-    "PreprocessConfig",
-    "RawRecord",
-    "chunked",
-    "is_artifact",
-    "load_dataset",
-    "preprocess_stream",
-    "stream_dataset",
-    "stream_tdrive_records",
-    "stream_trajectories",
-]
+_EXPORTS = {
+    "repro.data.preprocess": (
+        "IngestStats", "PreprocessConfig", "preprocess_stream",
+    ),
+    "repro.data.registry": (
+        "DatasetRegistry", "IngestResult", "is_artifact", "load_dataset",
+        "stream_dataset",
+    ),
+    "repro.data.stream": (
+        "RawRecord", "chunked", "stream_tdrive_records", "stream_trajectories",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -31,9 +31,6 @@ import hashlib
 import io
 import json
 import os
-import shutil
-import tarfile
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -64,6 +61,8 @@ def _write_latest(base: Path, version: str) -> None:
     never a torn state. Matters to the serving daemon, where many
     tenants resolve against one registry root while ingests land.
     """
+    import tempfile
+
     handle = tempfile.NamedTemporaryFile(
         "w", dir=base, prefix=LATEST_FILENAME + ".", delete=False
     )
@@ -154,6 +153,8 @@ class DatasetRegistry:
         larger than memory ingest fine. A matching artifact (same name
         and config digest) short-circuits unless ``force``.
         """
+        import shutil
+
         config = config or PreprocessConfig()
         target = self.artifact_path(name, config)
         if is_artifact(target) and not force:
@@ -272,6 +273,8 @@ class DatasetRegistry:
         verify the payload end to end. ``name`` accepts the usual
         ``name[@version]`` reference syntax.
         """
+        import tarfile
+
         bare, _, ref_version = name.partition("@")
         artifact = self.resolve(bare, version or ref_version or None)
         meta = json.loads((artifact / META_FILENAME).read_text())
@@ -300,6 +303,10 @@ class DatasetRegistry:
         and updates the ``latest`` marker. A matching artifact that is
         already installed short-circuits (cache hit) unless ``force``.
         """
+        import shutil
+        import tarfile
+        import tempfile
+
         archive = Path(archive)
         with tempfile.TemporaryDirectory(prefix="repro-import-") as tmp:
             staging = Path(tmp)

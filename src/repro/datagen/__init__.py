@@ -10,12 +10,10 @@ is meaningful), and T-Drive's scale knobs (~600 m point spacing, ~3.1
 minute sampling interval, ~1.8k points per object).
 """
 
-from repro.datagen.road_network import RoadNetwork, build_road_network
-from repro.datagen.generator import FleetConfig, generate_fleet
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FleetConfig",
-    "RoadNetwork",
-    "build_road_network",
-    "generate_fleet",
-]
+_EXPORTS = {
+    "repro.datagen.road_network": ("RoadNetwork", "build_road_network"),
+    "repro.datagen.generator": ("FleetConfig", "generate_fleet"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

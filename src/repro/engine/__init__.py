@@ -38,33 +38,18 @@ which is byte-identical to it. The shared index is a flat scan below
 paper's hierarchical grid at or above it (see ``repro.index``).
 """
 
-from repro.engine.batch import BatchAnonymizer
-from repro.engine.pool import (
-    EXECUTOR_KINDS,
-    parallel_map,
-    parallel_map_stream,
-    resolve_workers,
-)
-from repro.engine.publish import (
-    PublishReport,
-    SharedTFEstimate,
-    StreamPublisher,
-    chunk_source,
-    csv_chunk_bytes,
-)
-from repro.engine.spill import SpillError, SpillStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchAnonymizer",
-    "EXECUTOR_KINDS",
-    "PublishReport",
-    "SharedTFEstimate",
-    "SpillError",
-    "SpillStore",
-    "StreamPublisher",
-    "chunk_source",
-    "csv_chunk_bytes",
-    "parallel_map",
-    "parallel_map_stream",
-    "resolve_workers",
-]
+_EXPORTS = {
+    "repro.engine.batch": ("BatchAnonymizer",),
+    "repro.engine.pool": (
+        "EXECUTOR_KINDS", "parallel_map", "parallel_map_stream",
+        "resolve_workers",
+    ),
+    "repro.engine.publish": (
+        "PublishReport", "SharedTFEstimate", "StreamPublisher", "chunk_source",
+        "csv_chunk_bytes",
+    ),
+    "repro.engine.spill": ("SpillError", "SpillStore"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

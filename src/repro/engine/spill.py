@@ -279,13 +279,21 @@ class SpillStore:
         return self.path / f"chunk-{index:06d}.spill"
 
     def stage(self, index: int, dataset: TrajectoryDataset) -> Path:
-        """Spill one parsed chunk; returns its file path."""
+        """Spill one parsed chunk; returns its file path.
+
+        A write that fails (a full disk, say) removes its partial file
+        before the error propagates, so :meth:`close` leaves nothing.
+        """
         if self._closed:
             raise RuntimeError("SpillStore is closed")
         if index in self._staged:
             raise ValueError(f"chunk {index} is already staged")
         path = self.path_of(index)
-        write_spill(path, index, dataset)
+        try:
+            write_spill(path, index, dataset)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
         self._staged[index] = path
         return path
 

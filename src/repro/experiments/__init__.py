@@ -12,6 +12,9 @@ Each module exposes ``run(config)`` returning plain dictionaries and a
 repro.experiments.table2`` (etc.) runs them from the shell.
 """
 
-from repro.experiments.config import ExperimentConfig
+from repro._lazy import lazy_exports
 
-__all__ = ["ExperimentConfig"]
+_EXPORTS = {
+    "repro.experiments.config": ("ExperimentConfig",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

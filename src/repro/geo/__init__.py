@@ -7,18 +7,12 @@ Helpers for converting latitude/longitude data into this plane live in
 :mod:`repro.trajectory.io`.
 """
 
-from repro.geo.geometry import (
-    BBox,
-    point_distance,
-    point_segment_distance,
-    project_onto_segment,
-    segment_length,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BBox",
-    "point_distance",
-    "point_segment_distance",
-    "project_onto_segment",
-    "segment_length",
-]
+_EXPORTS = {
+    "repro.geo.geometry": (
+        "BBox", "point_distance", "point_segment_distance",
+        "project_onto_segment", "segment_length",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -22,17 +22,13 @@ below :data:`~repro.core.modification.MIN_SEGMENTS_FOR_GRID` segments
 and the hierarchical grid at or above it.
 """
 
-from repro.index.base import IndexedSegment, SegmentIndex
-from repro.index.hierarchical import HierarchicalGridIndex
-from repro.index.linear import LinearSegmentIndex
-from repro.index.uniform import UniformGridIndex
-from repro.index.search import linear_knn
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HierarchicalGridIndex",
-    "IndexedSegment",
-    "LinearSegmentIndex",
-    "SegmentIndex",
-    "UniformGridIndex",
-    "linear_knn",
-]
+_EXPORTS = {
+    "repro.index.base": ("IndexedSegment", "SegmentIndex"),
+    "repro.index.hierarchical": ("HierarchicalGridIndex",),
+    "repro.index.linear": ("LinearSegmentIndex",),
+    "repro.index.uniform": ("UniformGridIndex",),
+    "repro.index.search": ("linear_knn",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

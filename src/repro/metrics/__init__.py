@@ -8,21 +8,14 @@
   point-based accuracy for the recovery attack.
 """
 
-from repro.metrics.privacy import mutual_information
-from repro.metrics.utility import (
-    diameter_error,
-    frequent_pattern_f1,
-    information_loss,
-    trip_error,
-)
-from repro.metrics.recovery import RecoveryMetrics, score_recovery
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RecoveryMetrics",
-    "diameter_error",
-    "frequent_pattern_f1",
-    "information_loss",
-    "mutual_information",
-    "score_recovery",
-    "trip_error",
-]
+_EXPORTS = {
+    "repro.metrics.privacy": ("mutual_information",),
+    "repro.metrics.utility": (
+        "diameter_error", "frequent_pattern_f1", "information_loss",
+        "trip_error",
+    ),
+    "repro.metrics.recovery": ("RecoveryMetrics", "score_recovery"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -23,27 +23,15 @@ Quick start::
 or from the command line: ``repro serve --tenant acme=4.0``.
 """
 
-from repro.serve.budget import (
-    AccountError,
-    BudgetExceededError,
-    BudgetStore,
-    TenantAccount,
-    UnknownTenantError,
-)
-from repro.serve.daemon import Daemon, ServeConfig
-from repro.serve.engines import EngineCache
-from repro.serve.jobs import JOB_STATES, Job, JobRunner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccountError",
-    "BudgetExceededError",
-    "BudgetStore",
-    "Daemon",
-    "EngineCache",
-    "JOB_STATES",
-    "Job",
-    "JobRunner",
-    "ServeConfig",
-    "TenantAccount",
-    "UnknownTenantError",
-]
+_EXPORTS = {
+    "repro.serve.budget": (
+        "AccountError", "BudgetExceededError", "BudgetStore", "TenantAccount",
+        "UnknownTenantError",
+    ),
+    "repro.serve.daemon": ("Daemon", "ServeConfig"),
+    "repro.serve.engines": ("EngineCache",),
+    "repro.serve.jobs": ("JOB_STATES", "Job", "JobRunner"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,27 +1,14 @@
 """Trajectory data model, I/O, distances, and processing operations."""
 
-from repro.trajectory.model import (
-    LocationKey,
-    Point,
-    Trajectory,
-    TrajectoryDataset,
-)
-from repro.trajectory.ops import (
-    detect_dwells,
-    resample,
-    simplify,
-    sliding_windows,
-    split_trips,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LocationKey",
-    "Point",
-    "Trajectory",
-    "TrajectoryDataset",
-    "detect_dwells",
-    "resample",
-    "simplify",
-    "sliding_windows",
-    "split_trips",
-]
+_EXPORTS = {
+    "repro.trajectory.model": (
+        "LocationKey", "Point", "Trajectory", "TrajectoryDataset",
+    ),
+    "repro.trajectory.ops": (
+        "detect_dwells", "resample", "simplify", "sliding_windows",
+        "split_trips",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,5 +1,8 @@
 """Dependency-free SVG rendering of networks, trajectories, datasets."""
 
-from repro.viz.svg import SvgCanvas, render_comparison, render_fleet
+from repro._lazy import lazy_exports
 
-__all__ = ["SvgCanvas", "render_comparison", "render_fleet"]
+_EXPORTS = {
+    "repro.viz.svg": ("SvgCanvas", "render_comparison", "render_fleet"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

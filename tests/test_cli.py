@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from repro.cli import main
+from repro.attacks.linkage import SIGNATURE_KINDS
+from repro.cli import ATTACK_KINDS, main
 from repro.core.accounting import CompositionLedger
 from repro.serve.budget import BudgetStore
 from repro.trajectory.io import MAX_ABS_COORDINATE, read_csv, write_csv
@@ -414,6 +415,34 @@ class TestErrorBoundary:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["anonymize", "publish"])
+    @pytest.mark.parametrize("model", ["pureg", "purel"])
+    def test_overflowing_laplace_draw_is_a_clean_error(
+        self, tmp_path, capsys, command, model
+    ):
+        """At epsilon=1e-308 the scale is finite but draws overflow to
+        infinity, which no count can be rounded from."""
+        fleet = tmp_path / "fleet.csv"
+        assert main(
+            ["generate", "--objects", "12", "--points", "40", "--seed", "1",
+             "-o", str(fleet)]
+        ) == 0
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        code = main(
+            [command, "-i", str(fleet), "-o", str(out), "--model", model,
+             "--epsilon", "1e-308", "--seed", "1"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            f"repro {command}: epsilon=1e-308 is too small: a Laplace draw "
+            "at scale 1e+308 overflowed"
+        )
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.tmp").exists()
+
     @pytest.mark.parametrize("flag", ["--workers", "--publish-workers"])
     def test_negative_serve_pool_is_refused_at_boot(
         self, tmp_path, capsys, flag
@@ -580,6 +609,11 @@ class TestAttackAndEvaluate:
         out = capsys.readouterr().out
         for kind in ("spatial", "temporal", "spatiotemporal", "sequential"):
             assert f"LA_{kind}" in out
+
+    def test_attack_kind_choices_are_the_linkage_kinds(self):
+        """The parser spells the kinds out so it imports no attack code;
+        they must stay the ones the linkage attack accepts."""
+        assert ATTACK_KINDS == SIGNATURE_KINDS
 
     def test_evaluate_identity(self, fleet_csv, capsys):
         code = main(["evaluate", "-i", str(fleet_csv), "-a", str(fleet_csv)])

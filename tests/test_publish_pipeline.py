@@ -7,7 +7,8 @@ The load-bearing guarantees on top of ``test_publish.py``:
   the lossy ``%.3f`` CSV quantisation), and every read is validated —
   a truncated or mutated spill aborts pass 2 with a positional error
   instead of publishing a short or stale release;
-* spill directories are cleaned up on success and on failure;
+* spill directories are cleaned up on success and on failure, a
+  failed spill write included;
 * parallel publish output — CSV bytes and ledger totals — is
   byte-identical to the serial publisher across worker counts, in-flight
   windows and chunk counts (fixture + hypothesis, on the real process
@@ -17,11 +18,13 @@ The load-bearing guarantees on top of ``test_publish.py``:
   pass-1 parsing behind the bounded window.
 """
 
+import errno
 import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import main
 from repro.core.pipeline import GL, PureL
 from repro.data.stream import chunked
 from repro.datagen.generator import FleetConfig, generate_fleet
@@ -32,7 +35,9 @@ from repro.engine import (
     csv_chunk_bytes,
     parallel_map_stream,
 )
+from repro.engine import spill as spill_module
 from repro.engine.spill import decode_chunk, encode_chunk, read_spill, write_spill
+from repro.trajectory.io import write_csv
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
 
@@ -223,6 +228,68 @@ class TestPublisherSpillHygiene:
 
         with pytest.raises(SpillError, match="truncated"):
             publisher.publish(lambda: truncating())
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["made", "existing"])
+    def test_failed_spill_write_leaks_nothing(
+        self, fleet, tmp_path, capsys, monkeypatch, existed
+    ):
+        """A full disk on the second chunk's payload write: ``repro
+        publish`` exits 2 and leaves neither the partial spill nor the
+        spill directory it made, nor any output."""
+        fleet_csv = tmp_path / "fleet.csv"
+        write_csv(fleet.dataset, fleet_csv)
+        spill = tmp_path / "spill"
+        if existed:
+            spill.mkdir()
+        opened = []
+
+        class FillsUp:
+            """A spill file whose second write, in the second file
+            opened, finds the disk full."""
+
+            def __init__(self, handle):
+                self.handle = handle
+                self.file = len(opened)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.file == 2 and self.writes == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.handle.write(data)
+
+        def spill_open(path, mode="r", *args, **kwargs):
+            handle = open(path, mode, *args, **kwargs)
+            if "w" not in mode:
+                return handle
+            opened.append(path)
+            return FillsUp(handle)
+
+        monkeypatch.setattr(spill_module, "open", spill_open, raising=False)
+        out = tmp_path / "out.csv"
+        code = main(
+            ["publish", "-i", str(fleet_csv), "-o", str(out), "--chunk-size", "4",
+             "--seed", "1", "--spill-dir", str(spill)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro publish: ")
+        assert "No space left on device" in err
+        assert [path.name for path in opened] == [
+            "chunk-000000.spill", "chunk-000001.spill"
+        ]
+        if existed:
+            assert list(spill.iterdir()) == []
+        else:
+            assert not spill.exists()
+        assert not out.exists()
+        assert not (tmp_path / "out.csv.tmp").exists()
 
 
 # -- byte-identity across worker pools -----------------------------------------

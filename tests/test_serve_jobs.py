@@ -193,6 +193,23 @@ class TestJobRunner:
         assert runner.jobs() == []
         assert store.account("acme").reserved == 0
 
+    def test_overflowing_draw_fails_the_job_with_its_message(
+        self, runner, store, dataset_csv
+    ):
+        """At epsilon=1e-308 the Laplace scale is finite, so the job is
+        admitted, but its draws overflow: it fails naming epsilon and
+        the scale, and its reservation is released."""
+        job = runner.submit(
+            "acme", {"kind": "pureg", "params": {"epsilon": 1e-308, "seed": 1}},
+            str(dataset_csv),
+        )
+        assert wait_done(runner, job) == "failed"
+        assert job.to_dict()["error"].startswith(
+            "ValueError: epsilon=1e-308 is too small: a Laplace draw at "
+            "scale 1e+308 overflowed"
+        )
+        assert store.account("acme").pending == {}
+
     def test_missing_dataset_refused_before_reserving(self, runner, store):
         with pytest.raises(FileNotFoundError):
             runner.submit("acme", GL_SPEC, "/nowhere/fleet.csv")
