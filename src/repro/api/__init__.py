@@ -1,17 +1,16 @@
 """repro.api — the one front door to every anonymization method.
 
-Three pieces:
+Four pieces:
 
 * :class:`MethodSpec` (:mod:`repro.api.spec`) — a frozen, validated,
   picklable ``(kind, params)`` description of a configured method,
   with ``to_dict``/``from_dict`` and a stable config :attr:`digest
   <repro.api.spec.MethodSpec.digest>`; the provenance recorded in
   reports and what the serving daemon's jobs name;
-* the **method registry** (:mod:`repro.api.registry`) — string-keyed
-  :func:`register` decorator covering GL/PureG/PureL and every
-  Table II baseline, with ``repro.methods`` entry-point discovery for
-  third-party plugins; :func:`method_names`/:func:`method_info` list
-  it, :func:`build` constructs from a spec;
+* the **method registry** (:mod:`repro.api.registry`) — the fixed
+  table of GL/PureG/PureL, the raw ``frequency`` pipeline and every
+  Table II baseline; :func:`method_names`/:func:`method_info` list
+  it, and :func:`build` is the one way to construct from a spec;
 * :func:`run` (:mod:`repro.api.session`) — execute a spec against a
   dataset on the serial or batch engine and get a :class:`RunResult`
   (output dataset + report + spec + timing) back in one value, with
@@ -21,7 +20,7 @@ Three pieces:
   :class:`repro.engine.publish.StreamPublisher`, with the ε_G/ε_L
   budget split carried declaratively in the spec's params.
 
-The CLI (``repro anonymize --method``, ``repro methods``) and the
+The CLI (``repro anonymize --model``, ``repro methods``) and the
 experiment drivers are thin layers over exactly these calls.
 """
 
@@ -30,8 +29,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "repro.api.spec": ("MethodSpec", "canonical_digest", "canonical_json"),
     "repro.api.registry": (
-        "ENTRY_POINT_GROUP", "FAMILIES", "MethodInfo", "build", "method_info",
-        "method_names", "register",
+        "FAMILIES", "MethodInfo", "build", "method_info", "method_names",
     ),
     "repro.api.session": (
         "ENGINE_KINDS", "RunResult", "as_spec", "publish", "run", "split_spec",

@@ -121,7 +121,7 @@ def run(
     elif hasattr(anonymizer, "anonymize_with_report"):
         # Frequency pipelines and the DP baselines (DPT/AdaTrace) all
         # return their report — with its composition ledger — alongside
-        # the result; duck-typed so plugins can opt in too.
+        # the result.
         started = time.perf_counter()
         dataset, report = anonymizer.anonymize_with_report(data)
         seconds = time.perf_counter() - started

@@ -162,9 +162,3 @@ class MethodSpec:
     def replace(self, **overrides: Any) -> "MethodSpec":
         """A new spec with ``overrides`` merged into the params."""
         return MethodSpec(self.kind, {**self.params, **overrides})
-
-    def build(self):
-        """Construct the configured anonymizer (registry lookup)."""
-        from repro.api.registry import build
-
-        return build(self)

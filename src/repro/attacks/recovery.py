@@ -25,9 +25,6 @@ class RecoveryOutput:
 
     results: list[MatchResult] = field(default_factory=list)
 
-    def edge_sequences(self) -> list[list[tuple[int, int]]]:
-        return [result.edge_keys for result in self.results]
-
 
 class RecoveryAttack:
     """Map-matching-based trajectory recovery."""

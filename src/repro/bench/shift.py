@@ -63,20 +63,6 @@ class ShiftClass(str, enum.Enum):
     MINOR_DEGRADATION = "minor_degradation"
     SIGNIFICANT_DEGRADATION = "significant_degradation"
 
-    @property
-    def is_degradation(self) -> bool:
-        return self in (
-            ShiftClass.MINOR_DEGRADATION,
-            ShiftClass.SIGNIFICANT_DEGRADATION,
-        )
-
-    @property
-    def is_improvement(self) -> bool:
-        return self in (
-            ShiftClass.MINOR_IMPROVEMENT,
-            ShiftClass.SIGNIFICANT_IMPROVEMENT,
-        )
-
 
 class Direction(str, enum.Enum):
     LOWER_IS_BETTER = "lower_is_better"

@@ -18,16 +18,15 @@ Dataset arguments accept a planar CSV path, a preprocessed-artifact
 directory, or an ingested registry name (see ``docs/data.md``).
 
 ``anonymize`` is a thin shell over :func:`repro.api.run`: pick a
-method with ``--model`` (the paper's GL/PureG/PureL) or ``--method``
-(any registry kind, including every baseline and third-party
-plugins), tune it with the shared flags plus repeatable
-``--param name=value`` overrides.
+method with ``--model`` (any kind ``repro methods`` lists: the
+paper's GL/PureG/PureL and every baseline), tune it with the shared
+flags plus repeatable ``--param name=value`` overrides.
 
 Example session::
 
     repro generate --objects 50 --points 150 -o fleet.csv
     repro anonymize -i fleet.csv -o private.csv --model gl --epsilon 1.0
-    repro anonymize -i fleet.csv -o synthetic.csv --method adatrace
+    repro anonymize -i fleet.csv -o synthetic.csv --model adatrace
     repro attack -i fleet.csv -a private.csv --kind spatial
     repro evaluate -i fleet.csv -a private.csv
 """
@@ -46,7 +45,6 @@ if TYPE_CHECKING:
 # defines it, so `repro generate` never loads numpy or the modification
 # engine (docs/architecture.md, "Start-up").
 
-MODELS = ("gl", "pureg", "purel")
 #: ``repro.attacks.linkage.SIGNATURE_KINDS``, spelled out so building
 #: the parser imports no attack code.
 ATTACK_KINDS = ("spatial", "temporal", "spatiotemporal", "sequential")
@@ -58,13 +56,11 @@ def _add_method_args(parser: argparse.ArgumentParser) -> None:
     One definition so the two subcommands (both feeding
     :func:`_build_spec`) can never drift apart.
     """
-    parser.add_argument("--model", choices=MODELS, default="gl")
     parser.add_argument(
-        "--method",
-        default=None,
-        metavar="NAME",
-        help="any registered method kind (see `repro methods`); "
-        "overrides --model",
+        "--model",
+        default="gl",
+        metavar="KIND",
+        help="the method: any kind `repro methods` lists (default: gl)",
     )
     parser.add_argument(
         "--param",
@@ -492,15 +488,15 @@ def _parse_param(override: str) -> tuple[str, object]:
 def _build_spec(args: argparse.Namespace) -> MethodSpec:
     """The :class:`MethodSpec` an ``anonymize`` invocation describes.
 
-    ``--method`` (any registry kind) overrides ``--model``. Shared
-    flags (``--epsilon``/``--seed``/...) flow into the spec only when
-    the chosen method declares the matching parameter; ``--param``
+    ``--model`` names any kind in the registry. Shared flags
+    (``--epsilon``/``--seed``/...) flow into the spec only when the
+    chosen method declares the matching parameter; ``--param``
     overrides win last and may name any declared parameter.
     """
     from repro.api.registry import method_info
     from repro.api.spec import MethodSpec
 
-    kind = args.method or args.model
+    kind = args.model
     info = method_info(kind)  # raises listing alternatives
     accepted = set(info.signature.parameters)
     flags = {
@@ -645,29 +641,18 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
 
 
 def _cmd_publish(args: argparse.Namespace) -> int:
-    import csv
-    import io
-    import os
-
     from repro.api.session import publish as api_publish
-    from repro.trajectory.io import CSV_HEADER
+    from repro.trajectory.io import staged_csv
 
     spec = _build_spec(args)
     report_path = args.report or f"{args.output}.report.json"
-    # Stream chunks into a staging file and move it into place only
-    # after the publish succeeds, so a rejected invocation (wrong
-    # method family, bad --split, corrupted spill) never clobbers a
-    # previous good output with a partial one.
-    staging = f"{args.output}.tmp"
+    # Chunks arrive as worker-encoded CSV row bytes (the byte_sink fast
+    # path). The release moves into place only after the publish and
+    # its report succeed, so a rejected invocation (wrong method
+    # family, bad --split, corrupted spill) never clobbers a previous
+    # good output with a partial one.
     try:
-        with open(staging, "wb") as handle:
-            # Chunks arrive as worker-encoded CSV row bytes (the
-            # byte_sink fast path), so the file is binary; the header
-            # still goes through the csv writer so the two cannot
-            # disagree on dialect.
-            header = io.StringIO(newline="")
-            csv.writer(header).writerow(CSV_HEADER)
-            handle.write(header.getvalue().encode("utf-8"))
+        with staged_csv(args.output) as release:
             report = api_publish(
                 spec,
                 args.input,
@@ -675,25 +660,17 @@ def _cmd_publish(args: argparse.Namespace) -> int:
                 split=args.split,
                 publish_workers=args.publish_workers,
                 spill_dir=args.spill_dir,
-                byte_sink=lambda rows, _report: handle.write(rows),
+                byte_sink=lambda rows, _report: release.write(rows),
             )
-        # Report first, output last: if the report cannot be written
-        # there is no release on disk claiming an audit trail it does
-        # not have, and the previous output stays untouched.
-        with open(report_path, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-            handle.write("\n")
-        os.replace(staging, args.output)
+            # Report first, output last: if the report cannot be
+            # written there is no release on disk claiming an audit
+            # trail it does not have.
+            with open(report_path, "w") as handle:
+                json.dump(report.to_dict(), handle, indent=2)
+                handle.write("\n")
     except TypeError as exc:
         # A --param value of the wrong type fails in the method.
         raise ValueError(str(exc)) from None
-    finally:
-        # Never leave the staging file behind — not on clean rejects,
-        # not on unexpected errors surfacing as tracebacks.
-        try:
-            os.unlink(staging)
-        except OSError:
-            pass
     print(
         f"published {report.trajectories} trajectories in "
         f"{report.chunk_count} chunk(s) with {spec.kind.upper()} "

@@ -24,7 +24,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from repro.geo.geometry import Coord, point_distance, point_segment_distance
+from repro.geo.geometry import point_distance, point_segment_distance
 from repro.index.base import SegmentIndex
 from repro.trajectory.model import LocationKey, Point, Trajectory
 
@@ -149,12 +149,6 @@ class EditableTrajectory:
         return sid in self._node_by_sid
 
     # -- insertion (OP_i) ----------------------------------------------------------
-
-    def insertion_cost(self, q: Coord, sid: int) -> float:
-        """dist(q, segment sid) — Definition 5."""
-        start = self._node_by_sid[sid]
-        assert start.next is not None
-        return point_segment_distance(q, start.point.coord, start.next.point.coord)
 
     def insert_into_segment(self, loc: LocationKey, sid: int) -> EditOutcome:
         """Insert an occurrence of ``loc`` into segment ``sid``.

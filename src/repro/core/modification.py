@@ -266,28 +266,24 @@ class InterTrajectoryModifier:
 
     The Δl nearest trajectories of a TF increase (Definition 8) are
     found by scanning the shared segment index outward from the
-    location and keeping the first Δl distinct eligible owners.
-    ``candidate_source`` controls how those candidates are obtained:
-
-    * ``"incremental"`` (default) — the per-location loop: pull
-      candidates lazily from the index's resumable ``iter_nearest``
-      frontier, stopping the moment Δl owners are found;
-    * ``"wave"`` — the planner/executor path: group locations into
-      conflict-free *waves* (see :mod:`repro.core.waves`), simulate
-      each wave's selections read-only against one static index
-      snapshot (sharing the batched per-cell distance kernels), then
-      apply the recorded decisions in serial order. Byte-identical to
-      ``"incremental"`` by construction, and slower at every measured
-      fleet size; kept as the independent reference the identity
-      tests compare the loop against.
+    location and keeping the first Δl distinct eligible owners: the
+    per-location loop pulls candidates lazily from the index's
+    resumable ``iter_nearest`` frontier, stopping the moment Δl owners
+    are found.
 
     The shared index is chosen by :meth:`shared_index`: the flat
     :class:`~repro.index.linear.LinearSegmentIndex` below
     :data:`MIN_SEGMENTS_FOR_GRID` segments, the paper's hierarchical
-    grid at or above it, and always the grid for ``"wave"``, whose
-    planner's per-candidate ``knn`` calls are slow on a full scan.
-    ``index_factory`` exists so tests can substitute any index over the
-    same extent and compare bytes; when given, it always wins.
+    grid at or above it.
+
+    Two test seams, which no pipeline, engine or CLI setting reaches:
+    ``index_factory`` substitutes any index over the same extent so
+    tests can compare bytes (when given, it always wins), and
+    ``candidate_source="wave"`` runs the planner/executor of
+    :mod:`repro.core.waves` (always on the grid) instead of the loop,
+    the byte-identical reference the identity tests compare the loop
+    against. The wave planner is slower at every measured fleet size
+    and is pending deletion.
     """
 
     def __init__(

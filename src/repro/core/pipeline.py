@@ -184,12 +184,6 @@ class FrequencyAnonymizer:
     signature_size:
         ``m`` — how many signature locations are extracted per
         trajectory. The local mechanism perturbs ``2m`` locations.
-    candidate_source:
-        How the global stage finds candidate trajectories:
-        ``"incremental"`` (default — the per-location lazy frontier) or
-        ``"wave"`` (the planner/executor path, byte-identical to the
-        serial loop and slower; opt-in). See
-        :class:`~repro.core.modification.InterTrajectoryModifier`.
     seed:
         RNG seed for reproducible noise; ``None`` draws fresh entropy.
         Repeated :meth:`anonymize` calls on one seeded instance draw
@@ -204,7 +198,6 @@ class FrequencyAnonymizer:
         epsilon_global: float | None = 0.5,
         epsilon_local: float | None = 0.5,
         signature_size: int = 10,
-        candidate_source: str = "incremental",
         seed: int | None = None,
     ) -> None:
         for name, value in (
@@ -225,11 +218,10 @@ class FrequencyAnonymizer:
         self.epsilon_global = 0.0 if epsilon_global is None else float(epsilon_global)
         self.epsilon_local = 0.0 if epsilon_local is None else float(epsilon_local)
         self.signature_size = signature_size
-        self.candidate_source = candidate_source
         self.seed = seed
         self.extractor = SignatureExtractor(m=signature_size)
         self._intra = IntraTrajectoryModifier()
-        self._inter = InterTrajectoryModifier(candidate_source=candidate_source)
+        self._inter = InterTrajectoryModifier()
         # Disabled means None (the constructor rejects explicit zeros
         # above), so the stage toggles key off the original arguments,
         # never off the float's truthiness.
@@ -261,7 +253,6 @@ class FrequencyAnonymizer:
             "epsilon_global": None if self._global is None else self.epsilon_global,
             "epsilon_local": None if self._local is None else self.epsilon_local,
             "signature_size": self.signature_size,
-            "candidate_source": self.candidate_source,
             "seed": self.seed,
         }
 

@@ -62,10 +62,10 @@ times the ``k``, until the answer is prefix-exact or ``k`` covers the
 whole index. Planning runs in-process, on the thread that drives the
 stage.
 
-The serial per-location loop is the default global stage and is faster
-at every measured fleet size; this path is opt-in
-(``candidate_source="wave"``), kept as the independent reference the
-identity tests compare the loop against.
+The serial per-location loop is the global stage and is faster at
+every measured fleet size; this path is a test seam
+(``InterTrajectoryModifier(candidate_source="wave")``), kept as the
+independent reference the identity tests compare the loop against.
 """
 
 from __future__ import annotations

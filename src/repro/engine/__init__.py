@@ -32,8 +32,7 @@ run time.
 
 The global stage is not sharded: it runs in-process, as the serial
 per-location loop over the shared index's incremental ``iter_nearest``
-kNN frontier, or as the opt-in wave planner (:mod:`repro.core.waves`),
-which is byte-identical to it. The shared index is a flat scan below
+kNN frontier. The shared index is a flat scan below
 :data:`~repro.core.modification.MIN_SEGMENTS_FOR_GRID` segments and the
 paper's hierarchical grid at or above it (see ``repro.index``).
 """

@@ -172,9 +172,6 @@ class ExperimentConfig:
     def with_epsilon(self, epsilon: float) -> "ExperimentConfig":
         return replace(self, epsilon=epsilon)
 
-    def with_objects(self, n_objects: int) -> "ExperimentConfig":
-        return replace(self, fleet=replace(self.fleet, n_objects=n_objects))
-
     def with_dataset(self, dataset: str | None) -> "ExperimentConfig":
         return replace(self, dataset=dataset)
 

@@ -15,13 +15,6 @@ the pipeline picks: a flat scan below ``MIN_SEGMENTS_FOR_GRID``
 segments (every smoke size, and the default preset up to 100
 trajectories) and the grid's HG+ search at or above it.
 
-Global-stage panel — the two candidate sources of the
-inter-trajectory modification (``incremental`` — the serial loop over
-the lazy frontier, ``wave`` — the wave-planned planner/executor path),
-one row each, timed on real PureG runs. The two sources are
-byte-identical, so the comparison isolates pure search/scheduling
-cost.
-
 Invoke with::
 
     python -m repro.experiments.fig5 [smoke|default|large] [workers]
@@ -60,9 +53,6 @@ SEARCH_METHODS = ("Linear", "UG", "HGt", "HGb", "HG+")
 
 DEFAULT_SIZES = (25, 50, 100, 200)
 SMOKE_SIZES = (10, 20)
-
-#: Candidate sources of the global stage, the default first.
-CANDIDATE_SOURCES = ("incremental", "wave")
 
 #: The hierarchical grid's search strategies of the left panel, keyed
 #: by the paper's labels.
@@ -199,25 +189,6 @@ def modification_timings(
     return timings
 
 
-def global_stage_timings(
-    config: ExperimentConfig, sizes: tuple[int, ...]
-) -> dict[str, list[float]]:
-    """Global-stage panel: one row per candidate source.
-
-    Each cell is the wall-clock of a full PureG run. For the same seed,
-    the wave and incremental rows are byte-identical, keeping the
-    comparison honest.
-    """
-    half = config.model_params(config.epsilon / 2)
-    timings: dict[str, list[float]] = {source: [] for source in CANDIDATE_SOURCES}
-    for size in sizes:
-        dataset = _dataset_for_size(config, size)
-        for source in CANDIDATE_SOURCES:
-            spec = MethodSpec("pureg", {**half, "candidate_source": source})
-            timings[source].append(run_spec(spec, dataset).seconds)
-    return timings
-
-
 def run(
     config: ExperimentConfig | None = None,
     sizes: tuple[int, ...] = DEFAULT_SIZES,
@@ -230,7 +201,6 @@ def run(
         "search": search,
         "search_work": work,
         "modification": modification_timings(config, sizes, workers=workers),
-        "global": global_stage_timings(config, sizes),
     }
 
 
@@ -272,25 +242,6 @@ def format_timings(
     lines.append(
         f"{'G-share':<8s}" + "".join(f"{v:10.2%}" for v in share)
     )
-    if "global" in results:
-        lines.append("")
-        lines.append("[global stage (s): candidate source vs dataset size]")
-        lines.append(
-            f"{'source':<16s}" + "".join(f"{s:>10d}" for s in sizes)
-        )
-        for name, values in results["global"].items():
-            lines.append(f"{name:<16s}" + "".join(f"{v:10.4f}" for v in values))
-        reference = results["global"].get("incremental")
-        waved = results["global"].get("wave")
-        if reference and waved:
-            speedups = [
-                r / w if w > 0 else float("inf")
-                for r, w in zip(reference, waved, strict=True)
-            ]
-            lines.append(
-                f"{'wave speedup':<16s}"
-                + "".join(f"{v:9.2f}x" for v in speedups)
-            )
     return "\n".join(lines)
 
 

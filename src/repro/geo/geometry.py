@@ -111,15 +111,6 @@ class BBox:
             and self.max_y >= other.max_y
         )
 
-    def intersects(self, other: "BBox") -> bool:
-        """Whether the two boxes overlap (boundary touching counts)."""
-        return not (
-            other.min_x > self.max_x
-            or other.max_x < self.min_x
-            or other.min_y > self.max_y
-            or other.max_y < self.min_y
-        )
-
     def min_distance(self, p: Coord) -> float:
         """Minimum distance from ``p`` to the box (Equation 4).
 

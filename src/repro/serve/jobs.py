@@ -14,6 +14,10 @@ A job's life::
     success -> done        (ledger committed; result CSV in the spool)
     failure -> failed      (reservation released)
 
+Job ids (``job-000001``, ...) are unique per budget root and spool: a
+runner numbers after the highest id that a replayed account or a
+spool entry holds, so a restarted daemon never reuses one.
+
 Determinism: frequency-family jobs run with a **pinned call index**
 (0), so a job's output depends only on ``(dataset, spec, seed)`` —
 byte-identical to ``repro anonymize --engine batch`` with the same
@@ -37,6 +41,7 @@ lock; ``repro check``'s RACE002 flags a nested ``with`` that does.
 from __future__ import annotations
 
 import queue
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -59,6 +64,9 @@ __all__ = ["JOB_STATES", "Job", "JobRunner"]
 JOB_STATES = ("queued", "running", "done", "failed")
 
 _SHUTTING_DOWN = "the job runner is shutting down; not accepting jobs"
+
+#: A job id, or a spool entry named after one (``job-000001.csv``).
+_JOB_ID = re.compile(r"job-(\d+)")
 
 
 @dataclass
@@ -129,6 +137,24 @@ def epsilon_of(spec: MethodSpec, anonymizer) -> float:
     return float(epsilon)
 
 
+def _last_job_number(store: BudgetStore, spool: Path) -> int:
+    """The highest ``job-NNNNNN`` number that the budget root's
+    accounts (pending, committed or released) or the spool's entries
+    already hold; 0 when there is none.
+
+    A runner numbers its jobs after it, so a daemon restarted over the
+    same state never reissues an id: a reused one would be refused by
+    the account that holds it, or overwrite the old job's result.
+    """
+    names = [path.name for path in spool.iterdir()]
+    for tenant in store.tenants():
+        account = store.account(tenant)
+        with account.lock:
+            names += [*account.pending, *account.committed, *account.released]
+    numbers = (int(match[1]) for match in map(_JOB_ID.match, names) if match)
+    return max(numbers, default=0)
+
+
 class JobRunner:
     """The background half of the daemon: a queue, a worker pool, and
     the reserve/commit/release protocol around every execution."""
@@ -159,7 +185,8 @@ class JobRunner:
         self._jobs: dict[str, Job] = {}
         self._queue: queue.Queue = queue.Queue()
         self._lock = threading.Lock()
-        self._sequence = 0
+        #: Job ids continue after any the state on disk holds.
+        self._sequence = _last_job_number(store, self.spool)
         self._closed = False
         self._drain = True
         self._pump = threading.Thread(
@@ -319,9 +346,7 @@ class JobRunner:
         else:
             result, report = engine.anonymize(dataset), None
         target = self.spool / f"{job.id}.csv"
-        staging = target.with_suffix(".tmp")
-        write_csv(result, staging)
-        staging.replace(target)
+        write_csv(result, target)
         ledger = None if report is None else report.accounting
         charged = 0.0
         if job.eps_total > 0.0:
@@ -339,37 +364,24 @@ class JobRunner:
         (call index 0 by construction, so the release depends only on
         ``(dataset, spec, seed)`` like every other job), spilling
         pass-1 chunks under the spool and streaming worker-encoded CSV
-        bytes straight into the staging file. The commit charges the
+        bytes straight into the staged result. The commit charges the
         publish ledger — ``eps_G + max-per-chunk eps_L``, exactly the
         reservation.
         """
-        import csv
-        import io
-
         from repro.api.session import publish as api_publish
         from repro.engine.publish import chunk_source
-        from repro.trajectory.io import CSV_HEADER
+        from repro.trajectory.io import staged_csv
 
         target = self.spool / f"{job.id}.csv"
-        staging = target.with_suffix(".tmp")
         spill_dir = self.spool / f"{job.id}.spill"
-        try:
-            with open(staging, "wb") as handle:
-                header = io.StringIO(newline="")
-                csv.writer(header).writerow(CSV_HEADER)
-                handle.write(header.getvalue().encode("utf-8"))
-                report = api_publish(
-                    job.spec,
-                    chunk_source(
-                        job.dataset, job.publish["chunk_size"], self.registry
-                    ),
-                    publish_workers=self.publish_workers,
-                    spill_dir=spill_dir,
-                    byte_sink=lambda rows, _report: handle.write(rows),
-                )
-            staging.replace(target)
-        finally:
-            staging.unlink(missing_ok=True)
+        with staged_csv(target) as handle:
+            report = api_publish(
+                job.spec,
+                chunk_source(job.dataset, job.publish["chunk_size"], self.registry),
+                publish_workers=self.publish_workers,
+                spill_dir=spill_dir,
+                byte_sink=lambda rows, _report: handle.write(rows),
+            )
         charged = 0.0
         if job.eps_total > 0.0:
             charged = self.store.commit(job.tenant, job.id, report.accounting)

@@ -11,9 +11,12 @@ at city scale).
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from repro.trajectory.model import Point, Trajectory, TrajectoryDataset
 
@@ -53,13 +56,40 @@ def write_csv_rows(writer, trajectories: Iterable[Trajectory]) -> None:
             )
 
 
-def write_csv(dataset: TrajectoryDataset, path: str | Path) -> None:
-    """Write the dataset as a single ``object_id,t,x,y`` CSV file."""
+@contextmanager
+def staged_csv(path: str | Path) -> Iterator[BinaryIO]:
+    """Write a planar CSV to ``path`` through ``<path>.tmp``.
+
+    Yields a binary handle on the staging file, which already holds the
+    header; the caller streams the encoded data rows into it. When the
+    block exits cleanly the staging file replaces ``path``; on any
+    exception it is unlinked, so ``path`` keeps its previous bytes and
+    no partial file is left under either name.
+    """
     path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        write_csv_rows(writer, dataset)
+    staging = path.with_name(f"{path.name}.tmp")
+    try:
+        with staging.open("wb") as handle:
+            header = io.StringIO(newline="")
+            csv.writer(header).writerow(CSV_HEADER)
+            handle.write(header.getvalue().encode("utf-8"))
+            yield handle
+        os.replace(staging, path)
+    except BaseException:
+        staging.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(dataset: TrajectoryDataset, path: str | Path) -> None:
+    """Write the dataset as a single ``object_id,t,x,y`` CSV file.
+
+    Rows stream through :func:`staged_csv`, so a failed write leaves
+    ``path`` as it was.
+    """
+    with staged_csv(path) as handle:
+        text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+        write_csv_rows(csv.writer(text), dataset)
+        text.detach()  # flushes; staged_csv closes the file
 
 
 def _planar_point(row: list[str], source: str | Path, line: int) -> Point:

@@ -75,10 +75,6 @@ class Point:
     def distance_to(self, other: "Point") -> float:
         return point_distance(self.coord, other.coord)
 
-    def moved_to(self, x: float, y: float) -> "Point":
-        """A copy of this point at a new position (same timestamp)."""
-        return Point(x, y, self.t)
-
 
 class Trajectory:
     """An ordered sequence of :class:`Point` belonging to one object.
@@ -228,32 +224,6 @@ class TrajectoryDataset:
     def subset(self, n: int) -> "TrajectoryDataset":
         """The first ``n`` trajectories (cheap copy, shared points)."""
         return TrajectoryDataset(t.copy() for t in self.trajectories[:n])
-
-    def filter_bbox(self, bbox: "BBox") -> "TrajectoryDataset":
-        """Keep only the samples falling inside ``bbox``.
-
-        Trajectories left with no samples are dropped entirely.
-        """
-        filtered = []
-        for trajectory in self.trajectories:
-            points = [p for p in trajectory if bbox.contains(p.coord)]
-            if points:
-                filtered.append(Trajectory(trajectory.object_id, points))
-        return TrajectoryDataset(filtered)
-
-    def time_slice(self, start: float, end: float) -> "TrajectoryDataset":
-        """Keep only the samples with ``start <= t < end``.
-
-        Trajectories left with no samples are dropped entirely.
-        """
-        if start >= end:
-            raise ValueError("start must precede end")
-        sliced = []
-        for trajectory in self.trajectories:
-            points = [p for p in trajectory if start <= p.t < end]
-            if points:
-                sliced.append(Trajectory(trajectory.object_id, points))
-        return TrajectoryDataset(sliced)
 
     def merge(self, other: "TrajectoryDataset") -> "TrajectoryDataset":
         """Union of two datasets (object ids must not collide)."""

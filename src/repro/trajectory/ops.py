@@ -102,10 +102,6 @@ class Dwell:
     centre: Coord
     duration: float
 
-    @property
-    def n_samples(self) -> int:
-        return self.end - self.start + 1
-
 
 def detect_dwells(
     trajectory: Trajectory,

@@ -14,13 +14,10 @@ The load-bearing guarantees:
   engine can never clobber each other's reports.
 """
 
-import importlib.metadata
 import json
 import pickle
 import subprocess
 import sys
-import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -34,11 +31,9 @@ from repro.api import (
     method_info,
     method_names,
     publish,
-    register,
     run,
 )
-from repro.api import registry as registry_module
-from repro.core.pipeline import GL, FrequencyAnonymizer, PureL
+from repro.core.pipeline import GL, FrequencyAnonymizer, PureG, PureL
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.engine import BatchAnonymizer
 from repro.engine import batch as batch_module
@@ -164,43 +159,48 @@ class TestMethodSpec:
 
 class TestRegistry:
     def test_builtin_kinds_present(self):
-        names = method_names()
-        for kind in (
+        """The table is fixed: the eleven built-ins, in listing order."""
+        assert method_names() == (
             "frequency", "gl", "pureg", "purel",
             "sc", "rsc", "w4m", "glove", "klt", "dpt", "adatrace",
+        )
+
+    def test_no_registration_surface(self):
+        """``build`` is the one way to a method: nothing registers one
+        and no entry-point group is scanned."""
+        import repro.api
+
+        for name in ("register", "ENTRY_POINT_GROUP"):
+            assert name not in repro.api.__all__
+            assert not hasattr(repro.api, name)
+        assert not hasattr(MethodSpec, "build")
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("frequency", ["epsilon_global", "epsilon_local", "signature_size", "seed"]),
+            ("gl", ["epsilon", "signature_size", "seed"]),
+            ("pureg", ["epsilon", "signature_size", "seed"]),
+            ("purel", ["epsilon", "signature_size", "seed"]),
+        ],
+    )
+    def test_frequency_kinds_take_only_the_papers_parameters(self, kind, params):
+        assert list(method_info(kind).signature.parameters) == params
+        with pytest.raises(ValueError, match="accepted: " + ", ".join(params)):
+            build(MethodSpec(kind, {"candidate_source": "wave"}))
+
+    @pytest.mark.parametrize("cls", [FrequencyAnonymizer, GL, PureG, PureL])
+    def test_candidate_source_is_not_a_pipeline_setting(self, cls):
+        with pytest.raises(
+            TypeError, match="unexpected keyword argument 'candidate_source'"
         ):
-            assert kind in names
+            cls(candidate_source="wave")
 
     def test_unknown_kind_lists_alternatives(self):
         with pytest.raises(ValueError, match="registered methods"):
             method_info("nope")
         with pytest.raises(ValueError, match="registered methods"):
             build(MethodSpec("nope"))
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register("gl", summary="dup", family="frequency")(lambda: None)
-
-    def test_register_validates_family_and_kind(self):
-        with pytest.raises(ValueError):
-            register("x", summary="s", family="bogus")(lambda: None)
-        with pytest.raises(ValueError):
-            register("bad kind", summary="s", family="plugin")(lambda: None)
-
-    def test_replace_flag_allows_override(self):
-        sentinel = object()
-        original = method_info("gl")
-
-        @register("gl", summary="shadow", family="frequency", replace=True)
-        def shadow():
-            return sentinel
-
-        try:
-            assert build(MethodSpec("gl")) is sentinel
-        finally:
-            # restore the real entry for the rest of the suite
-            registry_module._REGISTRY["gl"] = original
-        assert method_info("gl").summary == original.summary
 
     def test_build_rejects_unknown_params(self):
         with pytest.raises(ValueError, match="accepted"):
@@ -243,98 +243,6 @@ class TestRegistry:
                 if parameter.default is not inspect.Parameter.empty
             }
             assert declared == actual, f"{kind} drifted from {cls.__name__}"
-
-    def test_entry_point_discovery_tolerates_absence(self, monkeypatch):
-        monkeypatch.setattr(registry_module, "_PLUGINS_LOADED", False)
-        assert "gl" in method_names()  # discovery ran without error
-        assert registry_module._PLUGINS_LOADED
-
-
-class _FakeEntryPoint:
-    """A ``repro.methods`` entry point whose ``load`` runs ``loader``."""
-
-    def __init__(self, name, loader):
-        self.name = name
-        self.value = f"fakeplugins:{name}"
-        self._loader = loader
-
-    def load(self):
-        return self._loader()
-
-
-def _install_plugins(monkeypatch, *entry_points):
-    """A registry that has not scanned yet, over ``entry_points``."""
-    monkeypatch.setattr(registry_module, "_PLUGINS_LOADED", False)
-    monkeypatch.setattr(
-        registry_module, "_REGISTRY", dict(registry_module._REGISTRY)
-    )
-
-    def fake_entry_points(group=None, **_):
-        return list(entry_points) if group == "repro.methods" else []
-
-    monkeypatch.setattr(importlib.metadata, "entry_points", fake_entry_points)
-
-
-def slowplug():
-    """A plugin method that takes a while to import."""
-    return GL(epsilon=1.0, seed=1)
-
-
-class TestPluginScan:
-    def test_lookups_wait_for_a_running_scan(self, monkeypatch):
-        """A lookup made while another thread's first scan is still
-        loading a plugin waits for the scan, and finds the plugin."""
-        loading = threading.Event()
-
-        def load():
-            loading.set()
-            time.sleep(0.5)
-            return slowplug
-
-        _install_plugins(monkeypatch, _FakeEntryPoint("slowplug", load))
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            first = pool.submit(method_info, "slowplug")
-            assert loading.wait(30)
-            second = pool.submit(method_info, "slowplug")
-            infos = [first.result(timeout=30), second.result(timeout=30)]
-        assert [info.kind for info in infos] == ["slowplug", "slowplug"]
-        assert infos[0].factory is slowplug
-        assert registry_module._PLUGINS_LOADED
-
-    def test_plugin_import_may_look_up_the_registry(self, monkeypatch):
-        """A plugin whose import lists the registry, on the scanning
-        thread, sees the methods registered so far instead of waiting
-        on the scan's own lock."""
-        seen = []
-
-        def load():
-            seen.append(method_names())
-            return slowplug
-
-        _install_plugins(monkeypatch, _FakeEntryPoint("selfaware", load))
-        names = []
-        scanner = threading.Thread(
-            target=lambda: names.append(method_names()), daemon=True
-        )
-        scanner.start()
-        scanner.join(timeout=30)
-        assert not scanner.is_alive()
-        assert "gl" in seen[0] and "selfaware" not in seen[0]
-        assert "selfaware" in names[0]
-
-    def test_a_failing_scan_runs_once(self, monkeypatch):
-        calls = []
-
-        def load():
-            calls.append(1)
-            raise ImportError("broken plugin")
-
-        _install_plugins(monkeypatch, _FakeEntryPoint("broken", load))
-        with pytest.warns(RuntimeWarning, match="broken plugin"):
-            assert "broken" not in method_names()
-        assert "broken" not in method_names()
-        assert calls == [1]
-        assert registry_module._PLUGINS_LOADED
 
 
 class TestSpecRoundTrip:

@@ -31,7 +31,8 @@ class TestSpec:
         assert "--tenant" in spec["serve"]["options"]
         assert "--budget-root" in spec["serve"]["options"]
         assert "--engine" in spec["anonymize"]["options"]
-        assert "--method" in spec["anonymize"]["options"]
+        assert "--model" in spec["anonymize"]["options"]
+        assert "--method" not in spec["anonymize"]["options"]
         assert "--param" in spec["anonymize"]["options"]
         assert "--dataset" in spec["experiment"]["options"]
         assert "--split" in spec["publish"]["options"]
@@ -79,8 +80,9 @@ class TestCheckCommand:
         [
             ([], "index_backend"),
             (["--model", "purel"], "levels"),
-            (["--method", "w4m"], "radius"),
-            (["--method=rsc"], "k"),
+            (["--model", "w4m"], "radius"),
+            (["--model=rsc"], "k"),
+            (["--model", "pureg"], "candidate_source"),
         ],
     )
     def test_unknown_param_name_reported(self, check_docs, selection, name):
@@ -97,12 +99,12 @@ class TestCheckCommand:
     def test_declared_param_names_pass(self, check_docs):
         spec = check_docs.build_spec()
         for tokens in (
-            ["repro", "anonymize", "--param", "candidate_source=wave"],
+            ["repro", "anonymize", "--param", "seed=3"],
             ["repro", "anonymize", "--model", "pureg", "--param",
              "signature_size=4"],
-            ["repro", "publish", "--method", "rsc", "--param", "radius=500"],
-            # --method wins over --model.
-            ["repro", "anonymize", "--model", "gl", "--method", "w4m",
+            ["repro", "publish", "--model", "rsc", "--param", "radius=500"],
+            # The last --model wins, as in argparse.
+            ["repro", "anonymize", "--model", "gl", "--model", "w4m",
              "--param", "k=10"],
         ):
             assert check_docs.check_command(tokens, spec) == [], tokens
@@ -110,7 +112,7 @@ class TestCheckCommand:
     def test_unknown_method_reported_for_params(self, check_docs):
         spec = check_docs.build_spec()
         problems = check_docs.check_command(
-            ["repro", "anonymize", "--method", "nope", "--param", "k=1"], spec
+            ["repro", "anonymize", "--model", "nope", "--param", "k=1"], spec
         )
         assert any("unknown method 'nope'" in p for p in problems)
 

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import errno
 import json
 import math
 
 import pytest
 
+from repro.api import method_info, method_names
 from repro.attacks.linkage import SIGNATURE_KINDS
 from repro.cli import ATTACK_KINDS, main
 from repro.core.accounting import CompositionLedger
@@ -146,7 +148,7 @@ class TestAnonymizeMethod:
         code = main(
             [
                 "anonymize", "-i", str(fleet_csv), "-o", str(out),
-                "--method", "adatrace", "--epsilon", "1.0", "--seed", "1",
+                "--model", "adatrace", "--epsilon", "1.0", "--seed", "1",
             ]
         )
         assert code == 0
@@ -160,25 +162,13 @@ class TestAnonymizeMethod:
         code = main(
             [
                 "anonymize", "-i", str(fleet_csv), "-o", str(out),
-                "--method", "rsc",
+                "--model", "rsc",
                 "--signature-size", "3",
                 "--param", "radius=250.0",
             ]
         )
         assert code == 0
         assert "rsc" in capsys.readouterr().out
-
-    def test_method_overrides_model(self, fleet_csv, tmp_path, capsys):
-        out = tmp_path / "p.csv"
-        code = main(
-            [
-                "anonymize", "-i", str(fleet_csv), "-o", str(out),
-                "--model", "gl", "--method", "purel",
-                "--signature-size", "3", "--seed", "2",
-            ]
-        )
-        assert code == 0
-        assert "PUREL" in capsys.readouterr().out
 
     def test_method_batch_engine(self, fleet_csv, tmp_path, capsys, monkeypatch):
         """``--engine batch`` writes the serial engine's bytes: on the
@@ -191,7 +181,7 @@ class TestAnonymizeMethod:
             code = main(
                 [
                     "anonymize", "-i", str(fleet_csv), "-o", str(out),
-                    "--method", "gl", "--signature-size", "3", "--seed", "4",
+                    "--model", "gl", "--signature-size", "3", "--seed", "4",
                     "--engine", *engine,
                 ]
             )
@@ -228,7 +218,7 @@ class TestAnonymizeMethod:
         code = main(
             [
                 "anonymize", "-i", str(fleet_csv),
-                "-o", str(tmp_path / "x.csv"), "--method", "nope",
+                "-o", str(tmp_path / "x.csv"), "--model", "nope",
             ]
         )
         assert code == 2
@@ -239,7 +229,7 @@ class TestAnonymizeMethod:
             [
                 "anonymize", "-i", str(fleet_csv),
                 "-o", str(tmp_path / "x.csv"),
-                "--method", "sc", "--param", "bogus=1",
+                "--model", "sc", "--param", "bogus=1",
             ]
         )
         assert code == 2
@@ -252,7 +242,7 @@ class TestAnonymizeMethod:
             [
                 "anonymize", "-i", str(fleet_csv),
                 "-o", str(tmp_path / "x.csv"),
-                "--method", "sc", "--param", 'signature_size={"a": 1}',
+                "--model", "sc", "--param", 'signature_size={"a": 1}',
             ]
         )
         assert code == 2
@@ -263,11 +253,81 @@ class TestAnonymizeMethod:
             [
                 "anonymize", "-i", str(fleet_csv),
                 "-o", str(tmp_path / "x.csv"),
-                "--method", "sc", "--engine", "batch",
+                "--model", "sc", "--engine", "batch",
             ]
         )
         assert code == 2
         assert "frequency-family" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_fleet_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("kinds") / "fleet.csv"
+    assert main(
+        ["generate", "--objects", "10", "--points", "40", "--seed", "1",
+         "-o", str(path)]
+    ) == 0
+    return path
+
+
+class TestEveryKind:
+    """``--model`` reaches every kind ``repro methods`` lists."""
+
+    @pytest.mark.parametrize("kind", method_names())
+    def test_anonymize(self, small_fleet_csv, tmp_path, capsys, kind):
+        out = tmp_path / "out.csv"
+        code = main(["anonymize", "-i", str(small_fleet_csv), "-o", str(out),
+                     "--model", kind, "--seed", "1"])
+        assert code == 0, capsys.readouterr().err
+        assert out.read_bytes().startswith(b"object_id,t,x,y\r\n")
+        assert f"method: {kind} " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", method_names())
+    def test_publish(self, small_fleet_csv, tmp_path, capsys, kind):
+        """Publishing shares one TF draw across chunks, so only the
+        frequency kinds publish; the others are refused cleanly."""
+        out = tmp_path / "out.csv"
+        code = main(["publish", "-i", str(small_fleet_csv), "-o", str(out),
+                     "--model", kind, "--chunk-size", "4", "--seed", "1"])
+        err = capsys.readouterr().err
+        if method_info(kind).family == "frequency":
+            assert code == 0, err
+            assert len(read_csv(out)) == 10
+        else:
+            assert code == 2
+            assert err.startswith("repro publish: ")
+            assert "Traceback" not in err
+            assert list(tmp_path.iterdir()) == []
+
+
+class TestStagedOutput:
+    """A release write that fails leaves the previous output as it was
+    and no staging file."""
+
+    def test_failed_write_keeps_the_previous_output(
+        self, fleet_csv, tmp_path, capsys, monkeypatch
+    ):
+        import repro.trajectory.io as io_module
+
+        out = tmp_path / "out.csv"
+        argv = ["anonymize", "-i", str(fleet_csv), "-o", str(out),
+                "--signature-size", "3", "--seed", "1"]
+        assert main(argv) == 0
+        previous = out.read_bytes()
+        capsys.readouterr()
+
+        def disk_full(writer, trajectories):
+            writer.writerow(["0", "1.000"])  # a partial row, then ENOSPC
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(io_module, "write_csv_rows", disk_full)
+        assert main([*argv[:-1], "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro anonymize: ")
+        assert "No space left on device" in err
+        assert "Traceback" not in err
+        assert out.read_bytes() == previous
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.csv", "out.csv"]
 
 
 class TestErrorBoundary:
@@ -317,7 +377,7 @@ class TestErrorBoundary:
     def test_zero_klt_categories_is_a_clean_error(self, fleet_csv, tmp_path, capsys):
         code = main(
             ["anonymize", "-i", str(fleet_csv), "-o", str(tmp_path / "x.csv"),
-             "--method", "klt", "--param", "n_categories=0"]
+             "--model", "klt", "--param", "n_categories=0"]
         )
         err = capsys.readouterr().err
         assert code == 2
@@ -343,6 +403,7 @@ class TestErrorBoundary:
             "search_strategy=top_down",
             "trajectory_selection=index",
             "global_first=true",
+            "candidate_source=wave",
         ],
     )
     def test_retired_setting_is_refused(
@@ -356,6 +417,7 @@ class TestErrorBoundary:
         assert code == 2
         assert err.startswith(f"repro {command}: invalid parameters for method 'gl'")
         assert repr(setting.partition("=")[0]) in err
+        assert err.rstrip().endswith("accepted: epsilon, signature_size, seed")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -380,13 +442,17 @@ class TestErrorBoundary:
             # publish has one parallelism axis, --publish-workers.
             pytest.param("publish", ["--engine", "batch"], id="publish-engine"),
             pytest.param("publish", ["--workers", "2"], id="publish-workers"),
+            # --model is the one method selector.
+            pytest.param("anonymize", ["--method", "purel"], id="anonymize-method"),
+            pytest.param("publish", ["--method", "purel"], id="publish-method"),
         ],
     )
     def test_retired_executor_flag_is_refused(
         self, fleet_csv, tmp_path, capsys, command, flag
     ):
         """The batch engine always maps on processes; no flag picks
-        the pool kind, and publish takes no batch-engine flags."""
+        the pool kind, publish takes no batch-engine flags, and no flag
+        but ``--model`` picks the method."""
         out = tmp_path / "x.csv"
         io_args = [] if command == "serve" else ["-i", str(fleet_csv), "-o", str(out)]
         with pytest.raises(SystemExit) as exited:

@@ -5,9 +5,10 @@
 ``SystemExit(2)``), never as an escaped exception. The draw covers
 fleet shapes at and below their limits and one ``--param NAME=VALUE``
 per run, NAME from any registered method's signature and VALUE a small
-set of wrong-typed and out-of-range JSON values. Values at the scale of
-a tiny ε are left out: they are valid input that makes a run slow, not
-a clean-error case.
+set of wrong-typed and out-of-range JSON values, so every example
+reaches ``build()``'s parameter checks through ``--model``. Values at
+the scale of a tiny ε are left out: they are valid input that makes a
+run slow, not a clean-error case.
 """
 
 import contextlib
@@ -34,7 +35,7 @@ generate_argv = st.builds(
 )
 anonymize_argv = st.builds(
     lambda param, value: [
-        "anonymize", "--method", param[0], "--param", f"{param[1]}={value}",
+        "anonymize", "--model", param[0], "--param", f"{param[1]}={value}",
     ],
     st.sampled_from(PARAMS),
     st.sampled_from(VALUES),
@@ -54,7 +55,7 @@ def workdir(tmp_path_factory):
 @settings(max_examples=60, deadline=None)
 @given(argv=st.one_of(generate_argv, anonymize_argv))
 @example(argv=["generate", "--objects", "4", "--points", "20", "--hotspots", "0"])
-@example(argv=["anonymize", "--method", "klt", "--param", "n_categories=0"])
+@example(argv=["anonymize", "--model", "klt", "--param", "n_categories=0"])
 def test_every_argv_exits_zero_or_two(workdir, argv):
     if argv[0] == "generate":
         argv = [*argv, "-o", str(workdir / "generated.csv")]

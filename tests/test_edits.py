@@ -56,7 +56,6 @@ class TestInsertion:
     def test_insert_into_segment_cost_is_point_segment_distance(self):
         e = editable([(0, 0), (10, 0)])
         sid = e.index.knn((5, 3), 1)[0][0]
-        assert e.insertion_cost((5, 3), sid) == pytest.approx(3.0)
         outcome = e.insert_into_segment((5.0, 3.0), sid)
         assert outcome.utility_loss == pytest.approx(3.0)
         assert outcome.delta_points == 1

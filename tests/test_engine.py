@@ -280,33 +280,10 @@ class TestBatchAnonymizer:
     def test_config_roundtrip(self):
         from repro.core.pipeline import FrequencyAnonymizer
 
-        original = GL(
-            epsilon=2.0, signature_size=4, candidate_source="wave", seed=5
-        )
+        original = GL(epsilon=2.0, signature_size=4, seed=5)
         rebuilt = FrequencyAnonymizer(**original.config())
         assert rebuilt.epsilon == pytest.approx(original.epsilon)
         assert rebuilt.config() == original.config()
-
-
-def wave_gl():
-    return GL(epsilon=1.0, signature_size=3, seed=31, candidate_source="wave")
-
-
-class TestGlobalPoolLifecycle:
-    """The opt-in wave global stage runs through a pooled engine
-    byte-identically."""
-
-    def test_pooled_output_identical_to_serial(self, fleet, always_shard):
-        """A wave GL through a pooled engine (its local stage on real
-        worker processes) equals the default GL run in-process."""
-        serial = GL(epsilon=1.0, signature_size=3, seed=31).anonymize(
-            fleet.dataset
-        )
-        engine = BatchAnonymizer(wave_gl(), workers=2)
-        pooled = engine.anonymize_with_report(fleet.dataset)[0]
-        assert coords_of(pooled) == coords_of(serial)
-        # The wave planner ran: engine -> pipeline -> modifier wiring.
-        assert engine.anonymizer._inter.last_wave_stats.operations > 0
 
 
 class TestPerChunkRelease:

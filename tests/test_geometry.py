@@ -106,12 +106,6 @@ class TestBBox:
         assert outer.contains_bbox(BBox(1.0, 1.0, 9.0, 9.0))
         assert not outer.contains_bbox(BBox(1.0, 1.0, 11.0, 9.0))
 
-    def test_intersects(self):
-        a = BBox(0.0, 0.0, 5.0, 5.0)
-        assert a.intersects(BBox(4.0, 4.0, 8.0, 8.0))
-        assert a.intersects(BBox(5.0, 5.0, 8.0, 8.0))  # touching counts
-        assert not a.intersects(BBox(6.0, 6.0, 8.0, 8.0))
-
     def test_min_distance_inside_is_zero(self):
         box = BBox(0.0, 0.0, 10.0, 10.0)
         assert box.min_distance((5.0, 5.0)) == 0.0

@@ -53,10 +53,6 @@ class TestPoint:
     def test_distance_to(self):
         assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
 
-    def test_moved_to_preserves_time(self):
-        p = Point(0, 0, 99.0).moved_to(5.0, 6.0)
-        assert (p.x, p.y, p.t) == (5.0, 6.0, 99.0)
-
     def test_points_are_immutable(self):
         with pytest.raises(AttributeError):
             Point(0, 0).x = 1.0
@@ -89,9 +85,9 @@ class TestStoredLocation:
         decoded = decode_chunk(encode_chunk(self.dataset()))
         _assert_keyed(p for t in decoded for p in t)
 
-    def test_moved_to_and_replace(self):
+    def test_replace(self):
         p = Point(0.4, 0.4, 5.0)
-        _assert_keyed([p.moved_to(7.6, -2.5), dataclasses.replace(p, x=3.7)])
+        _assert_keyed([dataclasses.replace(p, x=3.7)])
         assert dataclasses.replace(p, y=9.9).loc == (0.0, 10.0)
 
     def test_inserted_point(self):
@@ -242,33 +238,6 @@ class TestTrajectoryDataset:
         assert stats["total_points"] == 5.0
         assert stats["avg_points_per_trajectory"] == pytest.approx(2.5)
         assert stats["avg_point_spacing_m"] > 0
-
-    def test_filter_bbox_drops_outside_points(self):
-        from repro.geo.geometry import BBox
-
-        ds = self.make_dataset()
-        cropped = ds.filter_bbox(BBox(-1.0, -1.0, 11.0, 11.0))
-        # Trajectory a keeps (0,0),(10,0),(0,0); b keeps only (10,0).
-        assert len(cropped.by_id("a")) == 3
-        assert len(cropped.by_id("b")) == 1
-
-    def test_filter_bbox_drops_empty_trajectories(self):
-        from repro.geo.geometry import BBox
-
-        ds = self.make_dataset()
-        cropped = ds.filter_bbox(BBox(15.0, 15.0, 30.0, 30.0))
-        assert len(cropped) == 1  # only b's (20,20) survives
-        assert cropped[0].object_id == "b"
-
-    def test_time_slice(self):
-        ds = self.make_dataset()
-        sliced = ds.time_slice(0.0, 61.0)  # first two samples of each
-        assert len(sliced.by_id("a")) == 2
-        assert len(sliced.by_id("b")) == 2
-
-    def test_time_slice_invalid_range(self):
-        with pytest.raises(ValueError):
-            self.make_dataset().time_slice(10.0, 5.0)
 
     def test_merge(self):
         ds = self.make_dataset()

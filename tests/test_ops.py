@@ -106,7 +106,6 @@ class TestDetectDwells:
         dwell = dwells[0]
         assert dwell.start == 1
         assert dwell.end == 4
-        assert dwell.n_samples == 4
         assert dwell.duration == pytest.approx(360.0)
         assert dwell.centre[0] == pytest.approx(607.5)
 

@@ -155,7 +155,8 @@ class TestAnonymization:
         assert [t.object_id for t in result] == [t.object_id for t in fleet.dataset]
 
     def test_default_global_stage_is_the_serial_loop(self, fleet):
-        """The wave planner is opt-in: a default run never builds one."""
+        """No pipeline setting reaches the wave planner: a run never
+        builds one."""
         anonymizer = FrequencyAnonymizer(signature_size=3, seed=3)
         _, report = anonymizer.anonymize_with_report(fleet.dataset)
         assert report.global_report.insertions + report.global_report.deletions > 0

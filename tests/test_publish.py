@@ -17,7 +17,6 @@ import re
 import pytest
 
 from repro.cli import main
-from repro.core import waves
 from repro.core.accounting import CompositionLedger
 from repro.core.pipeline import GL, PureG, PureL
 from repro.data.stream import chunked
@@ -70,25 +69,16 @@ class TestSingleChunkIdentity:
         assert points_of(published) == points_of(serial)
         assert report.chunk_count == 1
 
-    def test_byte_identical_through_batch_engine(self, fleet, monkeypatch):
-        """The opt-in wave planner, on the publisher's tf_target path,
-        matches the default serial GL; the one chunk runs in process,
-        through the same per-chunk function a pool worker runs."""
+    def test_byte_identical_through_batch_engine(self, fleet, thread_pool):
+        """The one chunk, realised on the publisher's pool (threads
+        standing in for its worker processes) from the worker's copy
+        of the pipeline config, matches the serial GL."""
         serial = GL(epsilon=1.0, signature_size=3, seed=21).anonymize(
             fleet.dataset
         )
-        plans = []
-        plan_wave = waves.WavePlanner.plan_wave
-
-        def counting(self, *args, **kwargs):
-            plans.append(1)
-            return plan_wave(self, *args, **kwargs)
-
-        monkeypatch.setattr(waves.WavePlanner, "plan_wave", counting)
         published, _ = StreamPublisher(
-            GL(epsilon=1.0, signature_size=3, seed=21, candidate_source="wave")
+            GL(epsilon=1.0, signature_size=3, seed=21), workers=2
         ).publish_collected(source(fleet.dataset, 10_000))
-        assert plans  # the wave planner ran
         assert points_of(published) == points_of(serial)
 
     def test_csv_bytes_identical(self, fleet, tmp_path):
@@ -360,7 +350,7 @@ class TestPublishCLI:
                 "publish",
                 "-i", str(fleet_csv),
                 "-o", str(tmp_path / "out.csv"),
-                "--method", "adatrace",
+                "--model", "adatrace",
             ]
         )
         assert code == 2

@@ -357,6 +357,7 @@ class TestJobLifecycle:
             {"search_strategy": "top_down"},
             {"trajectory_selection": "index"},
             {"global_first": True},
+            {"candidate_source": "wave"},
         ],
         ids=lambda setting: next(iter(setting)),
     )
@@ -373,6 +374,7 @@ class TestJobLifecycle:
         assert repr(next(iter(setting))) in body["detail"]
         _, account = client.get("/v1/tenants/acme")
         assert account["remaining"] == pytest.approx(8.0)
+        assert account["jobs"]["pending"] == []
 
     def test_unknown_job_404(self, client):
         assert client.get("/v1/jobs/job-999999")[0] == 404

@@ -1,14 +1,16 @@
 """Tests for the daemon's background half: EngineCache + JobRunner."""
 
+import errno
 import threading
 import time
 
 import pytest
 
+from repro.api.registry import build
 from repro.api.spec import MethodSpec
 from repro.datagen.generator import FleetConfig, generate_fleet
 from repro.engine.batch import BatchAnonymizer
-from repro.serve import ServeConfig
+from repro.serve import Daemon, ServeConfig
 from repro.serve.budget import (
     AccountError,
     BudgetExceededError,
@@ -129,7 +131,7 @@ def test_retired_pool_kind_is_refused(make, keyword):
 class TestEpsilonOf:
     def test_frequency_method_exposes_epsilon(self):
         spec = MethodSpec("gl", {"epsilon": 1.25})
-        assert epsilon_of(spec, spec.build()) == pytest.approx(1.25)
+        assert epsilon_of(spec, build(spec)) == pytest.approx(1.25)
 
     def test_method_without_epsilon_costs_nothing(self):
         class Free:
@@ -400,6 +402,29 @@ class TestJobRunner:
         assert runner.jobs() == []
         assert BudgetStore(store.root).recover() == {}
 
+    def test_failed_result_write_leaves_no_staging_file(
+        self, runner, store, dataset_csv, monkeypatch
+    ):
+        """A result write that fails (ENOSPC) fails the job with the
+        OSError's text, releases its reservation and leaves nothing
+        half-written in the spool."""
+        import repro.trajectory.io as io_module
+
+        def disk_full(writer, trajectories):
+            writer.writerow(["0", "1.000"])  # a partial row, then ENOSPC
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(io_module, "write_csv_rows", disk_full)
+        job = runner.submit("acme", GL_SPEC, str(dataset_csv))
+        assert wait_done(runner, job) == "failed"
+        assert job.to_dict()["error"] == (
+            "OSError: [Errno 28] No space left on device"
+        )
+        assert list(runner.spool.iterdir()) == []
+        account = store.account("acme")
+        assert account.pending == {}
+        assert job.id in account.released
+
     def test_jobs_listing_is_ordered(self, runner, dataset_csv):
         submitted = [
             runner.submit("acme", GL_SPEC, str(dataset_csv)) for _ in range(2)
@@ -409,6 +434,44 @@ class TestJobRunner:
         ]
         assert runner.get(submitted[0].id) is submitted[0]
         assert runner.get("job-999999") is None
+
+
+class TestRestart:
+    """Job ids are unique per budget root and spool: a daemon booted on
+    a previous one's state numbers its jobs after the previous ones."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (GL_SPEC, {"kind": "gl", "params": {"epsilon": 1.0, "seed": 8}}),
+            # No reservation: only the spool remembers the first job.
+            ({"kind": "sc", "params": {"signature_size": 3}}, {"kind": "sc"}),
+        ],
+        ids=["gl", "sc"],
+    )
+    def test_second_daemon_keeps_the_first_ones_result(
+        self, tmp_path, dataset_csv, first, second
+    ):
+        config = ServeConfig(
+            budget_root=tmp_path / "budgets",
+            spool=tmp_path / "spool",
+            tenants=(("t", 8.0),),
+            engine_workers=1,
+            job_workers=1,
+        )
+        jobs = []
+        for spec in (first, second):
+            daemon = Daemon(config)
+            try:
+                job = daemon.runner.submit("t", spec, str(dataset_csv))
+                assert wait_done(daemon.runner, job) == "done"
+            finally:
+                daemon.shutdown()
+            jobs.append((job, job.result_path.read_bytes()))
+        (old, old_bytes), (new, new_bytes) = jobs
+        assert (old.id, new.id) == ("job-000001", "job-000002")
+        assert new_bytes != old_bytes
+        assert old.result_path.read_bytes() == old_bytes
 
 
 class TestConcurrentCallers:

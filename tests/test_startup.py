@@ -82,6 +82,9 @@ class TestCommandImports:
         assert code in (0, 1)  # bench report exits 1 on a degraded key
         assert "numpy" not in modules
         assert under(modules, "repro.core", "repro.index", "repro.engine") == []
+        if argv[0] == "methods":
+            # The method table is fixed: no entry-point scan.
+            assert "importlib.metadata" not in modules
 
     @pytest.mark.parametrize(
         "argv",

@@ -6,8 +6,8 @@ packages (``repro.api``, ``repro.engine``, ``repro.data``, plus the
 top-level ``repro`` namespace) — functions and methods down to their
 full signatures, classes down to their public methods, properties and
 dataclass fields —
-plus the parameter signature of every built-in registry method (the
-names a ``--param`` or a served spec may use), and compares it against
+plus the parameter signature of every registry method (the names a
+``--param`` or a served spec may use), and compares it against
 the checked-in snapshot ``tools/api_surface.json``. Any drift (a
 removed name, a changed signature, an undeclared addition) fails with
 a precise diff, so breaking the API is always a *reviewed* decision:
@@ -46,9 +46,7 @@ PUBLIC_MODULES = (
     "repro.serve",
 )
 
-#: Snapshot section mapping each built-in method kind to its factory
-#: signature. Plugins are left out, so an installed one cannot change
-#: the snapshot.
+#: Snapshot section mapping each method kind to its factory signature.
 METHODS_SECTION = "methods"
 
 #: Memory addresses and other run-dependent repr noise to normalize.
@@ -92,20 +90,18 @@ def _describe(obj) -> dict | str:
 
 
 def build_methods() -> dict:
-    """``{kind: signature}`` for every built-in registry method."""
+    """``{kind: signature}`` for every registry method."""
     from repro.api.registry import method_info, method_names
 
-    methods = (method_info(kind) for kind in method_names())
     return {
-        info.kind: f"function{_signature_of(info.factory)}"
-        for info in methods
-        if info.source == "builtin"
+        kind: f"function{_signature_of(method_info(kind).factory)}"
+        for kind in method_names()
     }
 
 
 def build_surface() -> dict:
     """``{module: {export: description}}`` for the public modules, plus
-    the :data:`METHODS_SECTION` of built-in method signatures."""
+    the :data:`METHODS_SECTION` of method signatures."""
     surface: dict[str, dict] = {}
     for module_name in PUBLIC_MODULES:
         module = importlib.import_module(module_name)
@@ -131,7 +127,7 @@ def coverage(surface: dict) -> str:
     exports = sum(len(entry) for entry in surface.values()) - methods
     return (
         f"{exports} public exports across {len(surface) - 1} modules, "
-        f"{methods} built-in method signatures"
+        f"{methods} method signatures"
     )
 
 

@@ -7,8 +7,8 @@ each against the argparse tree built by ``repro.cli._build_parser()``:
 the subcommand must exist, every ``--flag`` must be declared by that
 subcommand, and positional values with declared choices must be valid.
 Every ``--param NAME=VALUE`` of ``repro anonymize|publish`` must name a
-parameter of the method the invocation selects (its ``--method``, else
-its ``--model``, else ``gl``), as the method registry declares it.
+parameter of the method the invocation selects (its ``--model``, else
+``gl``), as the method registry declares it.
 Documentation can therefore never drift ahead of (or behind) the CLI —
 CI runs this as the ``docs`` section of the unified
 ``tools/check_static.py`` gate.
@@ -119,7 +119,7 @@ def check_command(tokens: list[str], spec: dict[str, dict]) -> list[str]:
     positional_index = 0
     skip_values = 0
     # Flag -> its values, for the flags that select a method's parameters.
-    values: dict[str, list[str]] = {"--method": [], "--model": [], "--param": []}
+    values: dict[str, list[str]] = {"--model": [], "--param": []}
     capture = None
     for token in tokens[2:]:
         if skip_values:
@@ -156,7 +156,7 @@ def check_command(tokens: list[str], spec: dict[str, dict]) -> list[str]:
                 )
             positional_index += 1
     if subcommand in METHOD_COMMANDS and values["--param"]:
-        kind = (values["--method"] or values["--model"] or ["gl"])[-1]
+        kind = (values["--model"] or ["gl"])[-1]
         problems.extend(
             f"{subcommand}: {problem}"
             for problem in check_params(kind, values["--param"])
