@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -463,10 +464,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
     )
     write_csv(fleet.dataset, args.output)
-    stats = fleet.dataset.stats()
     print(
-        f"wrote {int(stats['trajectories'])} trajectories "
-        f"({int(stats['total_points'])} points) to {args.output}"
+        f"wrote {len(fleet.dataset)} trajectories "
+        f"({fleet.dataset.total_points()} points) to {args.output}"
     )
     return 0
 
@@ -889,6 +889,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # No module under src calls BLAS (tests/test_startup.py walks the
+    # source for matrix products), yet importing numpy starts OpenBLAS's
+    # helper thread, which spins on CPU that no command uses. Set before
+    # any command imports numpy; a value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     handlers = {
         "generate": _cmd_generate,
@@ -908,8 +913,6 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like
         # well-behaved CLI tools do.
-        import os
-
         os.close(sys.stdout.fileno())
         return 0
     except (ValueError, OSError, KeyError) as exc:

@@ -131,9 +131,11 @@ def generate_fleet(
     if n_nodes < config.n_hotspots + config.anchors_per_object + 1:
         raise ValueError("road network too small for the requested fleet")
 
-    # Hotspots live on the arterial mesh, never on residential spurs.
-    mesh_nodes = [n for n in range(n_nodes) if n not in set(network.spur_tips)]
-    hotspots = rng.sample(mesh_nodes, config.n_hotspots)
+    # Hotspots never sit on a spur tip, where personal anchors live; any
+    # other node may hold one, mid-spur nodes included.
+    spur_tips = set(network.spur_tips)
+    non_tips = [n for n in range(n_nodes) if n not in spur_tips]
+    hotspots = rng.sample(non_tips, config.n_hotspots)
     hotspot_set = set(hotspots)
 
     # Personal anchors prefer spur tips: homes are exclusive to one

@@ -70,12 +70,49 @@ class RoadNetwork:
             self.adjacency[v].append(edge)
             self._neighbours[u].append((v, edge.length))
             self._neighbours[v].append((u, edge.length))
+        self._core_neighbours, self._gates = self._split_core()
         self._cell_size = 0.0
         self._node_grid: dict[tuple[int, int], list[int]] = {}
         self._edge_grid: dict[tuple[int, int], list[Edge]] = {}
         self._build_spatial_grids()
 
     # -- construction helpers ------------------------------------------------
+
+    def _split_core(self) -> tuple[list[list[tuple[int, float]]], list[int]]:
+        """The routing view of the graph's 2-core.
+
+        Peeling nodes of degree at most 1 until none is left leaves the
+        2-core. Every peeled node sits in a pendant tree (spur streets,
+        dead-end lattice branches) that meets the core through one edge,
+        at its *gate*. Returns, per node, its neighbour list with pendant
+        neighbours dropped from core nodes' lists (pendant nodes keep
+        theirs whole), and its gate: the node itself for a core node,
+        -1 in a component that is a tree.
+        """
+        neighbours = self._neighbours
+        degree = [len(adjacent) for adjacent in neighbours]
+        peeled = [d <= 1 for d in degree]
+        queue = [node for node, gone in enumerate(peeled) if gone]
+        for node in queue:  # grows while it is walked
+            for neighbour, _ in neighbours[node]:
+                if not peeled[neighbour]:
+                    degree[neighbour] -= 1
+                    if degree[neighbour] <= 1:
+                        peeled[neighbour] = True
+                        queue.append(neighbour)
+        gates = [-1 if gone else node for node, gone in enumerate(peeled)]
+        routes = list(neighbours)
+        for core in range(len(neighbours)):
+            if peeled[core]:
+                continue
+            routes[core] = [entry for entry in neighbours[core] if not peeled[entry[0]]]
+            tree = [n for n, _ in neighbours[core] if peeled[n]]
+            for node in tree:  # grows while it is walked
+                gates[node] = core
+                for neighbour, _ in neighbours[node]:
+                    if gates[neighbour] == -1:
+                        tree.append(neighbour)
+        return routes, gates
 
     def _build_spatial_grids(self) -> None:
         if not self.coords:
@@ -194,6 +231,16 @@ class RoadNetwork:
         improved node is re-pushed, so a one-ulp inconsistency of the
         float heuristic costs at most a re-expansion.
 
+        The search runs on the 2-core: a core node relaxes only its core
+        neighbours, except at the target's gate, and a pendant node
+        relaxes all of its own. A pendant tree meets the core through one
+        edge, so no simple path enters a tree that holds neither end, and
+        no node of such a tree can lower the distance of a node outside
+        it. Its heap entries are all that skipping it drops, so the other
+        entries pop in the same order and the path is the very one a
+        search of the whole graph returns (``docs/architecture.md``,
+        "Fleet generation: A* on the 2-core").
+
         Raises ``ValueError`` when no path exists (should not happen on
         the connected networks built by :func:`build_road_network`).
         """
@@ -201,7 +248,9 @@ class RoadNetwork:
             return [source]
         coords = self.coords
         tx, ty = coords[target]
-        neighbours = self._neighbours
+        full = self._neighbours
+        neighbours = self._core_neighbours
+        gate = self._gates[target]
         inf = math.inf
         dist = {source: 0.0}
         parent: dict[int, int] = {}
@@ -215,7 +264,7 @@ class RoadNetwork:
                 break
             if d > dist.get(node, inf):
                 continue
-            for neighbour, length in neighbours[node]:
+            for neighbour, length in full[node] if node == gate else neighbours[node]:
                 candidate = d + length
                 if candidate < dist.get(neighbour, inf):
                     dist[neighbour] = candidate

@@ -1,6 +1,7 @@
 """Tests for tools/check_api.py (the public-API surface snapshot)."""
 
 import copy
+import enum
 import importlib.util
 import sys
 from pathlib import Path
@@ -50,6 +51,61 @@ class TestSnapshot:
             ("x", "y", "t", "loc"), "field"
         )
         assert point["coord"] == "property"
+
+
+def shade_enum(*, member=True, prop=True, method=True):
+    """A ``str`` enum with two members, a property and a method, each
+    of which a flag can leave out."""
+
+    class Shade(str, enum.Enum):
+        LIGHT = "light"
+        if member:
+            DARK = "dark"
+        if prop:
+
+            @property
+            def pale(self) -> bool:
+                return self is Shade.LIGHT
+
+        if method:
+
+            def label(self, prefix: str) -> str:
+                return prefix + self.value
+
+    return Shade
+
+
+class TestClassMembers:
+    """A class is described by its own members, enums included."""
+
+    def test_str_enum_lists_its_own_members_only(self, check_api):
+        members = check_api._describe_class(shade_enum())["members"]
+        assert members == {
+            "LIGHT": "member",
+            "DARK": "member",
+            "pale": "property",
+            "label": "method(self, prefix: str) -> str",
+        }
+
+    @pytest.mark.parametrize(
+        ("drop", "problem"),
+        [
+            ("member", "m.Shade.DARK: 'member' -> None"),
+            ("prop", "m.Shade.pale: 'property' -> None"),
+            ("method", "m.Shade.label: 'method(self, prefix: str) -> str' -> None"),
+        ],
+        ids=["member", "property", "method"],
+    )
+    def test_enum_deletion_shows_in_diff(self, check_api, drop, problem):
+        expected = {"m": {"Shade": check_api._describe_class(shade_enum())}}
+        actual = {"m": {"Shade": check_api._describe_class(shade_enum(**{drop: False}))}}
+        assert check_api.diff_surfaces(expected, actual) == [problem]
+
+    def test_live_enum_recorded(self, check_api):
+        direction = check_api.build_surface()["repro.bench"]["Direction"]["members"]
+        assert direction["LOWER_IS_BETTER"] == direction["HIGHER_IS_BETTER"] == "member"
+        assert direction["flipped"].startswith("method(self)")
+        assert not set(direction) & set(dir(str))
 
 
 class TestDiff:

@@ -1,7 +1,10 @@
 """Tests for the synthetic fleet generator."""
 
+import hashlib
+
 import pytest
 
+from repro.cli import main
 from repro.datagen.generator import FleetConfig, generate_fleet
 
 
@@ -31,6 +34,21 @@ class TestGenerateFleet:
         for ta, tb in zip(a.dataset, b.dataset, strict=True):
             assert [p.coord for p in ta] == [p.coord for p in tb]
             assert [p.t for p in ta] == [p.t for p in tb]
+
+    def test_cli_fleet_bytes_pinned(self, tmp_path, capsys):
+        """A seeded fleet's CSV is pinned byte for byte, not only run to
+        run: a faster route search or generator must leave it as is."""
+        path = tmp_path / "fleet.csv"
+        assert main([
+            "generate", "--objects", "30", "--points", "100", "--rows", "16",
+            "--cols", "16", "--hotspots", "12", "--seed", "7", "-o", str(path),
+        ]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote 30 trajectories (3000 points) to {path}\n"
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a48675d3b2166b502721b886f6eefbf5d08c5f5e9164d38d4a07a074140a0fc6"
+        )
 
     def test_timestamps_strictly_increasing(self, fleet):
         for trajectory in fleet.dataset:

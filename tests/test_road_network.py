@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datagen.road_network import build_road_network
+from repro.datagen.road_network import RoadNetwork, build_road_network
 from repro.geo.geometry import point_distance
 
 
@@ -166,6 +166,38 @@ def reference_dijkstra(network, source, target):
     return dist[target], path, unique
 
 
+def reference_astar(network, source, target):
+    """A* over every edge of ``network.adjacency``, with the same heap
+    entries as ``shortest_path``: the path the 2-core search must
+    return exactly, ties included."""
+    tx, ty = network.node_coord(target)
+    dist = {source: 0.0}
+    parent = {}
+    sx, sy = network.node_coord(source)
+    heap = [(math.hypot(sx - tx, sy - ty), 0.0, source)]
+    while heap:
+        _, d, node = heapq.heappop(heap)
+        if node == target:
+            break
+        if d > dist.get(node, math.inf):
+            continue
+        for edge in network.adjacency[node]:
+            neighbour = edge.other(node)
+            candidate = d + edge.length
+            if candidate < dist.get(neighbour, math.inf):
+                dist[neighbour] = candidate
+                parent[neighbour] = node
+                x, y = network.node_coord(neighbour)
+                heapq.heappush(
+                    heap, (candidate + math.hypot(x - tx, y - ty), candidate, neighbour)
+                )
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
 def path_length(network, path):
     lengths = {e.key: e.length for e in network.edges}
     total = 0.0
@@ -184,7 +216,7 @@ class TestAStarRouting:
         cols=st.integers(2, 9),
         jitter=st.sampled_from([0.0, 0.01, 0.15, 0.3]),
         removal=st.sampled_from([0.0, 0.12, 0.3]),
-        n_spurs=st.integers(0, 4),
+        n_spurs=st.integers(0, 40),
         seed=st.integers(0, 10_000),
         ends=st.tuples(st.integers(0, 10_000), st.integers(0, 10_000)),
     )
@@ -206,3 +238,37 @@ class TestAStarRouting:
         assert path_length(network, path) == pytest.approx(length, rel=1e-12)
         if unique:
             assert path == reference
+        assert path == reference_astar(network, source, target)
+
+    def test_tree_network_routes(self):
+        """A tree has an empty 2-core: every node is pendant and keeps
+        its whole neighbour list, so any two nodes still connect."""
+        #      3   5
+        #      |   |
+        #  0 - 1 - 2 - 4
+        #              |
+        #              6
+        coords = [(0, 0), (600, 0), (1200, 0), (600, 600), (1800, 0),
+                  (1200, 600), (1800, -600)]
+        edges = [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (4, 6)]
+        network = RoadNetwork(coords, edges)
+        assert network.shortest_path(3, 6) == [3, 1, 2, 4, 6]
+        assert network.shortest_path(6, 0) == [6, 4, 2, 1, 0]
+        assert network.shortest_path(5, 3) == [5, 2, 1, 3]
+
+    def test_no_path_across_components_raises(self):
+        """``PathInferenceAttack`` treats the ValueError as a gap."""
+        # A square with a spur (0-3 core, 4-5 pendant), a separate
+        # triangle with a spur (6-8 core, 9 pendant), and a lone path.
+        coords = [(0, 0), (600, 0), (600, 600), (0, 700), (-600, 0),
+                  (-1200, 0), (3000, 0), (3600, 0), (3300, 600),
+                  (4200, 0), (0, 3000), (600, 3000)]
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5),
+                 (6, 7), (7, 8), (8, 6), (7, 9), (10, 11)]
+        network = RoadNetwork(coords, edges)
+        assert network.shortest_path(5, 2) == [5, 4, 0, 1, 2]
+        assert network.shortest_path(3, 5) == [3, 0, 4, 5]
+        assert network.shortest_path(6, 9) == [6, 7, 9]
+        for source, target in ((5, 9), (1, 9), (5, 6), (9, 5), (0, 11), (10, 4)):
+            with pytest.raises(ValueError, match="no path"):
+                network.shortest_path(source, target)

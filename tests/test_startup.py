@@ -6,6 +6,7 @@ lazy (PEP 562), so the same checks pin that every exported name still
 resolves to the object its defining module holds.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main
 
 SRC = Path(repro.__file__).resolve().parent.parent
 REPO = SRC.parent
@@ -138,3 +140,59 @@ class TestLazyExports:
         # `from package import submodule` and `getattr(..., default)`
         # rely on a miss being an AttributeError, which hasattr expects.
         assert not hasattr(module, "no_such_name")
+
+
+#: Names whose call runs BLAS: numpy's matrix products and ``linalg``.
+BLAS_CALLS = {"dot", "matmul", "vdot", "tensordot", "einsum", "linalg"}
+
+
+def dotted_names(func):
+    """Every name along a call's target, e.g. ``np.linalg.norm``."""
+    while isinstance(func, ast.Attribute):
+        yield func.attr
+        func = func.value
+    if isinstance(func, ast.Name):
+        yield func.id
+
+
+class TestBlasThreads:
+    """``main`` runs OpenBLAS on one thread unless the user says
+    otherwise, which holds only while no module under ``src`` makes a
+    BLAS call: when one does, revisit the default."""
+
+    def test_default_set_when_unset(self, monkeypatch, capsys):
+        # setenv records the variable's state before the test, so that
+        # teardown restores it after main has set it.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert main(["methods"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_user_value_kept(self, monkeypatch, capsys):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main(["methods"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+    def test_import_sets_nothing(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        probe = "import os, repro.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path, env=env,
+            check=True, capture_output=True, text=True,
+        )
+        assert result.stdout.strip() == "None"
+
+    def test_src_makes_no_blas_call(self):
+        found = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+                    node.op, ast.MatMult
+                ):
+                    found.append(f"{path}:{node.lineno}: @")
+                elif isinstance(node, ast.Call):
+                    names = BLAS_CALLS.intersection(dotted_names(node.func))
+                    if names:
+                        found.append(f"{path}:{node.lineno}: {sorted(names)}")
+        assert found == []

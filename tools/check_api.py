@@ -4,8 +4,8 @@
 Builds a description of every ``__all__`` export of the public
 packages (``repro.api``, ``repro.engine``, ``repro.data``, plus the
 top-level ``repro`` namespace) — functions and methods down to their
-full signatures, classes down to their public methods, properties and
-dataclass fields —
+full signatures, classes down to their public methods, properties,
+dataclass fields and enum members —
 plus the parameter signature of every registry method (the names a
 ``--param`` or a served spec may use), and compares it against
 the checked-in snapshot ``tools/api_surface.json``. Any drift (a
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import importlib
 import inspect
 import json
@@ -62,18 +63,32 @@ def _signature_of(obj) -> str:
 
 
 def _describe_class(cls: type) -> dict:
+    """A class's public fields, enum members, properties and methods.
+
+    Members come from the class's own MRO, stopping at the builtin and
+    ``enum`` classes: a ``str`` enum inherits ``str``'s methods and
+    ``Enum``'s ``name``/``value``, which are not this package's surface
+    and would bury the class's own members.
+    """
     members: dict[str, str] = {}
     if dataclasses.is_dataclass(cls):
         for field in dataclasses.fields(cls):
             if not field.name.startswith("_"):
                 members[field.name] = "field"
-    for name, member in inspect.getmembers(cls):
-        if name.startswith("_") or name in members:
+    if issubclass(cls, enum.Enum):
+        for name in cls.__members__:
+            members[name] = "member"
+    for klass in cls.__mro__:
+        if klass.__module__ in ("builtins", "enum"):
             continue
-        if isinstance(member, property):
-            members[name] = "property"
-        elif callable(member):
-            members[name] = f"method{_signature_of(member)}"
+        for name in vars(klass):
+            if name.startswith("_") or name in members:
+                continue
+            member = inspect.getattr_static(cls, name)
+            if isinstance(member, property):
+                members[name] = "property"
+            elif isinstance(member, (staticmethod, classmethod)) or callable(member):
+                members[name] = f"method{_signature_of(getattr(cls, name))}"
     return {
         "kind": "class",
         "signature": _signature_of(cls),
